@@ -2,7 +2,6 @@
 // offload (one op = restore the staged platform + run it to exit), and
 // the E7 fault campaign (one op = a 64-trial chunk through the
 // checkpoint ladder, plus an orchestrated leg over worker processes).
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
