@@ -50,17 +50,13 @@ void record_speedup(const char* name, int size, double legacy_us,
 
 /// Execution tiers under test: the seed's decode-every-fetch interpreter
 /// with per-cycle ticking, the predecoded uop-at-a-time engine, and the
-/// basic-block translation tier (block cache + chaining + fusion +
-/// constant folding). All three are pinned bit-identical by
-/// tests/test_sysim_diff.cpp. Constant folding is pinned explicitly so
-/// the rows are deterministic regardless of ASPEN_BLOCK_CONSTFOLD.
-SystemConfig tier_config(const SystemConfig& base, bool legacy, bool block,
-                         bool constfold = true) {
+/// basic-block translation tier (block cache + chaining + fusion). All
+/// three are pinned bit-identical by tests/test_sysim_diff.cpp.
+SystemConfig tier_config(const SystemConfig& base, bool legacy, bool block) {
   SystemConfig sc = base;
   sc.event_driven = !legacy;
   sc.cpu.legacy_decode = legacy;
   sc.cpu.block_tier = block;
-  sc.cpu.block_constfold = constfold;
   return sc;
 }
 
@@ -153,22 +149,16 @@ void bench_workload(const char* tag, const Workload& w,
   const SystemConfig legacy_sc = tier_config(w.sc, true, false);
   const SystemConfig uop_sc = tier_config(w.sc, false, false);
   const SystemConfig block_sc = tier_config(w.sc, false, true);
-  const SystemConfig nofold_sc = tier_config(w.sc, false, true, false);
   const std::uint64_t legacy_cycles = probe_run(w, legacy_sc);
   const std::uint64_t uop_cycles = probe_run(w, uop_sc);
   rv::BlockStats st;
   const std::uint64_t block_cycles = probe_run(w, block_sc, &st);
-  // Folding is host-side only; simulated cycles must not move with it.
-  const std::uint64_t nofold_cycles = probe_run(w, nofold_sc);
-  if (legacy_cycles != uop_cycles || legacy_cycles != block_cycles ||
-      legacy_cycles != nofold_cycles) {
-    std::fprintf(
-        stderr,
-        "bench_sysim: cycle mismatch on %s (%llu / %llu / %llu / %llu)\n",
-        tag, static_cast<unsigned long long>(legacy_cycles),
-        static_cast<unsigned long long>(uop_cycles),
-        static_cast<unsigned long long>(block_cycles),
-        static_cast<unsigned long long>(nofold_cycles));
+  if (legacy_cycles != uop_cycles || legacy_cycles != block_cycles) {
+    std::fprintf(stderr,
+                 "bench_sysim: cycle mismatch on %s (%llu / %llu / %llu)\n",
+                 tag, static_cast<unsigned long long>(legacy_cycles),
+                 static_cast<unsigned long long>(uop_cycles),
+                 static_cast<unsigned long long>(block_cycles));
     std::exit(1);
   }
 
@@ -178,13 +168,9 @@ void bench_workload(const char* tag, const Workload& w,
       record_runs((std::string(tag) + "_uop").c_str(), w, uop_sc);
   const double block_us =
       record_runs((std::string(tag) + "_block").c_str(), w, block_sc);
-  const double nofold_us =
-      record_runs((std::string(tag) + "_block_nofold").c_str(), w, nofold_sc);
   record_speedup(speedup_name, static_cast<int>(w.wl.n), legacy_us, block_us);
   record_speedup((std::string(tag) + "_block_vs_uop").c_str(),
                  static_cast<int>(w.wl.n), uop_us, block_us);
-  record_speedup((std::string(tag) + "_fold_ratio").c_str(),
-                 static_cast<int>(w.wl.n), nofold_us, block_us);
 
   const int n = static_cast<int>(w.wl.n);
   const std::string t(tag);
@@ -197,26 +183,19 @@ void bench_workload(const char* tag, const Workload& w,
   rows.push_back({t + "_blk_evictions", static_cast<double>(st.evictions), n,
                   "evictions"});
   rows.push_back({t + "_blk_hit_rate", 100.0 * st.hit_rate(), n, "%"});
-  rows.push_back({t + "_blk_fold_built", static_cast<double>(st.folded_built),
-                  n, "ops"});
-  rows.push_back({t + "_blk_fold_exec", static_cast<double>(st.folded_exec),
-                  n, "ops"});
   rows.push_back({t + "_rvc_built", static_cast<double>(st.rvc_built), n,
                   "insts"});
   rows.push_back({t + "_rvc_fetch_bytes", static_cast<double>(st.fetch_bytes),
                   n, "bytes"});
   std::printf(
       "  (cycles: %llu all tiers; blocks built %llu, dispatches %llu, "
-      "chained %llu, fused %llu, folded %llu built / %llu exec, "
-      "rvc %llu insts / %llu fetch bytes, evictions %llu, "
-      "fallback steps %llu, hit rate %.1f%%)\n\n",
+      "chained %llu, fused %llu, rvc %llu insts / %llu fetch bytes, "
+      "evictions %llu, fallback steps %llu, hit rate %.1f%%)\n\n",
       static_cast<unsigned long long>(block_cycles),
       static_cast<unsigned long long>(st.blocks_built),
       static_cast<unsigned long long>(st.dispatches),
       static_cast<unsigned long long>(st.chained),
       static_cast<unsigned long long>(st.fused_exec),
-      static_cast<unsigned long long>(st.folded_built),
-      static_cast<unsigned long long>(st.folded_exec),
       static_cast<unsigned long long>(st.rvc_built),
       static_cast<unsigned long long>(st.fetch_bytes),
       static_cast<unsigned long long>(st.evictions),

@@ -77,6 +77,7 @@ CMat GemmCore::multiply(const CMat& x) {
 }
 
 void GemmCore::multiply_noiseless(const CMat& x, CMat& out) {
+  engine_.count_mvm_ops(x.cols());
   if (!cfg_.abft.enabled) {
     engine_.multiply_noiseless_batch_into(x, out);
     return;
@@ -97,6 +98,7 @@ CMat GemmCore::multiply_physical(const CMat& x) {
     throw std::invalid_argument("GemmCore: input rows != engine ports");
   const std::size_t m = x.cols();
   const auto k = static_cast<std::size_t>(cfg_.wdm_channels);
+  engine_.count_mvm_ops(m);
 
   stats_ = GemmStats{};
   stats_.weight_write_energy_j = 0.0;  // per-call stats exclude programming

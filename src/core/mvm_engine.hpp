@@ -169,6 +169,10 @@ class MvmEngine {
   [[nodiscard]] double program_time_s() const;
 
   [[nodiscard]] const MvmCounters& counters() const { return counters_; }
+  /// Count vectors pushed through the mesh on paths that do not count
+  /// them themselves: the batched stages and the noiseless multiplies,
+  /// as GemmCore's physical and noiseless paths drive them.
+  void count_mvm_ops(std::uint64_t vectors) { counters_.mvm_ops += vectors; }
   [[nodiscard]] const MvmConfig& config() const { return cfg_; }
   /// Fidelity achieved by the last set_matrix (physical vs target shape).
   [[nodiscard]] double programming_fidelity() const { return fidelity_; }

@@ -125,17 +125,10 @@ void FaultCampaign::build_ladder(unsigned rungs) {
     // golden prefix is deterministic, so this one-time scan lets trials
     // restoring across rungs hand restore_fast a tight stale span
     // instead of the whole DRAM.
-    const std::vector<std::uint8_t>& a = rung.snap.dram.bytes;
-    const std::vector<std::uint8_t>& b = staged_.dram.bytes;
-    std::size_t lo = 0;
-    const std::size_t n = a.size();
-    while (lo < n && a[lo] == b[lo]) ++lo;
-    if (lo < n) {
-      std::size_t hi = n;
-      while (hi > lo && a[hi - 1] == b[hi - 1]) --hi;
-      rung.stale_lo = static_cast<std::uint32_t>(lo);
-      rung.stale_len = static_cast<std::uint32_t>(hi - lo);
-    }
+    const ByteSpan stale =
+        differing_span(rung.snap.dram.bytes, staged_.dram.bytes);
+    rung.stale_lo = stale.lo;
+    rung.stale_len = stale.len;
     ladder_.push_back(std::move(rung));
   }
 }

@@ -132,13 +132,11 @@ void Memory::restore_diff(const Snapshot& s, std::uint32_t stale_lo,
   dirty_hi_ = 0;
   // Chunked scan: contiguous runs of differing chunks are copied and
   // notified as one span, so observer invalidation stays proportional to
-  // what actually changed. 256 bytes balances memcmp call overhead
-  // against over-invalidation of a master's predecoded instructions.
-  constexpr std::uint32_t kChunk = 256;
+  // what actually changed.
   std::uint32_t run_lo = 0;
   bool in_run = false;
-  for (std::uint32_t off = scan_lo; off < scan_hi; off += kChunk) {
-    const std::uint32_t len = std::min(kChunk, scan_hi - off);
+  for (std::uint32_t off = scan_lo; off < scan_hi; off += kScanChunk) {
+    const std::uint32_t len = std::min(kScanChunk, scan_hi - off);
     const bool differs =
         std::memcmp(bytes_.data() + off, s.bytes.data() + off, len) != 0;
     if (differs && !in_run) {
@@ -156,6 +154,31 @@ void Memory::restore_diff(const Snapshot& s, std::uint32_t stale_lo,
                 scan_hi - run_lo);
     notify(run_lo, scan_hi - run_lo);
   }
+}
+
+ByteSpan differing_span(const std::vector<std::uint8_t>& a,
+                        const std::vector<std::uint8_t>& b) {
+  if (a.size() != b.size())
+    throw std::invalid_argument("differing_span: image sizes differ");
+  constexpr std::uint32_t kChunk = Memory::kScanChunk;
+  const auto n = static_cast<std::uint32_t>(a.size());
+  std::uint32_t lo = 0;
+  while (lo < n) {
+    const std::uint32_t len = std::min(kChunk, n - lo);
+    if (std::memcmp(a.data() + lo, b.data() + lo, len) != 0) break;
+    lo += len;
+  }
+  if (lo == n) return {};
+  while (a[lo] == b[lo]) ++lo;  // stops inside the differing chunk
+  // From the top down to lo: a[lo] != b[lo] bounds both loops.
+  std::uint32_t hi = n;
+  for (;;) {
+    const std::uint32_t len = std::min(kChunk, hi - lo);
+    if (std::memcmp(a.data() + hi - len, b.data() + hi - len, len) != 0) break;
+    hi -= len;
+  }
+  while (a[hi - 1] == b[hi - 1]) --hi;
+  return {lo, hi - lo};
 }
 
 }  // namespace aspen::sys

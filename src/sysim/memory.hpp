@@ -111,6 +111,11 @@ class Memory final : public BusDevice {
   /// any prior contents; still skips copying/notifying matching chunks).
   void restore_diff(const Snapshot& s) { restore_diff(s, 0, size()); }
 
+  /// memcmp granule of the image scans (restore_diff, differing_span).
+  /// 256 bytes balances memcmp call overhead against over-invalidation
+  /// of a master's predecoded instructions.
+  static constexpr std::uint32_t kScanChunk = 256;
+
  private:
   [[nodiscard]] std::uint8_t read_byte(std::uint32_t offset) const;
   void notify(std::uint32_t offset, std::uint32_t bytes) {
@@ -134,5 +139,16 @@ class Memory final : public BusDevice {
   std::uint32_t dirty_lo_ = 0xFFFFFFFFu;
   std::uint32_t dirty_hi_ = 0;
 };
+
+/// Exact byte range [lo, lo + len) outside which two equally sized
+/// images agree; len 0 when they are identical. Scans chunk-wise with
+/// memcmp from each end and walks bytes only inside the first and last
+/// differing chunks.
+struct ByteSpan {
+  std::uint32_t lo = 0;
+  std::uint32_t len = 0;
+};
+[[nodiscard]] ByteSpan differing_span(const std::vector<std::uint8_t>& a,
+                                      const std::vector<std::uint8_t>& b);
 
 }  // namespace aspen::sys

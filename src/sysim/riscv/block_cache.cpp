@@ -1,8 +1,5 @@
 #include "sysim/riscv/block_cache.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace aspen::sys::rv {
 
 void BlockCache::invalidate_range(std::uint32_t addr, std::uint32_t bytes) {
@@ -31,22 +28,6 @@ void BlockCache::flush() {
   }
   extent_.reset();
   ++gen_;
-}
-
-bool block_tier_env_default() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("ASPEN_BLOCK_TIER");
-    return v == nullptr || v[0] == '\0' || std::strcmp(v, "0") != 0;
-  }();
-  return enabled;
-}
-
-bool block_constfold_env_default() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("ASPEN_BLOCK_CONSTFOLD");
-    return v == nullptr || v[0] == '\0' || std::strcmp(v, "0") != 0;
-  }();
-  return enabled;
 }
 
 }  // namespace aspen::sys::rv

@@ -3,7 +3,9 @@
 /// Basic-block translation tier over the predecoded micro-op engine:
 /// straight-line instruction runs are decoded once into a Block — an
 /// array of micro-ops with a single entry check — executed back-to-back
-/// with per-op cycle/instret accounting, chained across direct
+/// with per-op cycle/instret accounting (pure register runs retire
+/// through exec_alu with one batched update; every other op goes through
+/// the CPU's single exec_op semantics), chained across direct
 /// branches/jumps via memoized successor links, and peephole-fused
 /// (lui+addi, auipc+jalr, load+op, op+branch) at build time. Coherence
 /// rides the same write paths that keep the per-instruction micro-op
@@ -57,36 +59,16 @@ enum FuseKind : std::uint8_t {
   kFuseOpBranch,   ///< 1-cycle ALU op rd ; branch reading rd
 };
 
-/// Constant-fold kinds computed at block-build time by propagating known
-/// register constants (seeded by lui / resolved-auipc / addi chains)
-/// forward through the block. A fold never changes timing — the folded
-/// op retires with the exact cycle/stall cost of its unfolded form — it
-/// only precomputes the data result so dispatch skips the register reads
-/// and ALU/compare work. Folds are sound because every folded input is
-/// produced *inside* the block before its use (nothing is assumed about
-/// register state at block entry beyond x0 == 0), and they are bypassed
-/// at runtime whenever stuck-at register faults are armed (the masked
-/// read the fold skipped would have changed the value).
-enum FoldKind : std::uint8_t {
-  kFoldNone = 0,
-  kFoldValue,   ///< ALU/M op: result precomputed in fold_val
-  kFoldAddr,    ///< load/store: effective address precomputed in fold_val
-  kFoldBranch,  ///< branch: direction known; fold_val = 1 when taken
-};
-
 /// One block slot: a single micro-op, or a fused pair (`fuse` != none).
 struct BlockOp {
   MicroOp a;
   MicroOp b;                       ///< second half when fused
   std::uint8_t fuse = kFuseNone;
-  std::uint8_t fold = kFoldNone;   ///< constant-fold kind (unfused ops only)
   /// Total encoded bytes of the slot (a.len, + b.len when fused).
   std::uint8_t len = 4;
   /// Precomputed fusion result: the full constant for kFuseLuiAddi, the
   /// resolved jump target for kFuseAuipcJalr.
   std::uint32_t fused_imm = 0;
-  /// Precomputed fold result (see FoldKind).
-  std::uint32_t fold_val = 0;
 };
 
 /// A run of block ops the executor can retire with batched bookkeeping
@@ -163,8 +145,6 @@ struct BlockStats {
   std::uint64_t fallback_steps = 0;  ///< single-step dispatches (no block)
   std::uint64_t lookup_hits = 0;
   std::uint64_t lookup_misses = 0;
-  std::uint64_t folded_built = 0;  ///< ops constant-folded at build time
-  std::uint64_t folded_exec = 0;   ///< folded ops retired via their fold
   std::uint64_t rvc_built = 0;     ///< compressed (2-byte) ops decoded
   std::uint64_t fetch_bytes = 0;   ///< bytes decoded into blocks (2/4 per op)
   [[nodiscard]] double hit_rate() const {
@@ -239,15 +219,5 @@ class BlockCache {
   std::uint64_t gen_ = 0;
   BlockStats stats_;
 };
-
-/// Default for CpuConfig::block_tier: enabled unless the environment
-/// sets ASPEN_BLOCK_TIER=0 (the CI matrix leg that re-runs the whole
-/// suite on the uop-at-a-time path).
-[[nodiscard]] bool block_tier_env_default();
-
-/// Default for CpuConfig::block_constfold: enabled unless the
-/// environment sets ASPEN_BLOCK_CONSTFOLD=0 (the CI matrix leg that
-/// re-runs the suite with the folding pass disabled).
-[[nodiscard]] bool block_constfold_env_default();
 
 }  // namespace aspen::sys::rv

@@ -20,77 +20,6 @@ std::int32_t sign_extend(std::uint32_t v, unsigned bits) {
   const unsigned shift = 32 - bits;
   return static_cast<std::int32_t>(v << shift) >> shift;
 }
-
-/// Build-time constant evaluation for the folding pass. Semantics must
-/// match Cpu::exec_alu bit-for-bit (including the M-extension division
-/// edge cases); `y` is the immediate for OP-IMM forms (shamt already
-/// masked at decode) and the rs2 value for OP forms (shift amount
-/// masked here, like the hardware would).
-std::uint32_t eval_alu_const(std::uint8_t op, std::uint32_t x,
-                             std::uint32_t y) {
-  const auto sx = static_cast<std::int32_t>(x);
-  const auto sy = static_cast<std::int32_t>(y);
-  switch (op) {
-    case MicroOp::kAddi: return x + y;
-    case MicroOp::kSlti: return sx < sy ? 1u : 0u;
-    case MicroOp::kSltiu: return x < y ? 1u : 0u;
-    case MicroOp::kXori: return x ^ y;
-    case MicroOp::kOri: return x | y;
-    case MicroOp::kAndi: return x & y;
-    case MicroOp::kSlli: return x << y;
-    case MicroOp::kSrli: return x >> y;
-    case MicroOp::kSrai: return static_cast<std::uint32_t>(sx >> y);
-    case MicroOp::kAdd: return x + y;
-    case MicroOp::kSub: return x - y;
-    case MicroOp::kSll: return x << (y & 0x1F);
-    case MicroOp::kSlt: return sx < sy ? 1u : 0u;
-    case MicroOp::kSltu: return x < y ? 1u : 0u;
-    case MicroOp::kXor: return x ^ y;
-    case MicroOp::kSrl: return x >> (y & 0x1F);
-    case MicroOp::kSra: return static_cast<std::uint32_t>(sx >> (y & 0x1F));
-    case MicroOp::kOr: return x | y;
-    case MicroOp::kAnd: return x & y;
-    default: {
-      const auto sa = static_cast<std::int64_t>(sx);
-      const auto sb = static_cast<std::int64_t>(sy);
-      const auto ua = static_cast<std::uint64_t>(x);
-      const auto ub = static_cast<std::uint64_t>(y);
-      switch (op) {
-        case MicroOp::kMul: return static_cast<std::uint32_t>(sa * sb);
-        case MicroOp::kMulh:
-          return static_cast<std::uint32_t>((sa * sb) >> 32);
-        case MicroOp::kMulhsu:
-          return static_cast<std::uint32_t>(
-              (sa * static_cast<std::int64_t>(ub)) >> 32);
-        case MicroOp::kMulhu: return static_cast<std::uint32_t>((ua * ub) >> 32);
-        case MicroOp::kDiv:
-          if (y == 0) return 0xFFFFFFFFu;
-          if (x == 0x80000000u && y == 0xFFFFFFFFu) return 0x80000000u;
-          return static_cast<std::uint32_t>(sx / sy);
-        case MicroOp::kDivu: return y == 0 ? 0xFFFFFFFFu : x / y;
-        case MicroOp::kRem:
-          if (y == 0) return x;
-          if (x == 0x80000000u && y == 0xFFFFFFFFu) return 0;
-          return static_cast<std::uint32_t>(sx % sy);
-        default: return y == 0 ? x : x % y;  // kRemu
-      }
-    }
-  }
-}
-
-/// Branch-direction evaluation for the folding pass; matches exec_op.
-bool eval_branch_const(std::uint8_t op, std::uint32_t a, std::uint32_t b) {
-  switch (op) {
-    case MicroOp::kBeq: return a == b;
-    case MicroOp::kBne: return a != b;
-    case MicroOp::kBlt:
-      return static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b);
-    case MicroOp::kBge:
-      return static_cast<std::int32_t>(a) >= static_cast<std::int32_t>(b);
-    case MicroOp::kBltu: return a < b;
-    default: return a >= b;  // kBgeu
-  }
-}
 }  // namespace
 
 Cpu::Cpu(Bus& bus, CpuConfig cfg)
@@ -356,26 +285,32 @@ Cpu::BurstResult Cpu::run_burst(std::uint64_t budget) {
   // bus_access_ latches only on burst-ending events (activating writes,
   // slow fetches, faults), so one reset serves the whole burst.
   bus_access_ = false;
-  while (budget > 0) {
-    ++cycles_;
-    --budget;
-    ++r.cycles;
-    step();
-    if (bus_access_ || halt_ != Halt::kRunning || wfi_) {
-      r.bus_access = bus_access_;
-      break;
-    }
-    if (stall_ > 0) {
-      const std::uint64_t burn =
-          stall_ < budget ? static_cast<std::uint64_t>(stall_) : budget;
-      cycles_ += burn;
-      budget -= burn;
-      r.cycles += burn;
-      stall_ -= static_cast<unsigned>(burn);
-      if (stall_ > 0) break;  // budget exhausted mid-stall
-    }
+  while (budget > 0 && burst_step(budget, r)) {
   }
   return r;
+}
+
+bool Cpu::burst_step(std::uint64_t& budget, BurstResult& r) {
+  ++cycles_;
+  --budget;
+  ++r.cycles;
+  step();
+  if (bus_access_ || halt_ != Halt::kRunning || wfi_) {
+    r.bus_access = bus_access_;
+    return false;
+  }
+  return burn_stall(budget, r);
+}
+
+bool Cpu::burn_stall(std::uint64_t& budget, BurstResult& r) {
+  if (stall_ == 0) return true;
+  const std::uint64_t burn =
+      stall_ < budget ? static_cast<std::uint64_t>(stall_) : budget;
+  cycles_ += burn;
+  budget -= burn;
+  r.cycles += burn;
+  stall_ -= static_cast<unsigned>(burn);
+  return stall_ == 0;  // false: budget exhausted mid-stall
 }
 
 // ------------------------------------------------- block translation tier
@@ -517,112 +452,6 @@ bool Cpu::build_block(Block& blk, std::uint32_t start) {
       bo.a.imm = op_pc + bo.a.imm;
     }
     op_pc += bo.len;
-  }
-  // Constant-folding pass: walk the ops once, tracking registers whose
-  // value is fully determined by in-block immediates (x0 plus anything
-  // written by lui / resolved-auipc / folded OP-IMM chains). An op whose
-  // inputs are all known gets its result (kFoldValue), effective address
-  // (kFoldAddr), or branch direction (kFoldBranch) precomputed into
-  // fold_val. Nothing is assumed about register state at entry, so a
-  // fold is valid on every dispatch of the block; the executor bypasses
-  // folds when register faults are armed (see exec_block).
-  if (cfg_.block_constfold) {
-    std::uint32_t known = 1;  // bit i: value of xi is known (x0 always)
-    std::array<std::uint32_t, 32> kv{};
-    const auto is_known = [&known](std::uint8_t r) {
-      return (known >> r) & 1u;
-    };
-    const auto set_known = [&](std::uint8_t rd, std::uint32_t v) {
-      if (rd == 0) return;
-      known |= 1u << rd;
-      kv[rd] = v;
-    };
-    const auto clear_known = [&known](std::uint8_t rd) {
-      if (rd != 0) known &= ~(1u << rd);
-    };
-    std::uint32_t fold_pc = blk.start;
-    for (BlockOp& bo : blk.ops) {
-      const MicroOp& u = bo.a;
-      switch (bo.fuse) {
-        case kFuseLuiAddi:
-          set_known(u.rd, u.imm);
-          set_known(bo.b.rd, bo.fused_imm);
-          break;
-        case kFuseAuipcJalr:
-          set_known(u.rd, fold_pc + u.imm);
-          set_known(bo.b.rd, fold_pc + bo.len);
-          break;
-        case kFuseLoadOp:
-          clear_known(u.rd);
-          clear_known(bo.b.rd);
-          break;
-        case kFuseOpBranch:
-          // The branch half writes no register (its rd field carries
-          // immediate bits), so only the ALU half clobbers.
-          clear_known(u.rd);
-          break;
-        default: {  // unfused
-          if (u.op == MicroOp::kLui) {
-            set_known(u.rd, u.imm);
-          } else if (u.op >= MicroOp::kAddi && u.op <= MicroOp::kSrai) {
-            if (is_known(u.rs1)) {
-              bo.fold = kFoldValue;
-              bo.fold_val = eval_alu_const(u.op, kv[u.rs1], u.imm);
-              set_known(u.rd, bo.fold_val);
-              ++st.folded_built;
-            } else {
-              clear_known(u.rd);
-            }
-          } else if (u.op >= MicroOp::kAdd && u.op <= MicroOp::kRemu) {
-            if (is_known(u.rs1) && is_known(u.rs2)) {
-              bo.fold = kFoldValue;
-              bo.fold_val = eval_alu_const(u.op, kv[u.rs1], kv[u.rs2]);
-              set_known(u.rd, bo.fold_val);
-              ++st.folded_built;
-            } else {
-              clear_known(u.rd);
-            }
-          } else if (u.op >= MicroOp::kLb && u.op <= MicroOp::kLhu) {
-            if (is_known(u.rs1)) {
-              bo.fold = kFoldAddr;
-              bo.fold_val = kv[u.rs1] + u.imm;
-              ++st.folded_built;
-            }
-            clear_known(u.rd);  // loaded value is never known
-          } else if (u.op >= MicroOp::kSb && u.op <= MicroOp::kSw) {
-            if (is_known(u.rs1)) {
-              bo.fold = kFoldAddr;
-              bo.fold_val = kv[u.rs1] + u.imm;
-              ++st.folded_built;
-            }
-          } else if (u.op >= MicroOp::kBeq && u.op <= MicroOp::kBgeu) {
-            if (is_known(u.rs1) && is_known(u.rs2)) {
-              bo.fold = kFoldBranch;
-              bo.fold_val =
-                  eval_branch_const(u.op, kv[u.rs1], kv[u.rs2]) ? 1u : 0u;
-              ++st.folded_built;
-            }
-          } else if (u.op == MicroOp::kJalr) {
-            if (is_known(u.rs1)) {
-              bo.fold = kFoldAddr;
-              bo.fold_val = (kv[u.rs1] + u.imm) & ~1u;
-              // A statically-known indirect target makes the block
-              // chainable like a direct jump.
-              blk.taken_pc = bo.fold_val;
-              ++st.folded_built;
-            }
-            clear_known(u.rd);
-          } else if (u.op == MicroOp::kJal) {
-            set_known(u.rd, fold_pc + u.len);
-          } else if (u.op >= MicroOp::kCsrrw && u.op <= MicroOp::kCsrrci) {
-            clear_known(u.rd);
-          }
-          // ecall/ebreak/wfi/mret/fence/illegal: no register writes.
-          break;
-        }
-      }
-      fold_pc += bo.len;
-    }
   }
   // Then carve the exec plan into segments: consecutive pure register
   // ops — no faults, traps, bus traffic, or cycles_/pc_ reads, cycle
@@ -817,215 +646,17 @@ bool Cpu::retire_half(const MicroOp& u, std::uint64_t& budget, BurstResult& r) {
   --budget;
   ++r.cycles;
   stall_ += cfg_.fetch_latency;
-  // Pure register ops and DRAM-resident loads/stores are retired inline
-  // — semantics transcribed from exec_op and pinned against it (and
-  // against legacy_decode) by the differential suite. Control-flow,
-  // system, and CSR ops take the full dispatch with burst-level exit
-  // checks. Dispatch is a switch so the hot per-op path takes one
-  // jump-table indirection instead of a range-compare chain; `default`
-  // covers exactly the single-cycle ALU group (lui/auipc/OP-IMM/OP/
-  // fence) — every other op has an explicit label.
-  switch (u.op) {
-  default:
-    exec_alu(u);
-    ++instret_;
-    pc_ += u.len;
-    break;
-  case MicroOp::kMul:
-  case MicroOp::kMulh:
-  case MicroOp::kMulhsu:
-  case MicroOp::kMulhu:
-  case MicroOp::kDiv:
-  case MicroOp::kDivu:
-  case MicroOp::kRem:
-  case MicroOp::kRemu:
-    exec_alu(u);
-    stall_ += (u.op <= MicroOp::kMulhu) ? cfg_.mul_latency - 1
-                                        : cfg_.div_latency - 1;
-    ++instret_;
-    pc_ += u.len;
-    break;
-  case MicroOp::kLb:
-  case MicroOp::kLh:
-  case MicroOp::kLw:
-  case MicroOp::kLbu:
-  case MicroOp::kLhu: {
-    const std::uint32_t addr = read_reg(u.rs1) + u.imm;
-    unsigned size = 1;
-    if (u.op == MicroOp::kLh || u.op == MicroOp::kLhu) size = 2;
-    if (u.op == MicroOp::kLw) size = 4;
-    std::uint32_t v;
-    if (!fast_read(addr, size, v)) {
-      // MMIO reads are pure (BusDevice contract), so a burst may keep
-      // running through them; only a fault forces the caller's hand.
-      const Bus::Access acc = bus_.read(addr, size);
-      if (acc.fault) {
-        bus_access_ = true;
-        mem_fault(5);  // load access fault (does not retire)
-        return false;
-      }
-      stall_ += acc.latency;
-      v = acc.value;
-    }
-    if (u.op == MicroOp::kLb)
-      v = static_cast<std::uint32_t>(sign_extend(v, 8));
-    if (u.op == MicroOp::kLh)
-      v = static_cast<std::uint32_t>(sign_extend(v, 16));
-    write_reg(u.rd, v);
-    ++instret_;
-    pc_ += u.len;
-    break;
-  }
-  case MicroOp::kSb:
-  case MicroOp::kSh:
-  case MicroOp::kSw: {
-    const std::uint32_t addr = read_reg(u.rs1) + u.imm;
-    const std::uint32_t b = read_reg(u.rs2);
-    unsigned size = 1;
-    if (u.op == MicroOp::kSh) size = 2;
-    if (u.op == MicroOp::kSw) size = 4;
-    if (!fast_write(addr, b, size)) {
-      const Bus::Access acc = bus_.write(addr, b, size);
-      if (acc.fault) {
-        bus_access_ = true;
-        mem_fault(7);  // store access fault (does not retire)
-        return false;
-      }
-      // Writes that can start a device (CTRL registers) end the burst
-      // so the device phase of this cycle runs; passive stores keep the
-      // burst going.
-      bus_access_ = bus_access_ || acc.activating;
-      stall_ += acc.latency;
-    }
-    ++instret_;
-    pc_ += u.len;
-    // Activating store: exit before the stall burn, exactly like the
-    // uop burst loop (its remaining stall drains via skip_cycles).
-    if (bus_access_) return false;
-    break;
-  }
-  case MicroOp::kJal:
-  case MicroOp::kJalr:
-  case MicroOp::kBeq:
-  case MicroOp::kBne:
-  case MicroOp::kBlt:
-  case MicroOp::kBge:
-  case MicroOp::kBltu:
-  case MicroOp::kBgeu:
-  case MicroOp::kEcall:
-  case MicroOp::kEbreak:
-  case MicroOp::kWfi:
-  case MicroOp::kMret:
-  case MicroOp::kCsrrw:
-  case MicroOp::kCsrrs:
-  case MicroOp::kCsrrc:
-  case MicroOp::kCsrrwi:
-  case MicroOp::kCsrrsi:
-  case MicroOp::kCsrrci:
-  case MicroOp::kIllegal:
-    exec_op(u);
-    if (bus_access_ || halt_ != Halt::kRunning || wfi_) return false;
-    break;
-  }
-  if (stall_ > 0) {
-    const std::uint64_t burn =
-        stall_ < budget ? static_cast<std::uint64_t>(stall_) : budget;
-    cycles_ += burn;
-    budget -= burn;
-    r.cycles += burn;
-    stall_ -= static_cast<unsigned>(burn);
-    if (stall_ > 0) return false;  // budget exhausted mid-stall
-  }
-  return true;
+  exec_op(u);
+  // Faults, halts, WFI and activating stores end the burst before the
+  // stall burn, exactly like the uop burst loop (the remaining stall
+  // drains via skip_cycles).
+  if (bus_access_ || halt_ != Halt::kRunning || wfi_) return false;
+  return burn_stall(budget, r);
 }
 
-bool Cpu::retire_folded(const BlockOp& bo, std::uint64_t& budget,
-                        BurstResult& r) {
-  const MicroOp& u = bo.a;
-  ++cycles_;
-  --budget;
-  ++r.cycles;
-  // Callers gate on fetch_latency == 0, so no fetch stall to add here.
-  // Each arm mirrors the matching retire_half branch with the fold
-  // result substituted for the register reads / computed value.
-  if (bo.fold == kFoldValue) {
-    write_reg(u.rd, bo.fold_val);
-    if (u.op >= MicroOp::kMul && u.op <= MicroOp::kRemu)
-      stall_ += (u.op <= MicroOp::kMulhu) ? cfg_.mul_latency - 1
-                                          : cfg_.div_latency - 1;
-    ++instret_;
-    pc_ += u.len;
-  } else if (u.op >= MicroOp::kLb && u.op <= MicroOp::kLhu) {
-    const std::uint32_t addr = bo.fold_val;
-    unsigned size = 1;
-    if (u.op == MicroOp::kLh || u.op == MicroOp::kLhu) size = 2;
-    if (u.op == MicroOp::kLw) size = 4;
-    std::uint32_t v;
-    if (!fast_read(addr, size, v)) {
-      const Bus::Access acc = bus_.read(addr, size);
-      if (acc.fault) {
-        bus_access_ = true;
-        mem_fault(5);  // load access fault (does not retire)
-        return false;
-      }
-      stall_ += acc.latency;
-      v = acc.value;
-    }
-    if (u.op == MicroOp::kLb)
-      v = static_cast<std::uint32_t>(sign_extend(v, 8));
-    if (u.op == MicroOp::kLh)
-      v = static_cast<std::uint32_t>(sign_extend(v, 16));
-    write_reg(u.rd, v);
-    ++instret_;
-    pc_ += u.len;
-  } else if (u.op >= MicroOp::kSb && u.op <= MicroOp::kSw) {
-    const std::uint32_t addr = bo.fold_val;
-    const std::uint32_t b = read_reg(u.rs2);
-    unsigned size = 1;
-    if (u.op == MicroOp::kSh) size = 2;
-    if (u.op == MicroOp::kSw) size = 4;
-    if (!fast_write(addr, b, size)) {
-      const Bus::Access acc = bus_.write(addr, b, size);
-      if (acc.fault) {
-        bus_access_ = true;
-        mem_fault(7);  // store access fault (does not retire)
-        return false;
-      }
-      bus_access_ = bus_access_ || acc.activating;
-      stall_ += acc.latency;
-    }
-    ++instret_;
-    pc_ += u.len;
-    if (bus_access_) return false;  // activating store ends the burst
-  } else if (u.op == MicroOp::kJalr) {
-    write_reg(u.rd, pc_ + u.len);
-    pc_ = bo.fold_val;
-    ++stall_;
-    ++instret_;
-  } else {  // kFoldBranch
-    if (bo.fold_val != 0) {
-      pc_ += u.imm;
-      ++stall_;
-    } else {
-      pc_ += u.len;
-    }
-    ++instret_;
-  }
-  if (stall_ > 0) {
-    const std::uint64_t burn =
-        stall_ < budget ? static_cast<std::uint64_t>(stall_) : budget;
-    cycles_ += burn;
-    budget -= burn;
-    r.cycles += burn;
-    stall_ -= static_cast<unsigned>(burn);
-    if (stall_ > 0) return false;  // budget exhausted mid-stall
-  }
-  return true;
-}
-
-// Flattening inlines the retire helpers and the exec_alu switch into the
-// dispatch loop — the per-op call overhead is the dominant simulator cost
-// on memory-heavy workloads (bench_sysim sw_gemm / stream rows).
+// Flattening inlines retire_half, exec_op and the exec_alu switch into
+// the dispatch loop — the per-op call overhead is the dominant simulator
+// cost on memory-heavy workloads (bench_sysim sw_gemm / stream rows).
 #if defined(__GNUC__)
 __attribute__((flatten))
 #endif
@@ -1046,12 +677,7 @@ bool Cpu::exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
       const BlockOp* bo = &blk.ops[seg.first];
       for (std::uint32_t n = seg.count; n != 0; --n, ++bo) {
         if (bo->fuse == kFuseNone) {
-          if (bo->fold == kFoldValue) {
-            write_reg(bo->a.rd, bo->fold_val);
-            ++st.folded_exec;
-          } else {
-            exec_alu(bo->a);
-          }
+          exec_alu(bo->a);
         } else {  // kFuseLuiAddi: both destinations are precomputed
           write_reg(bo->a.rd, bo->a.imm);
           write_reg(bo->b.rd, bo->fused_imm);
@@ -1073,18 +699,13 @@ bool Cpu::exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
       if (budget == 0) return false;
       switch (bo.fuse) {
         case kFuseNone:
-          if (fuse_fast && bo.fold != kFoldNone) {
-            ++st.folded_exec;
-            if (!retire_folded(bo, budget, r)) return false;
-          } else {
-            if (!retire_half(bo.a, budget, r)) return false;
-          }
+          if (!retire_half(bo.a, budget, r)) return false;
           // A store that invalidated cached code (possibly this block)
           // bumps the generation: stop and re-resolve from pc_.
           if (bo.a.op >= MicroOp::kSb && bo.a.op <= MicroOp::kSw &&
               blocks_.generation() != gen0)
             return false;
-          break;
+          continue;
         case kFuseLuiAddi:
           if (fuse_fast && budget >= 2) {
             cycles_ += 2;
@@ -1095,11 +716,7 @@ bool Cpu::exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
             instret_ += 2;
             pc_ += bo.len;
             ++st.fused_exec;
-          } else {
-            if (!retire_half(bo.a, budget, r)) return false;
-            if (budget == 0) return false;
-            if (!retire_half(bo.b, budget, r)) return false;
-            ++st.fused_exec;
+            continue;
           }
           break;
         case kFuseAuipcJalr:
@@ -1113,32 +730,19 @@ bool Cpu::exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
             pc_ = bo.fused_imm;
             ++st.fused_exec;
             ++stall_;  // jalr taken-control-flow penalty
-            const std::uint64_t burn =
-                stall_ < budget ? static_cast<std::uint64_t>(stall_) : budget;
-            cycles_ += burn;
-            budget -= burn;
-            r.cycles += burn;
-            stall_ -= static_cast<unsigned>(burn);
-            if (stall_ > 0) return false;
-          } else {
-            if (!retire_half(bo.a, budget, r)) return false;
-            if (budget == 0) return false;
-            if (!retire_half(bo.b, budget, r)) return false;
-            ++st.fused_exec;
+            if (!burn_stall(budget, r)) return false;
+            continue;
           }
           break;
-        case kFuseLoadOp:
-        case kFuseOpBranch:
-        default:
-          // Sequential retire pair: the win is skipping the
-          // dispatch-loop re-entry and fuse re-classification, not
-          // altered timing.
-          if (!retire_half(bo.a, budget, r)) return false;
-          if (budget == 0) return false;
-          if (!retire_half(bo.b, budget, r)) return false;
-          ++st.fused_exec;
+        default:  // kFuseLoadOp, kFuseOpBranch
           break;
       }
+      // Sequential retire pair: the win is skipping the dispatch-loop
+      // re-entry and fuse re-classification, not altered timing.
+      if (!retire_half(bo.a, budget, r)) return false;
+      if (budget == 0) return false;
+      if (!retire_half(bo.b, budget, r)) return false;
+      ++st.fused_exec;
     }
   }
   return true;
@@ -1192,23 +796,7 @@ Cpu::BurstResult Cpu::run_burst_blocks(std::uint64_t budget) {
       // Single-step fallback: one exact run_burst iteration.
       prev = nullptr;
       ++st.fallback_steps;
-      ++cycles_;
-      --budget;
-      ++r.cycles;
-      step();
-      if (bus_access_ || halt_ != Halt::kRunning || wfi_) {
-        r.bus_access = bus_access_;
-        break;
-      }
-      if (stall_ > 0) {
-        const std::uint64_t burn =
-            stall_ < budget ? static_cast<std::uint64_t>(stall_) : budget;
-        cycles_ += burn;
-        budget -= burn;
-        r.cycles += burn;
-        stall_ -= static_cast<unsigned>(burn);
-        if (stall_ > 0) break;  // budget exhausted mid-stall
-      }
+      if (!burst_step(budget, r)) break;
       continue;
     }
     ++st.dispatches;
@@ -1723,36 +1311,48 @@ void Cpu::step() {
 }
 
 void Cpu::exec_op(const MicroOp& u) {
-  const int rd = u.rd;
-  const int rs1 = u.rs1;
+  // Each case reads only the registers it uses: an up-front read of both
+  // sources is measurable overhead on the block tier's per-op path.
   std::uint32_t next_pc = pc_ + u.len;
-
-  const std::uint32_t a = read_reg(rs1);
-  const std::uint32_t b = read_reg(u.rs2);
-
+  // One jump-table dispatch; `default` covers exactly the single-cycle
+  // register-op group (lui/auipc/OP-IMM/OP/fence) — every other op has
+  // an explicit label.
   switch (u.op) {
-    case MicroOp::kLui:
-      write_reg(rd, u.imm);
+    default:
+      exec_alu(u);
       break;
-    case MicroOp::kAuipc:
-      write_reg(rd, pc_ + u.imm);
+    case MicroOp::kMul:
+    case MicroOp::kMulh:
+    case MicroOp::kMulhsu:
+    case MicroOp::kMulhu:
+    case MicroOp::kDiv:
+    case MicroOp::kDivu:
+    case MicroOp::kRem:
+    case MicroOp::kRemu:
+      exec_alu(u);
+      stall_ += (u.op <= MicroOp::kMulhu) ? cfg_.mul_latency - 1
+                                          : cfg_.div_latency - 1;
       break;
     case MicroOp::kJal:
-      write_reg(rd, pc_ + u.len);
+      write_reg(u.rd, pc_ + u.len);
       next_pc = pc_ + u.imm;
       ++stall_;  // taken-control-flow penalty
       break;
-    case MicroOp::kJalr:
-      write_reg(rd, pc_ + u.len);
-      next_pc = (a + u.imm) & ~1u;
+    case MicroOp::kJalr: {
+      const std::uint32_t base = read_reg(u.rs1);  // before rd: rd may be rs1
+      write_reg(u.rd, pc_ + u.len);
+      next_pc = (base + u.imm) & ~1u;
       ++stall_;
       break;
+    }
     case MicroOp::kBeq:
     case MicroOp::kBne:
     case MicroOp::kBlt:
     case MicroOp::kBge:
     case MicroOp::kBltu:
     case MicroOp::kBgeu: {
+      const std::uint32_t a = read_reg(u.rs1);
+      const std::uint32_t b = read_reg(u.rs2);
       bool taken = false;
       switch (u.op) {
         case MicroOp::kBeq: taken = a == b; break;
@@ -1775,7 +1375,7 @@ void Cpu::exec_op(const MicroOp& u) {
     case MicroOp::kLw:
     case MicroOp::kLbu:
     case MicroOp::kLhu: {
-      const std::uint32_t addr = a + u.imm;
+      const std::uint32_t addr = read_reg(u.rs1) + u.imm;
       unsigned size = 1;
       if (u.op == MicroOp::kLh || u.op == MicroOp::kLhu) size = 2;
       if (u.op == MicroOp::kLw) size = 4;
@@ -1796,18 +1396,19 @@ void Cpu::exec_op(const MicroOp& u) {
         v = static_cast<std::uint32_t>(sign_extend(v, 8));
       if (u.op == MicroOp::kLh)
         v = static_cast<std::uint32_t>(sign_extend(v, 16));
-      write_reg(rd, v);
+      write_reg(u.rd, v);
       break;
     }
     case MicroOp::kSb:
     case MicroOp::kSh:
     case MicroOp::kSw: {
-      const std::uint32_t addr = a + u.imm;
+      const std::uint32_t addr = read_reg(u.rs1) + u.imm;
+      const std::uint32_t v = read_reg(u.rs2);
       unsigned size = 1;
       if (u.op == MicroOp::kSh) size = 2;
       if (u.op == MicroOp::kSw) size = 4;
-      if (!fast_write(addr, b, size)) {
-        const Bus::Access acc = bus_.write(addr, b, size);
+      if (!fast_write(addr, v, size)) {
+        const Bus::Access acc = bus_.write(addr, v, size);
         if (acc.fault) {
           bus_access_ = true;
           mem_fault(7);  // store access fault
@@ -1821,100 +1422,6 @@ void Cpu::exec_op(const MicroOp& u) {
       }
       break;
     }
-    case MicroOp::kAddi: write_reg(rd, a + u.imm); break;
-    case MicroOp::kSlti:
-      write_reg(rd, static_cast<std::int32_t>(a) <
-                            static_cast<std::int32_t>(u.imm)
-                        ? 1
-                        : 0);
-      break;
-    case MicroOp::kSltiu: write_reg(rd, a < u.imm ? 1 : 0); break;
-    case MicroOp::kXori: write_reg(rd, a ^ u.imm); break;
-    case MicroOp::kOri: write_reg(rd, a | u.imm); break;
-    case MicroOp::kAndi: write_reg(rd, a & u.imm); break;
-    case MicroOp::kSlli: write_reg(rd, a << u.imm); break;
-    case MicroOp::kSrli: write_reg(rd, a >> u.imm); break;
-    case MicroOp::kSrai:
-      write_reg(rd, static_cast<std::uint32_t>(
-                        static_cast<std::int32_t>(a) >> u.imm));
-      break;
-    case MicroOp::kAdd: write_reg(rd, a + b); break;
-    case MicroOp::kSub: write_reg(rd, a - b); break;
-    case MicroOp::kSll: write_reg(rd, a << (b & 0x1F)); break;
-    case MicroOp::kSlt:
-      write_reg(rd,
-                static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b)
-                    ? 1
-                    : 0);
-      break;
-    case MicroOp::kSltu: write_reg(rd, a < b ? 1 : 0); break;
-    case MicroOp::kXor: write_reg(rd, a ^ b); break;
-    case MicroOp::kSrl: write_reg(rd, a >> (b & 0x1F)); break;
-    case MicroOp::kSra:
-      write_reg(rd, static_cast<std::uint32_t>(
-                        static_cast<std::int32_t>(a) >> (b & 0x1F)));
-      break;
-    case MicroOp::kOr: write_reg(rd, a | b); break;
-    case MicroOp::kAnd: write_reg(rd, a & b); break;
-    case MicroOp::kMul:
-    case MicroOp::kMulh:
-    case MicroOp::kMulhsu:
-    case MicroOp::kMulhu:
-    case MicroOp::kDiv:
-    case MicroOp::kDivu:
-    case MicroOp::kRem:
-    case MicroOp::kRemu: {
-      const auto sa = static_cast<std::int64_t>(static_cast<std::int32_t>(a));
-      const auto sb = static_cast<std::int64_t>(static_cast<std::int32_t>(b));
-      const auto ua = static_cast<std::uint64_t>(a);
-      const auto ub = static_cast<std::uint64_t>(b);
-      switch (u.op) {
-        case MicroOp::kMul:
-          write_reg(rd, static_cast<std::uint32_t>(sa * sb));
-          break;
-        case MicroOp::kMulh:
-          write_reg(rd, static_cast<std::uint32_t>((sa * sb) >> 32));
-          break;
-        case MicroOp::kMulhsu:
-          write_reg(rd, static_cast<std::uint32_t>(
-                            (sa * static_cast<std::int64_t>(ub)) >> 32));
-          break;
-        case MicroOp::kMulhu:
-          write_reg(rd, static_cast<std::uint32_t>((ua * ub) >> 32));
-          break;
-        case MicroOp::kDiv:
-          if (b == 0)
-            write_reg(rd, 0xFFFFFFFFu);
-          else if (a == 0x80000000u && b == 0xFFFFFFFFu)
-            write_reg(rd, 0x80000000u);
-          else
-            write_reg(rd, static_cast<std::uint32_t>(
-                              static_cast<std::int32_t>(a) /
-                              static_cast<std::int32_t>(b)));
-          break;
-        case MicroOp::kDivu:
-          write_reg(rd, b == 0 ? 0xFFFFFFFFu : a / b);
-          break;
-        case MicroOp::kRem:
-          if (b == 0)
-            write_reg(rd, a);
-          else if (a == 0x80000000u && b == 0xFFFFFFFFu)
-            write_reg(rd, 0);
-          else
-            write_reg(rd, static_cast<std::uint32_t>(
-                              static_cast<std::int32_t>(a) %
-                              static_cast<std::int32_t>(b)));
-          break;
-        default:
-          write_reg(rd, b == 0 ? a : a % b);
-          break;
-      }
-      stall_ += (u.op <= MicroOp::kMulhu) ? cfg_.mul_latency - 1
-                                          : cfg_.div_latency - 1;
-      break;
-    }
-    case MicroOp::kFence:  // no-op on this single-hart platform
-      break;
     case MicroOp::kEcall:
       if (read_reg(17) == 93) {  // exit syscall convention (a7 = 93)
         halt_ = Halt::kEcallExit;
@@ -1949,24 +1456,24 @@ void Cpu::exec_op(const MicroOp& u) {
     case MicroOp::kCsrrci: {
       const std::uint32_t csr = u.imm;
       const std::uint32_t old = read_csr(csr);
-      const auto zimm = static_cast<std::uint32_t>(rs1);
+      const std::uint32_t a = read_reg(u.rs1);
+      const auto zimm = static_cast<std::uint32_t>(u.rs1);
       switch (u.op) {
         case MicroOp::kCsrrw: write_csr(csr, a); break;
         case MicroOp::kCsrrs:
-          if (rs1 != 0) write_csr(csr, old | a);
+          if (u.rs1 != 0) write_csr(csr, old | a);
           break;
         case MicroOp::kCsrrc:
-          if (rs1 != 0) write_csr(csr, old & ~a);
+          if (u.rs1 != 0) write_csr(csr, old & ~a);
           break;
         case MicroOp::kCsrrwi: write_csr(csr, zimm); break;
         case MicroOp::kCsrrsi: write_csr(csr, old | zimm); break;
         default: write_csr(csr, old & ~zimm); break;
       }
-      write_reg(rd, old);
+      write_reg(u.rd, old);
       break;
     }
     case MicroOp::kIllegal:
-    default:
       mem_fault(2);  // illegal instruction
       return;
   }

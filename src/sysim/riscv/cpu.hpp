@@ -22,9 +22,14 @@
 /// path (Bus::direct_window) instead of the virtual BusDevice call. DRAM
 /// stores — from this CPU, the DMA engine, the host, or injected faults —
 /// invalidate overlapping cache entries, so self-modifying code and
-/// fault flips behave exactly like the decode-every-fetch interpreter,
-/// which remains available via CpuConfig::legacy_decode for differential
-/// testing. Cycle counts are bit-identical between the two paths.
+/// fault flips behave exactly like the decode-every-fetch interpreter.
+///
+/// Semantics live in two places only: exec_op() defines every micro-op
+/// for both fast paths (the uop-at-a-time step() and the block tier's
+/// per-op retire, with exec_alu() as the register-op core that static
+/// runs call directly), and the legacy exec() interpreter, selected by
+/// CpuConfig::legacy_decode, is the independent differential oracle.
+/// Cycle counts are bit-identical across all three tiers.
 
 #include <array>
 #include <cstdint>
@@ -48,18 +53,10 @@ struct CpuConfig {
   /// testing and before/after benchmarking; results are bit-identical.
   bool legacy_decode = false;
   /// Basic-block translation tier inside run_burst(): straight-line
-  /// runs decode once into chained, macro-op-fused blocks. Defaults on
-  /// (override with ASPEN_BLOCK_TIER=0); the uop-at-a-time path
-  /// (false) and legacy_decode both remain as differential oracles —
-  /// all three tiers are bit-identical.
-  bool block_tier = block_tier_env_default();
-  /// Constant-folding pass over freshly built blocks: known register
-  /// constants (lui / resolved-auipc / addi chains) propagate forward,
-  /// precomputing ALU results, load/store effective addresses, and
-  /// statically-decided branch directions into BlockOp fold slots.
-  /// Timing is untouched — folds only skip host-side work — and results
-  /// stay bit-identical with the pass off (ASPEN_BLOCK_CONSTFOLD=0).
-  bool block_constfold = block_constfold_env_default();
+  /// runs decode once into chained, macro-op-fused blocks. The
+  /// uop-at-a-time path (false) and legacy_decode both remain as
+  /// differential references — all three tiers are bit-identical.
+  bool block_tier = true;
 };
 
 enum class Halt {
@@ -206,7 +203,17 @@ class Cpu final : public BusWriteObserver {
   /// Fetch (icache / DRAM fast path / bus fallback) and dispatch one
   /// instruction.
   void step();
+  /// The fast paths' single definition of instruction semantics: one
+  /// micro-op's register, memory, CSR and trap effects plus its stall
+  /// and instret/pc update. No cycle or budget bookkeeping.
   void exec_op(const MicroOp& u);
+  /// One run_burst iteration through step(): its issue cycle, the
+  /// instruction, and the stall burn. False when the burst must end
+  /// (bus event, halt, WFI, or budget exhausted mid-stall).
+  bool burst_step(std::uint64_t& budget, BurstResult& r);
+  /// Consume pending stall cycles from the burst budget. False when the
+  /// budget ran out before the stall drained.
+  bool burn_stall(std::uint64_t& budget, BurstResult& r);
   // -- Block translation tier ----------------------------------------------
   /// run_burst() body when cfg.block_tier is on: dispatch translated
   /// blocks (chain -> lookup -> build), falling back to single-step
@@ -224,20 +231,14 @@ class Cpu final : public BusWriteObserver {
   /// WFI, or the block was invalidated by one of its own stores).
   bool exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
                   std::uint64_t gen0);
-  /// One micro-op through the exact run_burst iteration shape (cycle
-  /// and budget consumption, fetch stall, exec, stall burn). Caller
-  /// guarantees budget >= 1. Returns false when the block/burst must
-  /// stop after this op.
+  /// One micro-op through the exact run_burst iteration shape: cycle
+  /// and budget bookkeeping around exec_op (fetch stall, exit checks,
+  /// stall burn). Caller guarantees budget >= 1. Returns false when the
+  /// block/burst must stop after this op.
   bool retire_half(const MicroOp& u, std::uint64_t& budget, BurstResult& r);
-  /// retire_half shape for a constant-folded op: identical cycle, stall,
-  /// instret, and pc bookkeeping, but the precomputed fold result stands
-  /// in for the register reads / ALU work / address computation. Caller
-  /// guarantees budget >= 1 and that folds are valid (no register faults
-  /// armed, zero fetch latency).
-  bool retire_folded(const BlockOp& bo, std::uint64_t& budget, BurstResult& r);
   /// Compute-only register-op core (LUI/AUIPC, OP-IMM, OP, M, fence):
-  /// no cycle/stall/pc bookkeeping — callers account for those. Shared
-  /// by retire_half and exec_block's static runs.
+  /// no cycle/stall/pc bookkeeping — callers account for those. Called
+  /// by exec_op and by exec_block's static runs.
   void exec_alu(const MicroOp& u);
   /// Legacy decode-every-fetch path; `len` is the encoded length of the
   /// fetched instruction (2 for an expanded RV32C form).

@@ -187,6 +187,23 @@ TEST(MvmEngineTest, CountersAdvance) {
   (void)eng.multiply(x);
   EXPECT_EQ(eng.counters().mvm_ops, 2u);
   EXPECT_NEAR(eng.counters().busy_time_s, 2.0 * eng.symbol_time_s(), 1e-18);
+
+  // GemmCore's physical and noiseless paths count each input column once
+  // per call, with or without the ABFT checksum rows.
+  for (const bool abft : {false, true}) {
+    GemmConfig gc;
+    gc.mvm = clean_config();
+    gc.abft.enabled = abft;
+    GemmCore gemm(gc);
+    gemm.set_weights(aspen::lina::random_real(8, 8, rng));
+    const CMat xs = aspen::lina::random_real(8, 5, rng, -0.5, 0.5);
+    const std::uint64_t before = gemm.engine().counters().mvm_ops;
+    (void)gemm.multiply(xs);
+    EXPECT_EQ(gemm.engine().counters().mvm_ops, before + 5) << "abft " << abft;
+    CMat out;
+    gemm.multiply_noiseless(xs, out);
+    EXPECT_EQ(gemm.engine().counters().mvm_ops, before + 10) << "abft " << abft;
+  }
 }
 
 // -------------------------------------- weight-programming memoization

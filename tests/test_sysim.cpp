@@ -48,6 +48,41 @@ TEST(MemoryTest, TransientFlipAndStuckBits) {
   EXPECT_EQ(m.read(3, 1), 0x00u);
 }
 
+TEST(MemoryTest, DifferingSpanExactAtChunkEdges) {
+  // The checkpoint ladder's stale-span scan: memcmp chunks from both ends
+  // must still yield the exact first/last differing byte.
+  constexpr std::uint32_t kC = Memory::kScanChunk;
+  struct Case {
+    const char* what;
+    std::uint32_t size;
+    std::vector<std::uint32_t> diffs;  ///< byte offsets that differ
+    std::uint32_t lo, len;             ///< expected span
+  };
+  const Case cases[] = {
+      {"identical", 4 * kC, {}, 0, 0},
+      {"byte 0", 4 * kC, {0}, 0, 1},
+      {"last byte", 4 * kC, {4 * kC - 1}, 4 * kC - 1, 1},
+      {"across a chunk boundary", 4 * kC, {kC - 1, kC}, kC - 1, 2},
+      {"partial tail chunk", 3 * kC + 40, {3 * kC + 7, 3 * kC + 39}, 3 * kC + 7,
+       33},
+      {"first and tail chunk", 3 * kC + 40, {5, 3 * kC + 20}, 5, 3 * kC + 16},
+      {"image below one chunk", kC / 2, {kC / 4}, kC / 4, 1},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::uint8_t> a(c.size);
+    for (std::uint32_t i = 0; i < c.size; ++i)
+      a[i] = static_cast<std::uint8_t>(i * 7);
+    std::vector<std::uint8_t> b = a;
+    for (const std::uint32_t d : c.diffs) b[d] ^= 0x40;
+    const ByteSpan got = differing_span(a, b);
+    EXPECT_EQ(got.lo, c.lo) << c.what;
+    EXPECT_EQ(got.len, c.len) << c.what;
+  }
+  EXPECT_THROW((void)differing_span(std::vector<std::uint8_t>(4),
+                                    std::vector<std::uint8_t>(5)),
+               std::invalid_argument);
+}
+
 // ------------------------------------------------------------------ bus
 
 TEST(BusTest, RoutesByAddress) {
