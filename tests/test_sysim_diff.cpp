@@ -1002,6 +1002,14 @@ struct FaultScenario {
   FaultSpec spec;
 };
 
+// The label is already the test-name suffix; print the injection point.
+// gtest's default would dump the struct's bytes — the label pointer and
+// padding — which differ between runs and leak into the CTest names.
+void PrintTo(const FaultScenario& s, std::ostream* os) {
+  *os << '@' << s.spec.cycle << " idx " << s.spec.index << " bit "
+      << s.spec.bit;
+}
+
 class DiffFaultTest : public ::testing::TestWithParam<FaultScenario> {};
 
 TEST_P(DiffFaultTest, InjectedRunsIdentical) {
@@ -1151,6 +1159,12 @@ struct DmaCase {
   const char* what;
   std::uint32_t src_off, dst_off, len;
 };
+
+// Deterministic print for the CTest name, as for FaultScenario.
+void PrintTo(const DmaCase& c, std::ostream* os) {
+  *os << std::hex << "0x" << c.src_off << "->0x" << c.dst_off << std::dec
+      << " len " << c.len;
+}
 
 class DiffDmaTest : public ::testing::TestWithParam<DmaCase> {};
 
