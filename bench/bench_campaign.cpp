@@ -3,10 +3,10 @@
 // orchestrator. PR 3 left e7-style campaigns floored by per-trial System
 // construction (DRAM allocation + SVD/Clements weight programming); the
 // snapshot/restore path stages the platform once and restores it per
-// trial (~a DRAM memcpy), FaultCampaign::run_trials shards the restored
-// trials across threads, and the checkpoint ladder + diff-based restore
-// reuse the fault-free golden prefix so a trial injecting at cycle c no
-// longer re-simulates [0, c) from scratch. Process fan-out goes through
+// trial (copying only what changed), FaultCampaign::run_trials shards the
+// restored trials across threads, and the checkpoint ladder reuses the
+// fault-free golden prefix so a trial injecting at cycle c no longer
+// re-simulates [0, c) from scratch. Process fan-out goes through
 // CampaignOrchestrator: shards stream to forked workers over pipes (no
 // temp files), lost workers are retried with backoff, and every
 // accelerated path (ladder, threads, worker pool, the multi-axis sweep)
@@ -308,7 +308,7 @@ int main(int argc, char** argv) {
   bench::header(
       "BENCH campaign — checkpoint ladder + supervised worker-pool trials",
       "Sec.5 reliability campaigns need thousands of trials; this tracks "
-      "per-trial setup (construct vs restore vs diff-restore), golden-"
+      "per-trial setup (construct vs restore), golden-"
       "prefix reuse via the checkpoint ladder, and trials/sec scaling "
       "across threads and a supervised worker pool, with every "
       "accelerated path's verdicts asserted bit-identical to the serial "
@@ -353,15 +353,6 @@ int main(int argc, char** argv) {
     const double restore_us =
         std::chrono::duration<double>(Clock::now() - t1).count() / reps * 1e6;
     push_row("trial_setup_restore", restore_us, "us");
-
-    // Diff-based restore on a near-identical image — the checkpoint-
-    // ladder steady state, where consecutive trials restore against the
-    // same rung and only the trial's own footprint differs.
-    const auto t2 = Clock::now();
-    for (int i = 0; i < reps; ++i) system->restore_fast(snap);
-    const double diff_us =
-        std::chrono::duration<double>(Clock::now() - t2).count() / reps * 1e6;
-    push_row("trial_setup_restore_diff", diff_us, "us");
     push_row("trial_setup_speedup", construct_us / restore_us, "x");
   }
 

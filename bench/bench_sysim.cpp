@@ -98,9 +98,9 @@ std::uint64_t probe_run(const Workload& w, const SystemConfig& sc,
 /// Run-only wall time, averaged over enough repetitions to fill the
 /// measurement budget. The system is staged once and snapshot/restored
 /// per rep (outside the timed window): restore keeps each engine's
-/// set_matrix programming memo warm, so offload rows measure the
-/// execution tier, not per-rep weight-calibration math — the
-/// single-shot floor the PR 3 notes flagged.
+/// set_matrix programming memo and the CPU's predecoded micro-ops and
+/// translated blocks warm, so after the warm-up rep every row measures
+/// steady-state execution, not weight-calibration math or re-decoding.
 double record_runs(const char* name, std::size_t n, const Stager& stage,
                    const SystemConfig& sc) {
   System system(sc);

@@ -200,6 +200,11 @@ class MvmEngine {
   };
   [[nodiscard]] Snapshot snapshot() const;
   void restore(const Snapshot& s);
+  /// True when restore(s) cannot throw: equal mesh phase counts.
+  [[nodiscard]] bool fits(const Snapshot& s) const {
+    return s.mesh_u.phases.size() == mesh_u_->phase_count() &&
+           s.mesh_v.phases.size() == mesh_v_->phase_count();
+  }
 
  private:
   void refresh_transfer();

@@ -160,14 +160,15 @@ void PhotonicAccelerator::start_operation(std::uint32_t ctrl) {
   if (ctrl & kCtrlLoadWeights) {
     CMat w(n, n);
     const BusDevice::DirectSpan ws = spm_w_.direct_span();
+    const bool check = (ctrl & kCtrlCrcW) != 0;
     std::uint32_t crc = kCrc32Init;
     for (std::size_t r = 0; r < n; ++r)
       for (std::size_t c = 0; c < n; ++c) {
         const std::int16_t fixed = spm_fixed_at(spm_w_, ws, r * n + c);
-        crc = crc32_le16(crc, static_cast<std::uint16_t>(fixed));
+        if (check) crc = crc32_le16(crc, static_cast<std::uint16_t>(fixed));
         w(r, c) = cplx{from_fixed(fixed), 0.0};
       }
-    if ((ctrl & kCtrlCrcW) && (crc ^ kCrc32FinalXor) != crc_w_expect_) {
+    if (check && (crc ^ kCrc32FinalXor) != crc_w_expect_) {
       latch_error(kErrCrcW);
       aborted = true;
     } else {
@@ -180,14 +181,15 @@ void PhotonicAccelerator::start_operation(std::uint32_t ctrl) {
     const std::size_t m = cols_;
     scratch_x_.resize(n, m);
     const BusDevice::DirectSpan xs = spm_x_.direct_span();
+    const bool check = (ctrl & kCtrlCrcX) != 0;
     std::uint32_t crc = kCrc32Init;
     for (std::size_t c = 0; c < m; ++c)
       for (std::size_t r = 0; r < n; ++r) {
         const std::int16_t fixed = spm_fixed_at(spm_x_, xs, c * n + r);
-        crc = crc32_le16(crc, static_cast<std::uint16_t>(fixed));
+        if (check) crc = crc32_le16(crc, static_cast<std::uint16_t>(fixed));
         scratch_x_(r, c) = cplx{from_fixed(fixed), 0.0};
       }
-    if ((ctrl & kCtrlCrcX) && (crc ^ kCrc32FinalXor) != crc_x_expect_) {
+    if (check && (crc ^ kCrc32FinalXor) != crc_x_expect_) {
       latch_error(kErrCrcX);
     } else {
       if (cfg_.deterministic) {
@@ -201,7 +203,8 @@ void PhotonicAccelerator::start_operation(std::uint32_t ctrl) {
         extra_cycles += (m + 7) / 8;
       }
       // Direct span writeback unless a master caches state derived from
-      // this SPM (then write() must run so its observer fires).
+      // this SPM (then write() must run so its observer fires); the bulk
+      // write is reported so the SPM's dirty watermark covers it.
       const BusDevice::DirectSpan ys =
           spm_y_.observed() ? BusDevice::DirectSpan{} : spm_y_.direct_span();
       for (std::size_t c = 0; c < m; ++c)
@@ -215,6 +218,7 @@ void PhotonicAccelerator::start_operation(std::uint32_t ctrl) {
                          2);
           }
         }
+      if (ys.data != nullptr) spm_y_.direct_span_written(0, spm_bytes(n * m));
 
       const auto k = static_cast<std::size_t>(
           std::max(1, cfg_.gemm.wdm_channels));
@@ -263,7 +267,7 @@ void PhotonicAccelerator::inject_phase_fault(std::size_t phase_index,
   gemm_.engine().perturb_phase(phase_index, delta_rad);
 }
 
-PhotonicAccelerator::Snapshot PhotonicAccelerator::snapshot() const {
+PhotonicAccelerator::Snapshot PhotonicAccelerator::snapshot() {
   Snapshot s;
   s.gemm = gemm_.snapshot();
   s.spm_w = spm_w_.snapshot();

@@ -136,8 +136,14 @@ class PhotonicAccelerator final : public BusDevice {
     std::uint32_t err_cause = 0, crc_w_expect = 0, crc_x_expect = 0;
     std::uint64_t watchdog_cycles = 0;
   };
-  [[nodiscard]] Snapshot snapshot() const;
+  [[nodiscard]] Snapshot snapshot();
   void restore(const Snapshot& s);
+  /// True when restore(s) cannot throw: `s` has this PE's SPM sizes and
+  /// mesh phase counts.
+  [[nodiscard]] bool fits(const Snapshot& s) const {
+    return s.spm_w.size() == spm_w_.size() && s.spm_x.size() == spm_x_.size() &&
+           s.spm_y.size() == spm_y_.size() && gemm_.engine().fits(s.gemm.engine);
+  }
 
   static constexpr std::uint32_t kMmrBase = 0x0000;
   static constexpr std::uint32_t kSpmWBase = 0x1000;

@@ -240,8 +240,8 @@ lina::Rng get_rng(Reader& r) {
 }
 
 void put_memory(Writer& w, const Memory::Snapshot& s) {
-  w.u64(s.bytes.size());
-  w.bytes(s.bytes.data(), s.bytes.size());
+  w.u64(s.size());
+  if (s.bytes) w.bytes(s.bytes->data(), s.size());
   w.u64(s.stuck.size());
   for (const Memory::Stuck& st : s.stuck) {
     w.u32(st.offset);
@@ -251,8 +251,9 @@ void put_memory(Writer& w, const Memory::Snapshot& s) {
 }
 Memory::Snapshot get_memory(Reader& r) {
   Memory::Snapshot s;
-  s.bytes.resize(r.count(1));
-  r.bytes(s.bytes.data(), s.bytes.size());
+  auto image = std::make_shared<Memory::Image>(r.count(1));
+  r.bytes(image->data(), image->size());
+  s.bytes = std::move(image);
   s.stuck.resize(r.count(6));
   for (Memory::Stuck& st : s.stuck) {
     st.offset = r.u32();

@@ -105,7 +105,7 @@ void FaultCampaign::build_ladder(unsigned rungs) {
   (void)golden();
   ladder_.clear();
   if (rungs <= 1) return;
-  ladder_.push_back({staged_.cycle, staged_});
+  ladder_.push_back(staged_);
   if (golden_cycles_ == 0) return;
   // One sequential pass of the golden run, snapshotting at each rung
   // cycle. run_until guarantees now() == target unless the CPU halts
@@ -118,18 +118,7 @@ void FaultCampaign::build_ladder(unsigned rungs) {
     if (c <= ladder_.back().cycle) continue;
     scratch_->run_until(c);
     if (scratch_->cpu().halted()) break;
-    Rung rung;
-    rung.cycle = c;
-    rung.snap = scratch_->snapshot();
-    // Bounds of this rung's DRAM image against the staged image: the
-    // golden prefix is deterministic, so this one-time scan lets trials
-    // restoring across rungs hand restore_fast a tight stale span
-    // instead of the whole DRAM.
-    const ByteSpan stale =
-        differing_span(rung.snap.dram.bytes, staged_.dram.bytes);
-    rung.stale_lo = stale.lo;
-    rung.stale_len = stale.len;
-    ladder_.push_back(std::move(rung));
+    ladder_.push_back(scratch_->snapshot());
   }
 }
 
@@ -234,52 +223,21 @@ std::size_t FaultCampaign::rung_index(std::uint64_t cycle) const {
   // this is one upper_bound.
   const auto it = std::upper_bound(
       ladder_.begin(), ladder_.end(), cycle,
-      [](std::uint64_t c, const Rung& r) { return c < r.cycle; });
+      [](std::uint64_t c, const System::SystemSnapshot& r) {
+        return c < r.cycle;
+      });
   return it == ladder_.begin() ? 0 : static_cast<std::size_t>(it - ladder_.begin()) - 1;
 }
 
-Outcome FaultCampaign::run_trial(System& system, const FaultSpec& spec,
-                                 std::size_t* last_rung) {
+Outcome FaultCampaign::run_trial(System& system, const FaultSpec& spec) {
   if (spec.cycle > max_cycles_)
     throw std::invalid_argument(
         "FaultCampaign: injection cycle " + std::to_string(spec.cycle) +
         " beyond the cycle budget " + std::to_string(max_cycles_) +
         " — the fault could never be injected");
 
-  if (ladder_.empty()) {
-    system.restore(staged_);
-  } else {
-    // Restore the latest checkpoint at or before the injection cycle.
-    // The diff-based restore scans only the memory's dirty watermark
-    // (what the previous trial wrote) plus the stale span between the
-    // previously restored rung's image and this one's — empty when the
-    // rung repeats, which the rung-grouped execution order makes the
-    // common case.
-    const std::size_t r = rung_index(spec.cycle);
-    std::uint32_t stale_lo = 0, stale_len = 0xFFFFFFFFu;
-    if (last_rung != nullptr && *last_rung != kNoRung) {
-      if (*last_rung == r) {
-        stale_len = 0;
-      } else {
-        const Rung& prev = ladder_[*last_rung];
-        const Rung& cur = ladder_[r];
-        if (prev.stale_len == 0) {
-          stale_lo = cur.stale_lo;
-          stale_len = cur.stale_len;
-        } else if (cur.stale_len == 0) {
-          stale_lo = prev.stale_lo;
-          stale_len = prev.stale_len;
-        } else {
-          stale_lo = std::min(prev.stale_lo, cur.stale_lo);
-          stale_len = std::max(prev.stale_lo + prev.stale_len,
-                               cur.stale_lo + cur.stale_len) -
-                      stale_lo;
-        }
-      }
-    }
-    system.restore_fast(ladder_[r].snap, stale_lo, stale_len);
-    if (last_rung != nullptr) *last_rung = r;
-  }
+  // Restore the latest checkpoint at or before the injection cycle.
+  system.restore(ladder_.empty() ? staged_ : ladder_[rung_index(spec.cycle)]);
 
   // Run to the exact injection cycle (event-driven under the hood),
   // inject, then run to completion.
@@ -366,7 +324,7 @@ std::vector<Outcome> FaultCampaign::run_trials(
 
   // Execution order: grouped by ladder rung (stable within a rung) so
   // consecutive trials restore from the same checkpoint image and the
-  // diff-based restore reverts as little as possible. Outcomes are
+  // restore reverts only what the previous trial wrote. Outcomes are
   // always reported in spec order, so the grouping is invisible to
   // callers and identical for every thread count.
   std::vector<std::size_t> order(n);
@@ -379,9 +337,8 @@ std::vector<Outcome> FaultCampaign::run_trials(
                      });
 
   if (workers <= 1) {
-    std::size_t last = kNoRung;
     for (std::size_t i = 0; i < n; ++i)
-      outcomes[order[i]] = run_trial(*scratch_, specs[order[i]], &last);
+      outcomes[order[i]] = run_trial(*scratch_, specs[order[i]]);
     return outcomes;
   }
 
@@ -396,10 +353,9 @@ std::vector<Outcome> FaultCampaign::run_trials(
   std::vector<std::exception_ptr> errors(workers);
   const auto work = [&](System& system, std::size_t w) {
     try {
-      std::size_t last = kNoRung;
       for (std::size_t k; (k = next.fetch_add(1)) < n;) {
         const std::size_t i = order[k];
-        outcomes[i] = run_trial(system, specs[i], &last);
+        outcomes[i] = run_trial(system, specs[i]);
       }
     } catch (...) {
       errors[w] = std::current_exception();

@@ -4,11 +4,12 @@
 /// capability the paper highlights (Section 5: "supports transient and
 /// permanent fault injections to all hardware structures"). A campaign
 /// stages a workload once, snapshots the fully constructed System, and
-/// then executes trials by restoring that snapshot (~a DRAM memcpy)
-/// instead of rebuilding the platform per run — the construction floor
-/// (DRAM allocation + photonic weight programming) is paid once. Each
-/// trial injects one fault (target structure, model, cycle, bit) and
-/// classifies the outcome against a golden run:
+/// then executes trials by restoring that snapshot (copying only what
+/// the previous trial changed) instead of rebuilding the platform per
+/// run — the construction floor (DRAM allocation + photonic weight
+/// programming) is paid once. Each trial injects one fault (target
+/// structure, model, cycle, bit) and classifies the outcome against a
+/// golden run:
 ///
 ///   Masked   — run completed, architectural output identical
 ///   SDC      — run completed, output differs (silent data corruption)
@@ -193,8 +194,8 @@ class FaultCampaign {
   /// spec order and are bit-identical for every thread count: each trial
   /// starts from the same restored snapshot whichever worker runs it.
   /// With a ladder built, trials are processed grouped by rung (their
-  /// reported order is unchanged) so consecutive restores diff against
-  /// the same image and the per-trial copy stays minimal.
+  /// reported order is unchanged) so consecutive restores share an image
+  /// and copy only what the previous trial wrote.
   [[nodiscard]] std::vector<Outcome> run_trials(
       const std::vector<FaultSpec>& specs, unsigned threads = 1);
 
@@ -217,20 +218,6 @@ class FaultCampaign {
                           const std::vector<std::uint8_t>& golden);
 
  private:
-  /// One checkpoint: the snapshot of the golden run at `cycle`, plus the
-  /// span of its DRAM image that differs from the staged (rung-0) image.
-  /// The golden prefix is deterministic, so these spans are computed once
-  /// at ladder-build time; the stale span between any two rungs is then
-  /// bounded by the union of their spans (a byte equal to the staged
-  /// image in both rungs is equal between them).
-  struct Rung {
-    std::uint64_t cycle = 0;
-    System::SystemSnapshot snap;
-    std::uint32_t stale_lo = 0;   ///< first DRAM byte differing from rung 0
-    std::uint32_t stale_len = 0;  ///< 0 = identical to rung 0
-  };
-  static constexpr std::size_t kNoRung = static_cast<std::size_t>(-1);
-
   /// Build the template system and capture the staged snapshot.
   void ensure_staged();
   /// Restore `system` from the best checkpoint at or before the
@@ -238,14 +225,7 @@ class FaultCampaign {
   /// for a spec whose injection cycle lies beyond the cycle budget —
   /// such a fault can never be injected, so it is rejected loudly
   /// instead of being silently applied after completion.
-  ///
-  /// `last_rung` (optional) tracks the rung this system was last
-  /// restored from across consecutive trials: combined with the rungs'
-  /// precomputed stale spans it bounds the DRAM bytes the diff-based
-  /// restore must scan. Pass nullptr (or kNoRung) when the system's
-  /// current image is unknown — the restore then scans the whole image.
-  Outcome run_trial(System& system, const FaultSpec& spec,
-                    std::size_t* last_rung = nullptr);
+  Outcome run_trial(System& system, const FaultSpec& spec);
   /// Classification used by run_trial: the legacy static classify when
   /// recovery is off, the six-outcome recovery-aware split otherwise.
   [[nodiscard]] Outcome classify_trial(System& system) const;
@@ -272,10 +252,11 @@ class FaultCampaign {
   /// the software-fallback reference output.
   RecoveryReader recovery_reader_;
   std::vector<std::uint8_t> fallback_golden_;
-  /// Checkpoint ladder over the injection window (empty = disabled;
-  /// otherwise ladder_[0] is the staged snapshot). Read-only while
-  /// run_trials shards across threads.
-  std::vector<Rung> ladder_;
+  /// Checkpoint ladder over the injection window: snapshots of the
+  /// golden run at ascending cycles (empty = disabled; otherwise
+  /// ladder_[0] is the staged snapshot). Read-only while run_trials
+  /// shards across threads.
+  std::vector<System::SystemSnapshot> ladder_;
 };
 
 }  // namespace aspen::sys

@@ -86,50 +86,41 @@ void Memory::clear_faults() {
   notify(0, size());
 }
 
-void Memory::restore(const Snapshot& s) {
-  if (s.bytes.size() != bytes_.size())
-    throw std::invalid_argument(name_ + ": restore size mismatch");
-  std::memcpy(bytes_.data(), s.bytes.data(), bytes_.size());
-  stuck_ = s.stuck;
-  dirty_lo_ = 0xFFFFFFFFu;
-  dirty_hi_ = 0;
-  // Contents and possibly the read transform changed: the whole span is
-  // dirty (this also re-grants / revokes direct_span() visibility for
-  // masters holding windows on this memory).
-  notify(0, size());
+Memory::Snapshot Memory::snapshot() {
+  hold(std::make_shared<const Image>(bytes_));
+  return {held_, stuck_};
 }
 
-void Memory::restore_diff(const Snapshot& s, std::uint32_t stale_lo,
-                          std::uint32_t stale_len) {
-  const auto same_stuck = [&] {
-    if (stuck_.size() != s.stuck.size()) return false;
-    for (std::size_t i = 0; i < stuck_.size(); ++i)
-      if (stuck_[i].offset != s.stuck[i].offset ||
-          stuck_[i].bit != s.stuck[i].bit || stuck_[i].value != s.stuck[i].value)
-        return false;
-    return true;
-  };
-  if (s.bytes.size() != bytes_.size() || !same_stuck()) {
-    restore(s);
+void Memory::restore(const Snapshot& s) {
+  if (s.size() != bytes_.size())
+    throw std::invalid_argument(name_ + ": restore size mismatch");
+  const Image& image = *s.bytes;
+  const bool same_stuck = std::equal(
+      stuck_.begin(), stuck_.end(), s.stuck.begin(), s.stuck.end(),
+      [](const Stuck& a, const Stuck& b) {
+        return a.offset == b.offset && a.bit == b.bit && a.value == b.value;
+      });
+  if (held_ == nullptr || !same_stuck) {
+    std::memcpy(bytes_.data(), image.data(), bytes_.size());
+    stuck_ = s.stuck;
+    hold(s.bytes);
+    // Contents and possibly the read transform changed: the whole span is
+    // dirty (this also re-grants / revokes direct_span() visibility for
+    // masters holding windows on this memory).
+    notify(0, size());
     return;
   }
-  // Only bytes inside the dirty watermark (mutated since the last
-  // restore) or the caller's stale span (where the last restored image
-  // may differ from `s`) can differ; everything else is provably equal
-  // and is not even scanned.
   const std::uint32_t n = size();
-  std::uint32_t scan_lo = dirty_lo_ <= dirty_hi_ ? dirty_lo_ : n;
-  std::uint32_t scan_hi = dirty_lo_ <= dirty_hi_ ? dirty_hi_ : 0;
-  if (stale_len > 0) {
-    scan_lo = std::min(scan_lo, stale_lo);
-    scan_hi = std::max<std::uint64_t>(
-        scan_hi, std::min<std::uint64_t>(
-                     static_cast<std::uint64_t>(stale_lo) + stale_len, n));
+  std::uint32_t scan_lo = std::min(dirty_lo_, n);
+  std::uint32_t scan_hi = std::min(dirty_hi_, n);
+  if (held_ != s.bytes) {
+    const ByteSpan d = held_delta(s.bytes);
+    if (d.len > 0) {
+      scan_lo = std::min(scan_lo, d.lo);
+      scan_hi = std::max(scan_hi, d.lo + d.len);
+    }
   }
-  scan_lo = std::min(scan_lo, n);
-  scan_hi = std::min(scan_hi, n);
-  dirty_lo_ = 0xFFFFFFFFu;
-  dirty_hi_ = 0;
+  hold(s.bytes);
   // Chunked scan: contiguous runs of differing chunks are copied and
   // notified as one span, so observer invalidation stays proportional to
   // what actually changed.
@@ -138,22 +129,39 @@ void Memory::restore_diff(const Snapshot& s, std::uint32_t stale_lo,
   for (std::uint32_t off = scan_lo; off < scan_hi; off += kScanChunk) {
     const std::uint32_t len = std::min(kScanChunk, scan_hi - off);
     const bool differs =
-        std::memcmp(bytes_.data() + off, s.bytes.data() + off, len) != 0;
+        std::memcmp(bytes_.data() + off, image.data() + off, len) != 0;
     if (differs && !in_run) {
       run_lo = off;
       in_run = true;
     } else if (!differs && in_run) {
-      std::memcpy(bytes_.data() + run_lo, s.bytes.data() + run_lo,
-                  off - run_lo);
+      std::memcpy(bytes_.data() + run_lo, image.data() + run_lo, off - run_lo);
       notify(run_lo, off - run_lo);
       in_run = false;
     }
   }
   if (in_run) {
-    std::memcpy(bytes_.data() + run_lo, s.bytes.data() + run_lo,
+    std::memcpy(bytes_.data() + run_lo, image.data() + run_lo,
                 scan_hi - run_lo);
     notify(run_lo, scan_hi - run_lo);
   }
+}
+
+ByteSpan Memory::held_delta(const std::shared_ptr<const Image>& other) {
+  const auto same = [](const std::weak_ptr<const Image>& key,
+                       const std::shared_ptr<const Image>& image) {
+    return !key.owner_before(image) && !image.owner_before(key);
+  };
+  PairSpan* victim = &pairs_[0];
+  for (PairSpan& e : pairs_) {
+    if ((same(e.a, held_) && same(e.b, other)) ||
+        (same(e.a, other) && same(e.b, held_))) {
+      e.used = ++pair_clock_;
+      return e.span;
+    }
+    if (e.used < victim->used) victim = &e;
+  }
+  *victim = {held_, other, differing_span(*held_, *other), ++pair_clock_};
+  return victim->span;
 }
 
 ByteSpan differing_span(const std::vector<std::uint8_t>& a,

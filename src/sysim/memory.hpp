@@ -13,13 +13,26 @@
 /// (predecoded instructions) stay coherent.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "sysim/bus.hpp"
 
 namespace aspen::sys {
+
+/// Exact byte range [lo, lo + len) outside which two equally sized
+/// images agree; len 0 when they are identical. Scans chunk-wise with
+/// memcmp from each end and walks bytes only inside the first and last
+/// differing chunks.
+struct ByteSpan {
+  std::uint32_t lo = 0;
+  std::uint32_t len = 0;
+};
+[[nodiscard]] ByteSpan differing_span(const std::vector<std::uint8_t>& a,
+                                      const std::vector<std::uint8_t>& b);
 
 class Memory final : public BusDevice {
  public:
@@ -79,39 +92,34 @@ class Memory final : public BusDevice {
     std::uint8_t bit;
     bool value;
   };
+  /// Immutable byte image, shared by every copy of a snapshot (ladder
+  /// rungs, shards, worker replicas).
+  using Image = std::vector<std::uint8_t>;
   /// Full captured state: the byte image plus the armed stuck-at faults.
   struct Snapshot {
-    std::vector<std::uint8_t> bytes;
+    std::shared_ptr<const Image> bytes;
     std::vector<Stuck> stuck;
+    [[nodiscard]] std::size_t size() const { return bytes ? bytes->size() : 0; }
   };
-  [[nodiscard]] Snapshot snapshot() const { return {bytes_, stuck_}; }
+  /// Capture the current state into a new image, which this memory then
+  /// holds.
+  [[nodiscard]] Snapshot snapshot();
   /// Restore a snapshot taken from an identically sized memory (throws
-  /// std::invalid_argument otherwise). One memcpy plus a full-span
-  /// observer notification so masters drop derived caches.
+  /// std::invalid_argument before changing anything otherwise). Copies
+  /// and notifies the observer about only the chunks that differ, so
+  /// masters' derived caches (predecoded instructions) stay warm for
+  /// untouched spans. Every byte outside the dirty watermark equals the
+  /// held image, so the scan covers:
+  ///  - the watermark alone when `s` holds the held image;
+  ///  - the watermark plus the span where the held image and `s` differ
+  ///    when another image is held (computed once per image pair);
+  ///  - everything (a full copy) when no image is held or the armed
+  ///    stuck-at set differs, since the read transform changed.
+  /// Masters writing through direct spans must report those writes
+  /// (direct_span_written) first.
   void restore(const Snapshot& s);
-  /// Bitwise-equivalent restore that copies (and notifies the observer
-  /// about) only the chunks that actually differ from the snapshot image.
-  /// Campaign trials restoring a checkpoint rung re-run mostly-identical
-  /// prefixes, so the bulk of the image — program text above all — is
-  /// already in place; skipping it keeps masters' derived caches
-  /// (predecoded instructions) warm for the untouched spans. Falls back
-  /// to the full restore when the armed stuck-at fault set differs (the
-  /// read transform changed, so every span is stale).
-  ///
-  /// The scan is bounded to the union of the internal dirty watermark
-  /// (every mutation since the last restore — bus writes, bulk moves,
-  /// host loads, bit flips; masters writing through direct spans report
-  /// via direct_span_written) and the caller-supplied stale span
-  /// [stale_lo, stale_lo+stale_len): the bytes where the image last
-  /// restored into this memory may differ from `s`. Callers that do not
-  /// track which image the memory holds must pass the full span.
-  void restore_diff(const Snapshot& s, std::uint32_t stale_lo,
-                    std::uint32_t stale_len);
-  /// restore_diff with the whole image treated as stale (sound against
-  /// any prior contents; still skips copying/notifying matching chunks).
-  void restore_diff(const Snapshot& s) { restore_diff(s, 0, size()); }
 
-  /// memcmp granule of the image scans (restore_diff, differing_span).
+  /// memcmp granule of the image scans (restore, differing_span).
   /// 256 bytes balances memcmp call overhead against over-invalidation
   /// of a master's predecoded instructions.
   static constexpr std::uint32_t kScanChunk = 256;
@@ -121,34 +129,44 @@ class Memory final : public BusDevice {
   void notify(std::uint32_t offset, std::uint32_t bytes) {
     if (observer_ != nullptr) observer_->bus_memory_written(this, offset, bytes);
   }
-  /// Widen the dirty watermark (bytes touched since the last restore).
+  /// Widen the dirty watermark (bytes touched since the held image).
   void mark_dirty(std::uint32_t offset, std::uint32_t bytes) {
     if (bytes == 0) return;
     dirty_lo_ = std::min(dirty_lo_, offset);
     dirty_hi_ = std::max(dirty_hi_, offset + bytes);
   }
+  /// Hold `image`, which bytes_ now equals, with a clean watermark.
+  void hold(std::shared_ptr<const Image> image) {
+    held_ = std::move(image);
+    dirty_lo_ = 0xFFFFFFFFu;
+    dirty_hi_ = 0;
+  }
+  /// Span where the held image and `other` differ, from the pair cache.
+  [[nodiscard]] ByteSpan held_delta(const std::shared_ptr<const Image>& other);
 
   std::string name_;
   std::vector<std::uint8_t> bytes_;
   unsigned latency_;
   BusWriteObserver* observer_ = nullptr;
   std::vector<Stuck> stuck_;
-  /// Dirty watermark [dirty_lo_, dirty_hi_): bytes mutated since the
-  /// last restore (lo > hi = clean). Lets restore_diff scan only what
-  /// this execution actually touched instead of the whole image.
+  /// The image last restored from or snapshotted to (a live reference,
+  /// so it cannot be freed while held). Every byte outside the dirty
+  /// watermark [dirty_lo_, dirty_hi_) equals it (lo > hi = clean).
+  std::shared_ptr<const Image> held_;
   std::uint32_t dirty_lo_ = 0xFFFFFFFFu;
   std::uint32_t dirty_hi_ = 0;
+  /// differing_span per image pair (either order), least recently used
+  /// entry replaced. Keys are weak and compared by owner: an entry whose
+  /// image was freed keeps its control block, so it can never match a
+  /// new image allocated at the same address. Per memory, so thread
+  /// workers with private systems share nothing mutable.
+  struct PairSpan {
+    std::weak_ptr<const Image> a, b;
+    ByteSpan span;
+    std::uint64_t used = 0;
+  };
+  std::array<PairSpan, 32> pairs_{};
+  std::uint64_t pair_clock_ = 0;
 };
-
-/// Exact byte range [lo, lo + len) outside which two equally sized
-/// images agree; len 0 when they are identical. Scans chunk-wise with
-/// memcmp from each end and walks bytes only inside the first and last
-/// differing chunks.
-struct ByteSpan {
-  std::uint32_t lo = 0;
-  std::uint32_t len = 0;
-};
-[[nodiscard]] ByteSpan differing_span(const std::vector<std::uint8_t>& a,
-                                      const std::vector<std::uint8_t>& b);
 
 }  // namespace aspen::sys

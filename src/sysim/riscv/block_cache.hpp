@@ -206,7 +206,7 @@ class BlockCache {
   /// next store boundary. The extent check makes data stores free.
   void invalidate_range(std::uint32_t addr, std::uint32_t bytes);
 
-  /// Drop everything (reset, full restore, fetch-device change).
+  /// Drop everything (reset, fetch-device change, a cache-wide write).
   void flush();
 
   [[nodiscard]] std::uint64_t generation() const { return gen_; }

@@ -71,21 +71,6 @@ Cpu::Snapshot Cpu::snapshot() const {
 }
 
 void Cpu::restore(const Snapshot& s) {
-  restore_warm(s);
-  // Derived caches re-resolve lazily against the restored memory image.
-  // Observer registrations in observed_devs_ stay in place: devices
-  // outlive the restore, and set_window keeps them in sync as windows
-  // repopulate. Pending store spans are dropped, not flushed: the full
-  // memory restore paired with this call resets the dirty watermarks
-  // they would have fed, and the windows they were expressed against
-  // are gone.
-  win_ = {};
-  store_lo_ = {0xFFFFFFFFu, 0xFFFFFFFFu};
-  store_hi_ = {0, 0};
-  icache_flush();
-}
-
-void Cpu::restore_warm(const Snapshot& s) {
   regs_ = s.regs;
   stuck_or_ = s.stuck_or;
   stuck_and_ = s.stuck_and;
@@ -814,13 +799,15 @@ Cpu::BurstResult Cpu::run_burst_blocks(std::uint64_t budget) {
 // ------------------------------------------------ direct-memory fast path
 
 void Cpu::flush_store_span(std::size_t slot) {
-  if (store_lo_[slot] >= store_hi_[slot]) return;
-  const Bus::DirectWindow& w = win_[slot];
-  if (w.dev != nullptr && w.data != nullptr)
-    w.dev->direct_span_written(store_lo_[slot] - w.base,
-                               store_hi_[slot] - store_lo_[slot]);
+  const std::uint32_t lo = store_lo_[slot], hi = store_hi_[slot];
+  if (lo >= hi) return;
+  // Cleared before reporting: the device's observer callback may revoke
+  // this window and flush again.
   store_lo_[slot] = 0xFFFFFFFFu;
   store_hi_[slot] = 0;
+  const Bus::DirectWindow& w = win_[slot];
+  if (w.dev != nullptr && w.data != nullptr)
+    w.dev->direct_span_written(lo - w.base, hi - lo);
 }
 
 void Cpu::publish_store_spans() {
@@ -911,13 +898,19 @@ void Cpu::icache_invalidate(std::uint32_t addr, std::uint32_t bytes) {
 void Cpu::bus_memory_written(BusDevice* dev, std::uint32_t offset,
                              std::uint32_t bytes) {
   const bool has_span = dev->direct_span().data != nullptr;
-  for (auto& w : win_) {
+  for (std::size_t slot = 0; slot < win_.size(); ++slot) {
+    Bus::DirectWindow& w = win_[slot];
     if (w.dev != dev) continue;
     if (w.data != nullptr) {
       icache_invalidate(w.base + offset, bytes);
       // A revoked span (stuck-at faults armed) forces every access back
       // onto the virtual read path, where the fault masks are applied.
-      if (!has_span) w = Bus::DirectWindow{};
+      // Stores made through it are reported first, so the device's dirty
+      // watermark still covers them.
+      if (!has_span) {
+        flush_store_span(slot);
+        w = Bus::DirectWindow{};
+      }
     } else if (has_span) {
       // Stale negative entry: the device re-granted its span (faults
       // cleared) — drop it so the next access resolves positively.

@@ -127,9 +127,8 @@ class Cpu final : public BusWriteObserver {
 
   // -- Snapshot / restore --------------------------------------------------
   /// Complete architectural + timing state. Derived execution state (the
-  /// predecoded micro-op cache, resolved bus windows) is deliberately
-  /// excluded: restore() invalidates it instead, and it repopulates
-  /// lazily at bit-identical cycle cost.
+  /// predecoded micro-op cache, translated blocks, resolved bus windows)
+  /// is deliberately excluded and survives restore().
   struct Snapshot {
     std::array<std::uint32_t, 32> regs{};
     std::array<std::uint32_t, 32> stuck_or{};
@@ -146,15 +145,12 @@ class Cpu final : public BusWriteObserver {
     std::uint32_t mscratch = 0, mepc = 0, mcause = 0, mtval = 0;
   };
   [[nodiscard]] Snapshot snapshot() const;
+  /// Restore architectural state and keep the derived caches. Callers
+  /// must first publish_store_spans() and restore the memories, whose
+  /// observer notifications invalidate every span whose contents changed
+  /// — the same protocol that keeps the caches coherent across DMA
+  /// writes (System::restore does both).
   void restore(const Snapshot& s);
-  /// Restore architectural state but keep the derived caches (direct
-  /// memory windows, predecoded micro-ops). Callers must pair this with
-  /// diff-based memory restores whose observer notifications have
-  /// already invalidated every span whose contents changed — then the
-  /// surviving entries are coherent by the same protocol that keeps them
-  /// coherent across DMA writes. Execution after the call is
-  /// bit-identical to restore(); only host-side re-decode work is saved.
-  void restore_warm(const Snapshot& s);
 
   // -- Fault hooks ---------------------------------------------------------
   void flip_reg_bit(int reg, unsigned bit);
@@ -168,9 +164,9 @@ class Cpu final : public BusWriteObserver {
 
   /// Report every direct-window store executed since the last publish to
   /// the owning devices (via direct_span_written), so their dirty
-  /// watermarks cover the CPU's raw-span writes. Diff-based restores
-  /// call this first; the per-store bookkeeping is two min/max updates
-  /// on addresses the fast path already has in registers.
+  /// watermarks cover the CPU's raw-span writes. Restores call this
+  /// first; the per-store bookkeeping is two min/max updates on
+  /// addresses the fast path already has in registers.
   void publish_store_spans();
 
   /// Block-tier diagnostics (blocks built, chained dispatches, fused
@@ -295,8 +291,8 @@ class Cpu final : public BusWriteObserver {
   /// Per-slot store watermark (bus addresses, [lo, hi)): bytes the CPU
   /// wrote through the slot's raw span since the last flush. These are
   /// the only memory mutations invisible to the device, so flushing them
-  /// (publish_store_spans / window re-resolution) is what makes the
-  /// memories' dirty watermarks complete.
+  /// (publish_store_spans / window re-resolution or revocation) is what
+  /// makes the memories' dirty watermarks complete.
   std::array<std::uint32_t, 2> store_lo_{0xFFFFFFFFu, 0xFFFFFFFFu};
   std::array<std::uint32_t, 2> store_hi_{0, 0};
   /// Devices this CPU is registered on as write observer, per slot.

@@ -151,7 +151,7 @@ void System::run_until(std::uint64_t target) {
   }
 }
 
-System::SystemSnapshot System::snapshot() const {
+System::SystemSnapshot System::snapshot() {
   SystemSnapshot s;
   s.cycle = cycle_;
   s.dram = dram_->snapshot();
@@ -163,37 +163,23 @@ System::SystemSnapshot System::snapshot() const {
 }
 
 void System::restore(const SystemSnapshot& s) {
-  if (s.pes.size() != pes_.size() ||
-      s.dram.bytes.size() != dram_->size())
+  bool fits = s.pes.size() == pes_.size() && s.dram.size() == dram_->size();
+  for (std::size_t i = 0; fits && i < pes_.size(); ++i)
+    fits = pes_[i]->fits(s.pes[i]);
+  if (!fits)
     throw std::invalid_argument(
         "System::restore: snapshot from a differently configured system");
-  // Memories first (their observer notifications run against the old CPU
-  // windows, which the CPU restore then drops wholesale anyway).
+  // The CPU's raw-span stores are the one mutation path the memories
+  // cannot see; publishing them first completes the dirty watermarks the
+  // memory restores scan.
+  cpu_->publish_store_spans();
+  // The memories restore while the CPU still holds its windows, so every
+  // notification lands on a live window and invalidates exactly the
+  // micro-ops and blocks covering changed bytes.
   dram_->restore(s.dram);
   dma_->restore(s.dma);
   for (std::size_t i = 0; i < pes_.size(); ++i) pes_[i]->restore(s.pes[i]);
   cpu_->restore(s.cpu);
-  cycle_ = s.cycle;
-}
-
-void System::restore_fast(const SystemSnapshot& s, std::uint32_t dram_stale_lo,
-                          std::uint32_t dram_stale_len) {
-  if (s.pes.size() != pes_.size() ||
-      s.dram.bytes.size() != dram_->size())
-    throw std::invalid_argument(
-        "System::restore_fast: snapshot from a differently configured system");
-  // The CPU's raw-span stores are the one mutation path the memories
-  // cannot see; publishing them first makes the DRAM dirty watermark
-  // complete, so the diff below provably covers every changed byte.
-  cpu_->publish_store_spans();
-  // The diff runs while the CPU still holds its windows, so every
-  // notification lands on a live window and invalidates exactly the
-  // micro-ops covering changed bytes; the warm CPU restore afterwards
-  // keeps the rest.
-  dram_->restore_diff(s.dram, dram_stale_lo, dram_stale_len);
-  dma_->restore(s.dma);
-  for (std::size_t i = 0; i < pes_.size(); ++i) pes_[i]->restore(s.pes[i]);
-  cpu_->restore_warm(s.cpu);
   cycle_ = s.cycle;
 }
 

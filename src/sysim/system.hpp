@@ -77,11 +77,12 @@ class System {
 
   /// Complete captured platform state, restorable into any System built
   /// from the same SystemConfig. Component snapshots hold architectural
-  /// state only; derived caches (predecoded micro-ops, bus windows, mesh
-  /// transfer factorizations) are invalidated on restore and repopulate
-  /// lazily at bit-identical cycle cost. The fault campaigns stage a
-  /// workload once, snapshot, and restore per trial instead of paying
-  /// construction (DRAM allocation + weight programming) every run.
+  /// state only; derived caches (predecoded micro-ops, translated blocks,
+  /// bus windows, mesh transfers) are kept coherent across restores. Memory
+  /// images are immutable and shared, so copying a snapshot is cheap. The
+  /// fault campaigns stage a workload once, snapshot, and restore per
+  /// trial instead of paying construction (DRAM allocation + weight
+  /// programming) every run.
   struct SystemSnapshot {
     std::uint64_t cycle = 0;
     Memory::Snapshot dram;
@@ -89,30 +90,20 @@ class System {
     std::vector<PhotonicAccelerator::Snapshot> pes;
     rv::Cpu::Snapshot cpu;
   };
-  [[nodiscard]] SystemSnapshot snapshot() const;
-  /// Restore a snapshot taken from an identically configured System
-  /// (throws std::invalid_argument on a shape mismatch). Cost is
-  /// dominated by the DRAM memcpy.
+  [[nodiscard]] SystemSnapshot snapshot();
+  /// Restore a snapshot taken from an identically configured System. The
+  /// whole shape (DRAM size, PE count, SPM sizes, mesh phase counts) is
+  /// checked first; a mismatch throws std::invalid_argument with nothing
+  /// changed. The cost follows what changed: each memory copies only the
+  /// chunks that differ from `s` (see Memory::restore), and the CPU keeps
+  /// its direct-memory windows and translated blocks, which the memories'
+  /// observer notifications have already invalidated wherever contents
+  /// changed.
   void restore(const SystemSnapshot& s);
-  /// Bitwise-equivalent restore tuned for hot trial loops: DRAM is
-  /// diff-restored (only spans differing from the snapshot are copied
-  /// and notified) and the CPU keeps its direct-memory windows and
-  /// predecoded micro-ops — the diff's observer notifications invalidate
-  /// exactly the stale entries, the same protocol that keeps them
-  /// coherent across DMA writes. Checkpoint-ladder fault campaigns
-  /// restore mostly-identical prefixes thousands of times; skipping the
-  /// untouched program image is the difference between a full-DRAM
-  /// memcpy plus cold re-decode per trial and a short scan.
-  ///
-  /// The DRAM scan is bounded to the union of the memory's own dirty
-  /// watermark (completed by publishing the CPU's raw-span store spans
-  /// first) and the caller's stale span [dram_stale_lo,
-  /// dram_stale_lo+dram_stale_len): the bytes where the image this
-  /// system was last restored to may differ from `s.dram`. Callers that
-  /// do not track the last restored image must keep the whole-span
-  /// default.
-  void restore_fast(const SystemSnapshot& s, std::uint32_t dram_stale_lo = 0,
-                    std::uint32_t dram_stale_len = 0xFFFFFFFFu);
+  /// Alias of restore(), kept because perfbench/ still calls it; the
+  /// span arguments are ignored.
+  void restore_fast(const SystemSnapshot& s, std::uint32_t = 0,
+                    std::uint32_t = 0) { restore(s); }
 
   [[nodiscard]] rv::Cpu& cpu() { return *cpu_; }
   [[nodiscard]] Memory& dram() { return *dram_; }

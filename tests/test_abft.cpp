@@ -319,6 +319,49 @@ TEST(AcceleratorFaultTest, MatchingCrcsRunCleanToGolden) {
   EXPECT_LE(max_err, 4);
 }
 
+TEST(Crc32Test, IeeeCheckValue) {
+  // The published check value of CRC-32 (IEEE 802.3) over "123456789".
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+}
+
+TEST(AcceleratorFaultTest, UncheckedStartIgnoresWrongCrcExpectations) {
+  // Wrong CRC_W / CRC_X values with CHECK_CRC_W / CHECK_CRC_X clear: no
+  // comparison runs, so nothing latches and the output is the one a
+  // checked run with correct expectations produces.
+  GemmWorkload wl;
+  wl.n = 8;
+  wl.m = 4;
+  const auto a = random_fixed(wl.n * wl.n, 0.9, 16);
+  const auto x = random_fixed(wl.n * wl.m, 0.9, 17);
+  const auto run = [&](std::uint32_t check, std::uint32_t crc_flip) {
+    auto accel = std::make_unique<PA>(accel_cfg());
+    write_spm(*accel, PA::kSpmWBase, a);
+    write_spm(*accel, PA::kSpmXBase, x);
+    accel->write(PA::kRegCols, static_cast<std::uint32_t>(wl.m), 4);
+    accel->write(PA::kRegCrcW, crc32(a.data(), a.size() * 2) ^ crc_flip, 4);
+    accel->write(PA::kRegCrcX, crc32(x.data(), x.size() * 2) ^ crc_flip, 4);
+    accel->write(PA::kRegCtrl,
+                 PA::kCtrlStart | PA::kCtrlLoadWeights | check, 4);
+    run_to_idle(*accel);
+    return accel;
+  };
+  const auto unchecked = run(0, 1u);
+  const auto checked = run(PA::kCtrlCrcW | PA::kCtrlCrcX, 0);
+  EXPECT_FALSE(unchecked->error());
+  EXPECT_EQ(unchecked->read(PA::kRegErr, 4), 0u);
+  ASSERT_FALSE(checked->error());
+
+  const auto golden = golden_gemm(wl, a, x);
+  int max_err = 0;
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    const std::uint32_t off = PA::kSpmYBase + static_cast<std::uint32_t>(2 * i);
+    EXPECT_EQ(unchecked->read(off, 2), checked->read(off, 2)) << "element " << i;
+    const auto got = static_cast<std::int16_t>(unchecked->read(off, 2));
+    max_err = std::max(max_err, std::abs(got - golden[i]));
+  }
+  EXPECT_LE(max_err, 4);
+}
+
 TEST(AcceleratorFaultTest, ErrorLatchDoesNotBlockSubsequentOps) {
   PA accel(accel_cfg());
   GemmWorkload wl;

@@ -83,6 +83,27 @@ TEST(MemoryTest, DifferingSpanExactAtChunkEdges) {
                std::invalid_argument);
 }
 
+TEST(MemoryTest, PairSpanNeverMatchesAFreedImage) {
+  // Restores across images reuse one differing span per image pair. An
+  // image allocated right after another is freed typically lands at the
+  // freed address; the cached (B, A) span must not stand in for (C, A).
+  Memory m("m", 4096, 1);
+  const Memory::Snapshot a = m.snapshot();
+  m.write(100, 0xAB, 1);
+  Memory::Snapshot b = m.snapshot();
+  m.restore(a);  // caches the (B, A) span: byte 100
+  m.restore(b);
+  m.restore(a);
+  b = {};
+  m.write(3000, 0xCD, 1);
+  const Memory::Snapshot c = m.snapshot();  // differs from A at byte 3000
+  m.restore(a);
+  EXPECT_EQ(m.read(100, 1), 0u);
+  EXPECT_EQ(m.read(3000, 1), 0u) << "restore used a freed image's span";
+  m.restore(c);
+  EXPECT_EQ(m.read(3000, 1), 0xCDu);
+}
+
 // ------------------------------------------------------------------ bus
 
 TEST(BusTest, RoutesByAddress) {

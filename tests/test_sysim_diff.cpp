@@ -1327,6 +1327,218 @@ TEST(SnapshotTest, RestoredTrialMatchesRebuiltSystemPerScenario) {
   }
 }
 
+/// Raw SPM images of every PE (stuck-at masks not applied).
+std::vector<std::uint8_t> spm_images(System& system) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t p = 0; p < system.pe_count(); ++p)
+    for (Memory* m : {&system.pe(p).spm_w(), &system.pe(p).spm_x(),
+                      &system.pe(p).spm_y()}) {
+      const std::size_t at = out.size();
+      out.resize(at + m->size());
+      m->read_block(0, out.data() + at, m->size());
+    }
+  return out;
+}
+
+/// Restore `system` from `snap` and diff it against the oracle, a fresh
+/// system restored from the same snapshot (it holds no image, so it takes
+/// the full-copy path): right after the restore and again after both run
+/// to completion.
+void expect_restore_matches_fresh(System& system,
+                                  const System::SystemSnapshot& snap,
+                                  const std::string& what) {
+  system.restore(snap);
+  System fresh(system.config());
+  fresh.restore(snap);
+  expect_identical(capture_state(fresh), capture_state(system), what.c_str());
+  EXPECT_EQ(spm_images(fresh) == spm_images(system), true)
+      << what << ": SPM images differ";
+  fresh.run();
+  system.run();
+  const std::string done = what + ", run to completion";
+  expect_identical(capture_state(fresh), capture_state(system), done.c_str());
+  EXPECT_EQ(spm_images(fresh) == spm_images(system), true)
+      << done << ": SPM images differ";
+}
+
+/// Host-driven DMA of `len` bytes between DRAM offsets, run to its end.
+void dma_in_dram(System& system, std::uint32_t src, std::uint32_t dst,
+                 std::uint32_t len) {
+  DmaEngine& dma = system.dma();
+  const std::uint32_t base = system.config().dram_base;
+  dma.write(DmaEngine::kRegSrc, base + src, 4);
+  dma.write(DmaEngine::kRegDst, base + dst, 4);
+  dma.write(DmaEngine::kRegLen, len, 4);
+  dma.write(DmaEngine::kRegCtrl, DmaEngine::kCtrlStart, 4);
+  dma.skip_cycles(len);
+  ASSERT_FALSE(dma.busy());
+  dma.write(DmaEngine::kRegStatus, DmaEngine::kStatusDone, 4);  // W1C
+}
+
+TEST(SnapshotTest, CrossImageRestoresMatchFreshRestore) {
+  SystemConfig sc;
+  sc.accel = small_accel();
+  GemmWorkload wl;
+  wl.n = 8;
+  wl.m = 4;
+  const auto stage = gemm_stager(wl, 441);
+  const std::pair<const char*, std::vector<std::uint32_t>> programs[] = {
+      {"software", build_gemm_software(wl, sc)},
+      {"dma offload", build_gemm_offload(wl, sc, OffloadPath::kDmaInterrupt)},
+  };
+  for (const Tier tier : {Tier::kLegacy, Tier::kUop, Tier::kBlock}) {
+    for (const auto& [name, program] : programs) {
+      const std::string what = std::string(name) + " [" + tier_name(tier) + "]";
+      System system(with_tier(sc, tier));
+      stage(system);
+      system.load_program(program);
+      const System::SystemSnapshot a = system.snapshot();
+      System golden_run(system.config());
+      golden_run.restore(a);
+      const std::uint64_t golden = golden_run.run().cycles;
+      system.run_until(golden / 2);
+      System::SystemSnapshot b = system.snapshot();
+      system.run_until(golden / 2 + golden / 8);  // restore mid-run
+
+      // A -> B -> A -> B. Each run to completion leaves CPU stores
+      // unpublished; a host DMA and bit flips (code and data) follow.
+      for (int round = 0; round < 4; ++round) {
+        expect_restore_matches_fresh(system, round % 2 == 0 ? a : b,
+                                     what + " round " + std::to_string(round));
+        dma_in_dram(system, wl.x_offset, 0x3A000 + 0x100 * round, 64);
+        system.dram().flip_bit(8 + 4 * round, round);
+        system.dram().flip_bit(wl.y_offset + 2, round);
+      }
+
+      // A stuck bit changes the read transform: full-copy path.
+      system.dram().set_stuck_bit(12, 3, true);
+      expect_restore_matches_fresh(system, a, what + " after a stuck bit");
+      // Stores made through a window that a stuck bit then revokes must
+      // still reach the watermark when the stuck set matches the target.
+      system.restore(a);
+      system.dram().set_stuck_bit(0x3F000, 3, true);
+      const System::SystemSnapshot stuck = system.snapshot();
+      system.dram().clear_faults();
+      system.run_until(golden / 2);
+      system.dram().set_stuck_bit(0x3F000, 3, true);
+      expect_restore_matches_fresh(system, stuck, what + " stuck set kept");
+
+      // Address reuse: with the pair (A, B) cached, drop B and take C,
+      // which differs from A where B did not (a flipped code byte). C's
+      // image may land at B's freed address (MemoryTest.PairSpanNever-
+      // MatchesAFreedImage forces that case); the cache must not match.
+      expect_restore_matches_fresh(system, b, what + " before dropping B");
+      expect_restore_matches_fresh(system, a, what + " holding A");
+      system.restore(a);
+      system.run_until(golden / 3);
+      system.dram().flip_bit(40, 5);
+      b = {};
+      const System::SystemSnapshot c = system.snapshot();
+      expect_restore_matches_fresh(system, a, what + " A after taking C");
+      expect_restore_matches_fresh(system, c, what + " C");
+    }
+  }
+}
+
+TEST(SnapshotTest, CopiesShareImages) {
+  SystemConfig sc;
+  sc.accel = small_accel();
+  System system(sc);
+  const System::SystemSnapshot snap = system.snapshot();
+  const System::SystemSnapshot copy = snap;
+  EXPECT_EQ(copy.dram.bytes, snap.dram.bytes);
+  EXPECT_EQ(copy.pes[0].spm_w.bytes, snap.pes[0].spm_w.bytes);
+  EXPECT_EQ(copy.pes[0].spm_x.bytes, snap.pes[0].spm_x.bytes);
+  EXPECT_EQ(copy.pes[0].spm_y.bytes, snap.pes[0].spm_y.bytes);
+}
+
+TEST(SnapshotTest, WarmRestoreKeepsTranslatedBlocks) {
+  SystemConfig sc;
+  sc.accel = small_accel();
+  GemmWorkload wl;
+  wl.n = 8;
+  wl.m = 4;
+  const auto stage = gemm_stager(wl, 451);
+  const auto program = build_gemm_software(wl, sc);
+  System fresh(sc);
+  stage(fresh);
+  fresh.load_program(program);
+  fresh.run();
+
+  System system(sc);
+  stage(system);
+  system.load_program(program);
+  const System::SystemSnapshot snap = system.snapshot();
+  const auto built = [&] { return system.cpu().block_stats().blocks_built; };
+  system.run();
+  system.restore(snap);
+  system.run();
+  const std::uint64_t cold = built();
+  ASSERT_GT(cold, 0u);
+  system.restore(snap);
+  system.run();
+  EXPECT_EQ(built(), cold) << "a second restore and run must build no block";
+  expect_identical(capture_state(fresh), capture_state(system), "warm rerun");
+
+  // A flip in the code region between restores: the restore copies the
+  // byte back and only the blocks covering it are rebuilt.
+  system.dram().flip_bit(4 * static_cast<std::uint32_t>(program.size()) - 2, 1);
+  system.restore(snap);
+  system.run();
+  EXPECT_GE(built(), cold + 1) << "the block covering the flip is rebuilt";
+  expect_identical(capture_state(fresh), capture_state(system),
+                   "rerun after a code flip");
+}
+
+TEST(SnapshotTest, ShapeMismatchThrowsBeforeChangingAnything) {
+  SystemConfig sc;
+  sc.accel = small_accel();
+  GemmWorkload wl;
+  wl.n = 8;
+  wl.m = 4;
+  const auto program = build_gemm_offload(wl, sc, OffloadPath::kMmrPolling);
+  const auto staged = [&](const SystemConfig& cfg) {
+    auto system = std::make_unique<System>(cfg);
+    gemm_stager(wl, 461)(*system);
+    system->load_program(program);
+    return system;
+  };
+
+  const auto with = [&](const std::function<void(SystemConfig&)>& edit) {
+    SystemConfig cfg = sc;
+    edit(cfg);
+    return cfg;
+  };
+  const std::pair<const char*, SystemConfig> others[] = {
+      {"max_cols", with([](SystemConfig& c) { c.accel.max_cols = 32; })},
+      {"ports", with([](SystemConfig& c) { c.accel.gemm.mvm.ports = 4; })},
+      {"num_pes", with([](SystemConfig& c) { c.num_pes = 2; })},
+      {"dram_size", with([](SystemConfig& c) { c.dram_size = 1u << 20; })},
+  };
+  for (const auto& [what, cfg] : others) {
+    auto donor = staged(cfg);
+    donor->write_dram(0x100, "\xAB", 1);
+    const System::SystemSnapshot foreign = donor->snapshot();
+
+    auto system = staged(sc);
+    const System::SystemSnapshot own = system->snapshot();
+    system->run_until(300);
+    const Capture before = capture_state(*system);
+    const std::vector<std::uint8_t> spm_before = spm_images(*system);
+    EXPECT_THROW(system->restore(foreign), std::invalid_argument) << what;
+    expect_identical(before, capture_state(*system), what);
+    EXPECT_EQ(spm_images(*system) == spm_before, true) << what;
+
+    // The held image is unchanged too: restoring the system's own
+    // snapshot still matches a fresh run.
+    auto fresh = staged(sc);
+    system->restore(own);
+    system->run();
+    fresh->run();
+    expect_identical(capture_state(*fresh), capture_state(*system), what);
+  }
+}
+
 TEST(SnapshotTest, SerialAndParallelCampaignVerdictsIdentical) {
   SystemConfig sc;
   sc.accel = small_accel();
