@@ -43,11 +43,9 @@ MvmEngine::MvmEngine(MvmConfig cfg)
   if (cfg_.weights == WeightTechnology::kPcm) {
     mesh_u_->enable_pcm(cfg_.pcm);
     mesh_v_->enable_pcm(cfg_.pcm);
-    mesh_u_->set_drift_time(cfg_.pcm_drift_time_s);
-    mesh_v_->set_drift_time(cfg_.pcm_drift_time_s);
   }
   attenuation_.assign(cfg_.ports, 1.0);
-  set_matrix(CMat::identity(cfg_.ports));
+  set_matrix(CMat::identity(cfg_.ports));  // also ages PCM to the drift time
 }
 
 void MvmEngine::account_programming() {
@@ -79,56 +77,110 @@ void MvmEngine::set_matrix(const CMat& w) {
 
   weight_ = w;
 
-  // Decomposition memo: SVD + mesh programming are pure functions of the
-  // weight bytes (per die), so a repeat matrix skips the expensive math
-  // and reprograms from the cached phases, bit-identically.
-  for (auto it = program_memo_.begin(); it != program_memo_.end(); ++it) {
-    if (it->key != w.raw()) continue;
-    svd_ = it->svd;
-    sigma_max_ = it->sigma_max;
-    attenuation_ = it->attenuation;
+  // A PCM write restarts the drift clock: the cells are programmed and
+  // the gain calibrated fresh, and only then do they age to the
+  // configured drift time, uncalibrated (see age_pcm_weights).
+  const bool pcm = cfg_.weights == WeightTechnology::kPcm;
+  if (pcm) {
+    mesh_u_->set_drift_time(0.0);
+    mesh_v_->set_drift_time(0.0);
+  }
+
+  // Programming memo: SVD, mesh programming and the calibrated transfer
+  // are pure functions of the weight bytes (per die, per detuning), so a
+  // repeat matrix is a copy of the cached result, bit-identical to
+  // recomputing it.
+  if (ProgramMemo* hit = find_program_memo(w)) {
+    svd_ = hit->svd;
+    sigma_max_ = hit->sigma_max;
+    attenuation_ = hit->attenuation;
     if (sigma_max_ > 0.0) {
-      mesh_u_->program(it->phases_u);
-      mesh_v_->program(it->phases_v);
+      mesh_u_->program(hit->phases_u);
+      mesh_v_->program(hit->phases_v);
+      t_phys_ = hit->t_phys;
+      gain_ = hit->gain;
+      fidelity_ = hit->fidelity;
+    } else {
+      refresh_transfer();  // a zero matrix leaves the meshes as they were
     }
-    std::rotate(program_memo_.begin(), it, it + 1);  // keep MRU first
-    account_programming();
-    weights_clean_ = true;
+  } else {
+    lina::svd(w, svd_, svd_ws_);
+    sigma_max_ = svd_.sigma_max();
+
+    for (std::size_t k = 0; k < cfg_.ports; ++k) {
+      double t = sigma_max_ > 0.0 ? svd_.sigma[k] / sigma_max_ : 0.0;
+      if (pcm) {
+        // Attenuator settings are held in PCM too: quantize the amplitude
+        // to the same level grid.
+        const double levels =
+            static_cast<double>((1 << cfg_.pcm.level_bits) - 1);
+        t = std::round(t * levels) / levels;
+      }
+      attenuation_[k] = t;
+    }
+
+    mesh::CalibrationOptions opt;
+    if (sigma_max_ > 0.0) {
+      (void)mesh::program_for_target(cfg_.architecture, *mesh_u_, svd_.u,
+                                     cfg_.recalibrate, opt, program_scratch_);
+      (void)mesh::program_for_target(cfg_.architecture, *mesh_v_,
+                                     svd_.v.adjoint(), cfg_.recalibrate, opt,
+                                     program_scratch_);
+    }
     refresh_transfer();
-    return;
+    insert_program_memo();
   }
-
-  lina::svd(w, svd_, svd_ws_);
-  sigma_max_ = svd_.sigma_max();
-
-  for (std::size_t k = 0; k < cfg_.ports; ++k) {
-    double t = sigma_max_ > 0.0 ? svd_.sigma[k] / sigma_max_ : 0.0;
-    if (cfg_.weights == WeightTechnology::kPcm) {
-      // Attenuator settings are held in PCM too: quantize the amplitude
-      // to the same level grid.
-      const double levels = static_cast<double>((1 << cfg_.pcm.level_bits) - 1);
-      t = std::round(t * levels) / levels;
-    }
-    attenuation_[k] = t;
-  }
-
-  mesh::CalibrationOptions opt;
-  if (sigma_max_ > 0.0) {
-    (void)mesh::program_for_target(cfg_.architecture, *mesh_u_, svd_.u,
-                                   cfg_.recalibrate, opt, program_scratch_);
-    (void)mesh::program_for_target(cfg_.architecture, *mesh_v_,
-                                   svd_.v.adjoint(), cfg_.recalibrate, opt,
-                                   program_scratch_);
-  }
-
-  program_memo_.insert(program_memo_.begin(),
-                       ProgramMemo{w.raw(), svd_, sigma_max_, attenuation_,
-                                   mesh_u_->phases(), mesh_v_->phases()});
-  if (program_memo_.size() > kProgramMemoCap) program_memo_.pop_back();
 
   account_programming();
   weights_clean_ = true;
-  refresh_transfer();
+  if (pcm && cfg_.pcm_drift_time_s != 0.0) age_pcm_weights();
+}
+
+MvmEngine::ProgramMemo* MvmEngine::find_program_memo(const CMat& w) {
+  const double du = mesh_u_->wavelength_detuning_nm();
+  const double dv = mesh_v_->wavelength_detuning_nm();
+  for (ProgramMemo& e : program_memo_) {
+    if (e.key != w.raw() || e.detuning_u_nm != du || e.detuning_v_nm != dv)
+      continue;
+    e.last_use = ++program_memo_clock_;
+    ++program_memo_stats_.hits;
+    return &e;
+  }
+  ++program_memo_stats_.misses;
+  return nullptr;
+}
+
+void MvmEngine::insert_program_memo() {
+  ProgramMemo e{weight_.raw(), mesh_u_->wavelength_detuning_nm(),
+                mesh_v_->wavelength_detuning_nm(), svd_, sigma_max_,
+                attenuation_, mesh_u_->phases(), mesh_v_->phases(), t_phys_,
+                gain_, fidelity_, /*bytes=*/0,
+                /*last_use=*/++program_memo_clock_};
+  const auto bytes_of = [](const auto& v) {
+    return v.size() * sizeof(v.front());
+  };
+  e.bytes = sizeof(ProgramMemo) + bytes_of(e.key) + bytes_of(e.svd.u.raw()) +
+            bytes_of(e.svd.sigma) + bytes_of(e.svd.v.raw()) +
+            bytes_of(e.attenuation) + bytes_of(e.phases_u) +
+            bytes_of(e.phases_v) + bytes_of(e.t_phys.raw());
+
+  // Evict least recently used entries (smallest stamp) until the new one
+  // fits; swap-and-pop, since the vector's order carries no meaning.
+  ProgramMemoStats& st = program_memo_stats_;
+  while (!program_memo_.empty() && st.bytes + e.bytes > kProgramMemoBytes) {
+    const auto lru = std::min_element(
+        program_memo_.begin(), program_memo_.end(),
+        [](const ProgramMemo& a, const ProgramMemo& b) {
+          return a.last_use < b.last_use;
+        });
+    st.bytes -= lru->bytes;
+    std::iter_swap(lru, program_memo_.end() - 1);
+    program_memo_.pop_back();
+    ++st.evictions;
+  }
+  st.bytes += e.bytes;
+  program_memo_.push_back(std::move(e));
+  st.entries = program_memo_.size();
 }
 
 void MvmEngine::compose_path_into(const CMat& tu, const CMat& tv,
@@ -152,9 +204,13 @@ void MvmEngine::rebuild_physical_transfer() {
 void MvmEngine::set_pcm_drift_time(double seconds) {
   cfg_.pcm_drift_time_s = seconds;
   if (cfg_.weights != WeightTechnology::kPcm) return;
-  weights_clean_ = false;  // drifted state: a reprogram must recalibrate
-  mesh_u_->set_drift_time(seconds);
-  mesh_v_->set_drift_time(seconds);
+  weights_clean_ = false;  // aged state: a rewrite restarts the clock
+  age_pcm_weights();
+}
+
+void MvmEngine::age_pcm_weights() {
+  mesh_u_->set_drift_time(cfg_.pcm_drift_time_s);
+  mesh_v_->set_drift_time(cfg_.pcm_drift_time_s);
   rebuild_physical_transfer();  // gain_ deliberately kept from program time
   fidelity_ = sigma_max_ > 0.0 ? CMat::fidelity(weight_, t_phys_) : 1.0;
 }
@@ -178,12 +234,14 @@ void MvmEngine::perturb_phase(std::size_t index, double delta_rad) {
   if (index >= phase_state_size())
     throw std::out_of_range("MvmEngine::perturb_phase: index");
   weights_clean_ = false;  // mesh no longer holds the programmed weights
-  if (index < mesh_v_->phase_count()) {
-    mesh_v_->set_phase(index, mesh_v_->phase(index) + delta_rad);
-  } else {
-    const std::size_t k = index - mesh_v_->phase_count();
-    mesh_u_->set_phase(k, mesh_u_->phase(k) + delta_rad);
-  }
+  const bool on_v = index < mesh_v_->phase_count();
+  mesh::PhysicalMesh& m = on_v ? *mesh_v_ : *mesh_u_;
+  const std::size_t k = on_v ? index : index - mesh_v_->phase_count();
+  // A memo hit leaves the mesh's transfer cache to be rebuilt lazily;
+  // rebuild it before the upset, so the upset takes the same incremental
+  // rank-one update it takes after a freshly computed program.
+  (void)m.transfer();
+  m.set_phase(k, m.phase(k) + delta_rad);
   rebuild_physical_transfer();
   fidelity_ = sigma_max_ > 0.0 ? CMat::fidelity(weight_, t_phys_) : 1.0;
 }

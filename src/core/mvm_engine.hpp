@@ -69,6 +69,16 @@ struct MvmCounters {
   double weight_write_energy_j = 0.0;
 };
 
+/// Host-side effectiveness of the weight-programming memo. A pure-cache
+/// diagnostic: not part of the engine's snapshot.
+struct ProgramMemoStats {
+  std::uint64_t hits = 0;       ///< set_matrix calls served from the memo
+  std::uint64_t misses = 0;     ///< set_matrix calls that ran the SVD
+  std::uint64_t evictions = 0;  ///< entries dropped to fit the byte budget
+  std::size_t entries = 0;      ///< entries held now
+  std::size_t bytes = 0;        ///< bytes those entries account for
+};
+
 class MvmEngine {
  public:
   explicit MvmEngine(MvmConfig cfg);
@@ -142,7 +152,9 @@ class MvmEngine {
 
   /// Advance the PCM drift clock (no-op for thermo-optic weights). The
   /// system gain calibration is *not* redone: drift error accrues exactly
-  /// as it would on hardware between recalibrations.
+  /// as it would on hardware between recalibrations. The time counts from
+  /// the last write: set_matrix programs and calibrates fresh cells and
+  /// then ages them by the current drift time.
   void set_pcm_drift_time(double seconds);
 
   /// Physical transfer seen by a carrier detuned `nm` from the design
@@ -179,10 +191,17 @@ class MvmEngine {
   /// Worst-path optical insertion loss of the full path [dB].
   [[nodiscard]] double insertion_loss_db() const;
 
+  /// Byte budget of the weight-programming memo, per engine. An 8-port
+  /// entry takes 5.4 KiB (188 fit) and a 64-port one 321 KiB (3 fit).
+  static constexpr std::size_t kProgramMemoBytes = std::size_t{1} << 20;
+  [[nodiscard]] ProgramMemoStats program_memo_stats() const {
+    return program_memo_stats_;
+  }
+
   // -- Snapshot / restore -------------------------------------------------
   /// Complete mutable engine state: mesh programs, calibrated transfer,
-  /// noise-stream position and cost counters. The decomposition memo is
-  /// a pure cache and deliberately excluded — it survives restore, which
+  /// noise-stream position and cost counters. The programming memo is a
+  /// pure cache and deliberately excluded — it survives restore, which
   /// is exactly what makes repeated fault-campaign trials cheap.
   struct Snapshot {
     mesh::PhysicalMesh::Snapshot mesh_u, mesh_v;
@@ -209,6 +228,9 @@ class MvmEngine {
  private:
   void refresh_transfer();
   void rebuild_physical_transfer();
+  /// Move both PCM meshes to cfg_.pcm_drift_time_s and rebuild the
+  /// transfer and fidelity, keeping the gain calibrated at write time.
+  void age_pcm_weights();
   /// out = T_u * diag(attenuation) * T_v, composed without temporaries
   /// beyond the reusable scratch.
   void compose_path_into(const lina::CMat& tu, const lina::CMat& tv,
@@ -218,20 +240,37 @@ class MvmEngine {
   /// way; only the host-side math is skipped).
   void account_programming();
 
-  /// Memoized pure weight-programming math, keyed by the exact weight
-  /// bytes: the SVD plus the final per-mesh phase programs (after any
-  /// recalibration) and the attenuator settings. A hit skips the
-  /// decomposition entirely; reprogramming from the cached phases is
-  /// bit-identical to the recomputed path. Per-engine and therefore
-  /// thread-private (campaign workers never share engines).
+  /// Memoized weight programming, keyed by the exact weight bytes: the
+  /// SVD, the attenuator settings, the final per-mesh phase programs
+  /// (after any recalibration) and what refresh_transfer() made of them
+  /// on this die with freshly written cells (t_phys_, gain_, fidelity_).
+  /// The die and the PCM config are fixed per engine; the meshes'
+  /// wavelength detuning is not (a restored snapshot carries its own), so
+  /// an entry holds only at the detuning it was computed at. A hit is a
+  /// copy: the meshes take the cached phases and rebuild their own
+  /// transfer lazily, and the result is bit-identical to a miss.
+  /// Per-engine and therefore thread-private (campaign workers never
+  /// share engines).
   struct ProgramMemo {
     std::vector<lina::cplx> key;
+    double detuning_u_nm = 0.0, detuning_v_nm = 0.0;
     lina::SvdResult svd;
     double sigma_max = 0.0;
     std::vector<double> attenuation;
     std::vector<double> phases_u, phases_v;
+    lina::CMat t_phys;
+    lina::cplx gain;
+    double fidelity = 0.0;
+    std::size_t bytes = 0;       ///< footprint charged against the budget
+    std::uint64_t last_use = 0;  ///< use stamp; the smallest is evicted
   };
-  static constexpr std::size_t kProgramMemoCap = 8;
+  /// The entry programming `w` at the meshes' current detuning, or null.
+  /// Counts the hit or miss and stamps a hit entry as just used.
+  [[nodiscard]] ProgramMemo* find_program_memo(const lina::CMat& w);
+  /// Memoize the state the miss path just computed for weight_, evicting
+  /// least recently used entries until it fits the byte budget (the new
+  /// entry itself is always kept).
+  void insert_program_memo();
 
   MvmConfig cfg_;
   lina::Rng rng_;
@@ -252,7 +291,9 @@ class MvmEngine {
   lina::CMat batch_fields_;          ///< multiply_batch encode scratch
   mutable lina::CVec scratch_noiseless_;  ///< multiply_noiseless_into fields
   mutable lina::CMat scratch_noiseless_batch_;  ///< batch variant fields
-  std::vector<ProgramMemo> program_memo_;  ///< MRU-ordered, capped
+  std::vector<ProgramMemo> program_memo_;  ///< unordered, byte-budgeted
+  std::uint64_t program_memo_clock_ = 0;   ///< last use stamp handed out
+  ProgramMemoStats program_memo_stats_;    ///< entries/bytes kept current
   /// True while the meshes hold exactly what the last set_matrix
   /// programmed (no phase perturbation / drift advance since): lets
   /// set_matrix of the identical matrix reduce to cost accounting.

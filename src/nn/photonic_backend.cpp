@@ -12,7 +12,7 @@ PhotonicBackend::PhotonicBackend(PhotonicBackendConfig cfg)
     : cfg_(cfg), gemm_(cfg.gemm) {}
 
 void PhotonicBackend::set_pcm_drift_time(double seconds) {
-  drift_time_s_ = seconds;
+  gemm_.engine().set_pcm_drift_time(seconds);
 }
 
 Matrix PhotonicBackend::matmul(const Matrix& w, const Matrix& x) {
@@ -62,8 +62,6 @@ Matrix PhotonicBackend::matmul(const Matrix& w, const Matrix& x) {
 
       const auto program_and_run = [&]() -> CMat {
         gemm_.set_weights(wt);
-        if (drift_time_s_ > 0.0)
-          gemm_.engine().set_pcm_drift_time(drift_time_s_);
         ++totals_.tiles_programmed;
         CMat y = gemm_.multiply(xt);
         const auto& st = gemm_.last_stats();

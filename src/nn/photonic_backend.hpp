@@ -55,7 +55,9 @@ class PhotonicBackend {
   /// Classification accuracy of the photonic-executed model.
   [[nodiscard]] double accuracy(const Mlp& mlp, const Dataset& d);
 
-  /// Age all PCM weights by `seconds` (drift study hook).
+  /// Evaluate every PCM tile `seconds` after its write, without
+  /// recalibrating (drift study hook). Each tile is programmed and
+  /// calibrated fresh and then aged, as a deployed tile would be.
   void set_pcm_drift_time(double seconds);
 
   [[nodiscard]] const BackendTotals& totals() const { return totals_; }
@@ -73,7 +75,6 @@ class PhotonicBackend {
   core::GemmCore gemm_;
   BackendTotals totals_;
   BackendRecoveryStats recovery_;
-  double drift_time_s_ = 0.0;
 };
 
 }  // namespace aspen::nn

@@ -313,6 +313,172 @@ TEST(MvmEngineTest, SnapshotRestoreRoundTrip) {
     EXPECT_EQ(y_ref[i], y_again[i]);
 }
 
+// PCM weights on an imperfect die: quantized phases and a per-die
+// calibration, everything the memo has to reproduce exactly.
+MvmConfig pcm_die_config(std::size_t ports = 8) {
+  MvmConfig cfg;
+  cfg.ports = ports;
+  cfg.errors.coupler_sigma = 0.02;
+  cfg.errors.phase_sigma = 0.02;
+  cfg.weights = WeightTechnology::kPcm;
+  return cfg;
+}
+
+TEST(MvmEngineTest, ProgramMemoServesRepeatedTilesBitIdentically) {
+  // A serving engine cycles through a model's tiles; the second pass must
+  // come entirely from the memo and reproduce the first bit for bit.
+  MvmEngine eng(pcm_die_config());
+  Rng rng(95);
+  std::vector<CMat> tiles;
+  for (int i = 0; i < 40; ++i)
+    tiles.push_back(aspen::lina::random_real(8, 8, rng));
+
+  const ProgramMemoStats s0 = eng.program_memo_stats();
+  std::vector<CMat> t;
+  std::vector<cplx> g;
+  std::vector<double> f;
+  for (const CMat& w : tiles) {
+    eng.set_matrix(w);
+    t.push_back(eng.physical_transfer());
+    g.push_back(eng.system_gain());
+    f.push_back(eng.programming_fidelity());
+  }
+  const ProgramMemoStats s1 = eng.program_memo_stats();
+  EXPECT_EQ(s1.misses - s0.misses, 40u);
+  EXPECT_EQ(s1.hits, s0.hits);
+
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    eng.set_matrix(tiles[i]);
+    EXPECT_TRUE(bit_equal(eng.physical_transfer(), t[i])) << "tile " << i;
+    EXPECT_EQ(eng.system_gain(), g[i]) << "tile " << i;
+    EXPECT_EQ(eng.programming_fidelity(), f[i]) << "tile " << i;
+  }
+  const ProgramMemoStats s2 = eng.program_memo_stats();
+  EXPECT_EQ(s2.misses, s1.misses);
+  EXPECT_EQ(s2.hits - s1.hits, 40u);
+  EXPECT_EQ(s2.evictions, 0u);
+  EXPECT_EQ(s2.entries, 41u);  // the tiles and the construction identity
+}
+
+TEST(MvmEngineTest, PhaseUpsetAfterMemoHitMatchesUpsetAfterMiss) {
+  // A hit leaves the meshes to rebuild their transfer lazily; an upset
+  // after it must still land exactly where it lands after a computed
+  // program, on either mesh.
+  const MvmConfig cfg = pcm_die_config();
+  Rng rng(96);
+  const CMat w = aspen::lina::random_real(8, 8, rng);
+  const CMat other = aspen::lina::random_real(8, 8, rng);
+  const std::size_t phases = MvmEngine(cfg).phase_state_size();
+  for (const std::size_t k : {std::size_t{5}, phases - 7}) {
+    MvmEngine warm(cfg);
+    warm.set_matrix(w);
+    warm.set_matrix(other);
+    warm.set_matrix(w);
+    ASSERT_EQ(warm.program_memo_stats().hits, 1u);
+    warm.perturb_phase(k, 0.3);
+
+    MvmEngine cold(cfg);
+    cold.set_matrix(w);
+    const CMat clean = cold.physical_transfer();
+    cold.perturb_phase(k, 0.3);
+    ASSERT_FALSE(bit_equal(cold.physical_transfer(), clean)) << "phase " << k;
+
+    EXPECT_TRUE(bit_equal(warm.physical_transfer(), cold.physical_transfer()))
+        << "phase " << k;
+    EXPECT_EQ(warm.programming_fidelity(), cold.programming_fidelity())
+        << "phase " << k;
+    EXPECT_EQ(warm.system_gain(), cold.system_gain()) << "phase " << k;
+  }
+}
+
+TEST(MvmEngineTest, ProgramMemoEvictsLeastRecentlyUsedWithinBudget) {
+  MvmEngine eng(pcm_die_config(32));
+  Rng rng(97);
+  std::vector<CMat> tiles;
+  for (int i = 0; i < 16; ++i)
+    tiles.push_back(aspen::lina::random_real(32, 32, rng));
+  for (const CMat& w : tiles) eng.set_matrix(w);
+
+  const ProgramMemoStats s = eng.program_memo_stats();
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_LE(s.bytes, MvmEngine::kProgramMemoBytes);
+  EXPECT_GE(s.entries, 1u);
+  EXPECT_EQ(s.entries + s.evictions, s.misses);  // one entry per miss
+
+  // The construction identity went first, then the oldest tiles. Using
+  // the oldest survivor makes it the most recently used, so the next
+  // insertion evicts the tile after it instead.
+  ASSERT_LT(s.entries, tiles.size());
+  const std::size_t oldest = tiles.size() - s.entries;
+  eng.set_matrix(tiles[oldest]);
+  EXPECT_EQ(eng.program_memo_stats().hits, s.hits + 1);
+  eng.set_matrix(aspen::lina::random_real(32, 32, rng));
+  EXPECT_EQ(eng.program_memo_stats().evictions, s.evictions + 1);
+  const ProgramMemoStats before = eng.program_memo_stats();
+  eng.set_matrix(tiles[oldest]);
+  EXPECT_EQ(eng.program_memo_stats().hits, before.hits + 1);
+  eng.set_matrix(tiles[oldest + 1]);
+  EXPECT_EQ(eng.program_memo_stats().misses, before.misses + 1);
+  EXPECT_LE(eng.program_memo_stats().bytes, MvmEngine::kProgramMemoBytes);
+}
+
+TEST(MvmEngineTest, ZeroMatrixFromMemoGivesZeroOutput) {
+  MvmEngine eng(pcm_die_config());
+  Rng rng(98);
+  const CMat zero(8, 8);
+  eng.set_matrix(zero);
+  eng.set_matrix(aspen::lina::random_real(8, 8, rng));
+  const std::uint64_t hits = eng.program_memo_stats().hits;
+  eng.set_matrix(zero);
+  ASSERT_EQ(eng.program_memo_stats().hits, hits + 1);
+
+  const CVec x = aspen::lina::random_state(8, rng);
+  const CVec quiet = eng.multiply_noiseless(x);
+  const CVec noisy = eng.multiply(x);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(quiet[i], cplx(0.0, 0.0)) << i;
+    EXPECT_EQ(noisy[i], cplx(0.0, 0.0)) << i;
+  }
+}
+
+TEST(MvmEngineTest, PcmWriteRestartsTheDriftClock) {
+  // Writing a tile programs and calibrates fresh cells, which then age.
+  // So w2 written on an engine that has drifted for d ends exactly where
+  // w2 written on a fresh engine and then aged by d does, whether w2 is
+  // computed or served from the memo.
+  const MvmConfig cfg = pcm_die_config();
+  Rng rng(99);
+  const CMat w1 = aspen::lina::random_real(8, 8, rng);
+  const CMat w2 = aspen::lina::random_real(8, 8, rng);
+  const double d = 2.6e6;  // 30 days
+
+  MvmEngine fresh(cfg);
+  fresh.set_matrix(w2);
+  const cplx written_gain = fresh.system_gain();
+  const CMat written = fresh.physical_transfer();
+  fresh.set_pcm_drift_time(d);
+  ASSERT_FALSE(bit_equal(fresh.physical_transfer(), written));
+  ASSERT_EQ(fresh.system_gain(), written_gain);
+
+  MvmEngine aged(cfg);
+  aged.set_matrix(w1);
+  aged.set_pcm_drift_time(d);
+  const auto expect_written_then_aged = [&](const char* path) {
+    EXPECT_TRUE(bit_equal(aged.physical_transfer(), fresh.physical_transfer()))
+        << path;
+    EXPECT_EQ(aged.system_gain(), fresh.system_gain()) << path;
+    EXPECT_EQ(aged.programming_fidelity(), fresh.programming_fidelity())
+        << path;
+  };
+  aged.set_matrix(w2);
+  expect_written_then_aged("miss");
+  aged.set_matrix(w1);
+  const std::uint64_t hits = aged.program_memo_stats().hits;
+  aged.set_matrix(w2);
+  ASSERT_EQ(aged.program_memo_stats().hits, hits + 1);
+  expect_written_then_aged("hit");
+}
+
 TEST(MvmEngineTest, ShapeMismatchThrows) {
   MvmEngine eng(clean_config());
   EXPECT_THROW(eng.set_matrix(CMat(4, 4)), std::invalid_argument);

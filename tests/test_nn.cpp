@@ -248,4 +248,88 @@ TEST(PhotonicBackendTest, ZeroInputGivesZeroOutput) {
   for (const double v : y.raw()) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
+/// 8-port tiles with GeSe PCM weights, the digit-serving configuration.
+PhotonicBackendConfig pcm_backend() {
+  PhotonicBackendConfig cfg;
+  cfg.gemm.mvm.ports = 8;
+  cfg.gemm.mvm.weights = aspen::core::WeightTechnology::kPcm;
+  return cfg;
+}
+
+TEST(PhotonicBackendTest, DriftAgesEveryTileFromItsOwnWrite) {
+  // Each tile is written and calibrated fresh and only then drifts; a
+  // tile programmed after the previous one has aged must not have its
+  // gain calibrated on drifted cells.
+  const double d = 2.6e6;  // 30 days
+  PhotonicBackend backend(pcm_backend());
+  backend.set_pcm_drift_time(d);
+  Rng rng(18);
+  Matrix w(8, 12), x(12, 3);
+  for (auto& v : w.raw()) v = rng.uniform(-0.8, 0.8);
+  for (auto& v : x.raw()) v = rng.uniform(0.0, 1.0);
+  (void)backend.matmul(w, x);
+  ASSERT_EQ(backend.totals().tiles_programmed, 2u);
+
+  // The last tile programmed: input columns 8..11, zero-padded.
+  aspen::lina::CMat last(8, 8);
+  for (std::size_t r = 0; r < 8; ++r)
+    for (std::size_t c = 0; c < 4; ++c)
+      last(r, c) = aspen::lina::cplx{w(r, 8 + c), 0.0};
+  aspen::core::MvmEngine fresh(pcm_backend().gemm.mvm);
+  fresh.set_matrix(last);
+  const auto& engine = backend.core().engine();
+  EXPECT_EQ(engine.system_gain(), fresh.system_gain());
+  fresh.set_pcm_drift_time(d);
+  EXPECT_EQ(engine.physical_transfer().raw(), fresh.physical_transfer().raw());
+  EXPECT_EQ(engine.programming_fidelity(), fresh.programming_fidelity());
+}
+
+TEST(PhotonicBackendTest, WarmRequestCostsWhatAColdRequestDoes) {
+  // A served model's tiles come from the programming memo after the
+  // first request. The cost accounting must not notice: a warm request
+  // is charged bit for bit what the same request is charged cold. Costs
+  // accumulate in floating point, so both backends serve two requests
+  // and are compared whole; the cold backend's first request uses the
+  // model halved (same shapes and activation pattern, other weight
+  // bytes), so none of its second request's tiles is memoized.
+  Rng rng(19);
+  const Mlp mlp({64, 32, 10}, rng);
+  Mlp halved = mlp;
+  for (DenseLayer& layer : halved.layers()) {
+    for (double& v : layer.weights.raw()) v *= 0.5;
+    for (double& v : layer.bias) v *= 0.5;
+  }
+  Matrix x(64, 1);
+  for (auto& v : x.raw()) v = rng.uniform(0.0, 1.0);
+
+  PhotonicBackend warm(pcm_backend());
+  PhotonicBackend cold(pcm_backend());
+  (void)warm.forward(mlp, x);
+  (void)cold.forward(halved, x);
+  const auto warm_memo = warm.core().engine().program_memo_stats();
+  const auto cold_memo = cold.core().engine().program_memo_stats();
+  (void)warm.forward(mlp, x);
+  (void)cold.forward(mlp, x);
+
+  const BackendTotals& wt = warm.totals();
+  const BackendTotals& ct = cold.totals();
+  EXPECT_EQ(wt.tiles_programmed, 80u);
+  EXPECT_EQ(wt.tiles_programmed, ct.tiles_programmed);
+  EXPECT_EQ(wt.macs, ct.macs);
+  EXPECT_EQ(wt.optical_time_s, ct.optical_time_s);
+  EXPECT_EQ(wt.energy_j, ct.energy_j);
+  const auto& wc = warm.core().engine().counters();
+  const auto& cc = cold.core().engine().counters();
+  EXPECT_EQ(wc.program_ops, cc.program_ops);
+  EXPECT_EQ(wc.weight_write_energy_j, cc.weight_write_energy_j);
+  EXPECT_EQ(wc.mvm_ops, cc.mvm_ops);
+
+  const auto wm = warm.core().engine().program_memo_stats();
+  const auto cm = cold.core().engine().program_memo_stats();
+  EXPECT_EQ(wm.misses, warm_memo.misses) << "a warm request takes no miss";
+  EXPECT_EQ(wm.hits - warm_memo.hits, 40u);
+  EXPECT_EQ(cm.misses - cold_memo.misses, 40u);
+  EXPECT_EQ(cm.hits, cold_memo.hits);
+}
+
 }  // namespace
