@@ -1,6 +1,8 @@
 #include "sysim/dma.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 
 namespace aspen::sys {
 
@@ -75,13 +77,35 @@ DmaEngine::BulkPath DmaEngine::resolve_bulk() const {
 
 std::uint64_t DmaEngine::advance_cursor(std::uint32_t& cursor,
                                         std::uint64_t ticks) const {
+  // Closed form: the event loop and every device catch-up call this
+  // while a transfer is in flight, so it must not walk the remainder.
+  // Src/dst congruence mod 4 is cursor-invariant. Never congruent: every
+  // tick moves beat_ single bytes. Congruent: once the cursor is
+  // word-aligned with at least one full tick of words left, every tick
+  // moves word_tick bytes. Those stretches are a division; the short
+  // alignment prologue and the sub-tick tail are simulated tick by tick.
+  const bool congruent = (src_ + cursor) % 4 == (dst_ + cursor) % 4;
+  const std::uint32_t word_tick = 4 * ((beat_ + 3) / 4);
   std::uint64_t used = 0;
   while (cursor < len_ && used < ticks) {
-    ++used;
+    const std::uint32_t remaining = len_ - cursor;
+    std::uint32_t step = 0;
+    if (!congruent)
+      step = beat_;
+    else if ((src_ + cursor) % 4 == 0)
+      step = word_tick;
+    if (step != 0 && remaining >= step) {
+      const std::uint64_t n =
+          std::min<std::uint64_t>(ticks - used, remaining / step);
+      cursor += static_cast<std::uint32_t>(n) * step;
+      used += n;
+      continue;
+    }
+    ++used;  // one tick of tick()'s beat loop
     unsigned moved = 0;
     while (moved < beat_ && cursor < len_) {
-      const std::uint32_t remaining = len_ - cursor;
-      const bool word_ok = remaining >= 4 && ((src_ + cursor) % 4 == 0) &&
+      const bool word_ok = len_ - cursor >= 4 &&
+                           ((src_ + cursor) % 4 == 0) &&
                            ((dst_ + cursor) % 4 == 0);
       const unsigned size = word_ok ? 4 : 1;
       cursor += size;
@@ -92,34 +116,9 @@ std::uint64_t DmaEngine::advance_cursor(std::uint32_t& cursor,
 }
 
 std::uint64_t DmaEngine::bulk_cycles_remaining() const {
-  const BulkPath p = resolve_bulk();
-  if (p.src == nullptr) return 0;
-  // Closed-form tick count (this runs on every event-loop iteration
-  // while the CPU idles through a transfer, so it must not walk the
-  // whole remainder). Src/dst congruence mod 4 is cursor-invariant.
+  if (resolve_bulk().src == nullptr) return 0;
   std::uint32_t cursor = cursor_;
-  if ((src_ + cursor) % 4 != (dst_ + cursor) % 4) {
-    // Never word-aligned: every busy cycle moves exactly beat_ bytes.
-    const std::uint32_t remaining = len_ - cursor;
-    return (remaining + beat_ - 1) / beat_;
-  }
-  // Congruent: once cursor is word-aligned with >= one full tick of
-  // words left, every tick moves exactly word_tick bytes. The short
-  // alignment prologue and the sub-tick tail are simulated (bounded by
-  // a handful of ticks); the steady stretch is a division.
-  const std::uint32_t word_tick = 4 * ((beat_ + 3) / 4);
-  std::uint64_t ticks = 0;
-  while (cursor < len_) {
-    const std::uint32_t remaining = len_ - cursor;
-    if ((src_ + cursor) % 4 == 0 && remaining >= word_tick) {
-      const std::uint32_t steady = remaining / word_tick;
-      ticks += steady;
-      cursor += steady * word_tick;
-      continue;
-    }
-    ticks += advance_cursor(cursor, 1);
-  }
-  return ticks;
+  return advance_cursor(cursor, std::numeric_limits<std::uint64_t>::max());
 }
 
 void DmaEngine::skip_cycles(std::uint64_t n) {

@@ -33,10 +33,11 @@ class DmaEngine final : public BusDevice {
   void write(std::uint32_t offset, std::uint32_t value, unsigned size) override;
   [[nodiscard]] unsigned access_latency() const override { return 2; }
   [[nodiscard]] std::string name() const override { return "dma"; }
-  /// Only CTRL writes start transfers; SRC/DST/LEN programming and
-  /// STATUS clears are passive.
+  /// CTRL writes start transfers, and SRC/DST/LEN writes redirect or
+  /// resize one in flight; descriptor programming while idle and STATUS
+  /// clears are passive.
   [[nodiscard]] bool write_is_activating(std::uint32_t offset) const override {
-    return offset == kRegCtrl;
+    return offset == kRegCtrl || (busy_ && offset <= kRegLen);
   }
 
   /// Advance one cycle (moves data while busy).

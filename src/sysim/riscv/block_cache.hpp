@@ -130,6 +130,9 @@ struct ByteExtent {
     return !empty() && bytes != 0 && addr < hi &&
            static_cast<std::uint64_t>(addr) + bytes > lo;
   }
+  [[nodiscard]] bool overlaps(const ByteExtent& o) const {
+    return !o.empty() && overlaps(o.lo, o.hi - o.lo);
+  }
 };
 
 /// Diagnostic counters for the block tier (derived state, excluded from
@@ -210,6 +213,8 @@ class BlockCache {
   void flush();
 
   [[nodiscard]] std::uint64_t generation() const { return gen_; }
+  /// Conservative byte extent of every block built since the last flush.
+  [[nodiscard]] const ByteExtent& extent() const { return extent_; }
   [[nodiscard]] BlockStats& stats() { return stats_; }
   [[nodiscard]] const BlockStats& stats() const { return stats_; }
 

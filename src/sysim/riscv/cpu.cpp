@@ -90,7 +90,7 @@ void Cpu::restore(const Snapshot& s) {
   mepc_ = s.mepc;
   mcause_ = s.mcause;
   mtval_ = s.mtval;
-  bus_access_ = false;
+  end_burst_ = false;
 }
 
 std::uint32_t Cpu::read_reg(int i) const {
@@ -260,40 +260,52 @@ void Cpu::skip_cycles(std::uint64_t n) {
   stall_ -= burn;
 }
 
-Cpu::BurstResult Cpu::run_burst(std::uint64_t budget) {
-  if (cfg_.block_tier) return run_burst_blocks(budget);
-  BurstResult r;
-  // The interrupt line is low for the whole window (caller-guaranteed),
-  // so MEIP stays clear and no asynchronous trap can fire: the per-tick
-  // irq/WFI/trap prologue reduces to this one mip update.
-  mip_ &= ~kMeip;
-  // bus_access_ latches only on burst-ending events (activating writes,
-  // slow fetches, faults), so one reset serves the whole burst.
-  bus_access_ = false;
-  while (budget > 0 && burst_step(budget, r)) {
+std::uint64_t Cpu::run_burst(std::uint64_t budget, BurstDevices& devices,
+                             const DmaInFlight* dma) {
+  // A due trap is taken by the per-cycle prologue in tick().
+  if (irq_ && (mstatus_ & kMstatusMie) && (mie_ & kMeip)) return 0;
+  // DMA writes into cached code would evict it only when the devices
+  // catch up, after the CPU may already have run the stale copy.
+  if (dma != nullptr &&
+      (icache_ext_.overlaps(dma->dst) || blocks_.extent().overlaps(dma->dst)))
+    return 0;
+  // The line holds its level for the whole window, and no trap can
+  // become due without ending the burst, so the per-tick irq/WFI/trap
+  // prologue reduces to this one mip update. end_burst_ latches only on
+  // burst-ending events, so one reset serves the whole burst.
+  mip_ = irq_ ? mip_ | kMeip : mip_ & ~kMeip;
+  end_burst_ = false;
+  devices_ = &devices;
+  dma_ = dma;
+  std::uint64_t left = budget;
+  if (cfg_.block_tier) {
+    run_burst_blocks(left);
+  } else {
+    while (left > 0 && burst_step(left)) {
+    }
   }
-  return r;
+  devices_ = nullptr;
+  dma_ = nullptr;
+  return budget - left;
 }
 
-bool Cpu::burst_step(std::uint64_t& budget, BurstResult& r) {
+bool Cpu::burst_step(std::uint64_t& budget) {
+  // Bytes the DMA has yet to write may differ between memory and the
+  // oracle's view at this cycle: end the burst before fetching them.
+  if (dma_ != nullptr && dma_->dst.overlaps(pc_, 4)) return false;
   ++cycles_;
   --budget;
-  ++r.cycles;
   step();
-  if (bus_access_ || halt_ != Halt::kRunning || wfi_) {
-    r.bus_access = bus_access_;
-    return false;
-  }
-  return burn_stall(budget, r);
+  if (end_burst_ || halt_ != Halt::kRunning || wfi_) return false;
+  return burn_stall(budget);
 }
 
-bool Cpu::burn_stall(std::uint64_t& budget, BurstResult& r) {
+bool Cpu::burn_stall(std::uint64_t& budget) {
   if (stall_ == 0) return true;
   const std::uint64_t burn =
       stall_ < budget ? static_cast<std::uint64_t>(stall_) : budget;
   cycles_ += burn;
   budget -= burn;
-  r.cycles += burn;
   stall_ -= static_cast<unsigned>(burn);
   return stall_ == 0;  // false: budget exhausted mid-stall
 }
@@ -626,17 +638,16 @@ void Cpu::exec_alu(const MicroOp& u) {
   }
 }
 
-bool Cpu::retire_half(const MicroOp& u, std::uint64_t& budget, BurstResult& r) {
+bool Cpu::retire_half(const MicroOp& u, std::uint64_t& budget) {
   ++cycles_;
   --budget;
-  ++r.cycles;
   stall_ += cfg_.fetch_latency;
   exec_op(u);
-  // Faults, halts, WFI and activating stores end the burst before the
-  // stall burn, exactly like the uop burst loop (the remaining stall
-  // drains via skip_cycles).
-  if (bus_access_ || halt_ != Halt::kRunning || wfi_) return false;
-  return burn_stall(budget, r);
+  // Burst-ending events, halts and WFI end the burst before the stall
+  // burn, exactly like the uop burst loop (the remaining stall drains
+  // via skip_cycles).
+  if (end_burst_ || halt_ != Halt::kRunning || wfi_) return false;
+  return burn_stall(budget);
 }
 
 // Flattening inlines retire_half, exec_op and the exec_alu switch into
@@ -645,7 +656,7 @@ bool Cpu::retire_half(const MicroOp& u, std::uint64_t& budget, BurstResult& r) {
 #if defined(__GNUC__)
 __attribute__((flatten))
 #endif
-bool Cpu::exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
+bool Cpu::exec_block(const Block& blk, std::uint64_t& budget,
                      std::uint64_t gen0) {
   BlockStats& st = blocks_.stats();
   // Fused fast paths precompute around the intermediate register value,
@@ -671,7 +682,6 @@ bool Cpu::exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
       }
       cycles_ += seg.cycles;
       budget -= seg.cycles;
-      r.cycles += seg.cycles;
       instret_ += seg.instret;
       pc_ += seg.pc_bump;
       continue;
@@ -684,7 +694,7 @@ bool Cpu::exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
       if (budget == 0) return false;
       switch (bo.fuse) {
         case kFuseNone:
-          if (!retire_half(bo.a, budget, r)) return false;
+          if (!retire_half(bo.a, budget)) return false;
           // A store that invalidated cached code (possibly this block)
           // bumps the generation: stop and re-resolve from pc_.
           if (bo.a.op >= MicroOp::kSb && bo.a.op <= MicroOp::kSw &&
@@ -695,7 +705,6 @@ bool Cpu::exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
           if (fuse_fast && budget >= 2) {
             cycles_ += 2;
             budget -= 2;
-            r.cycles += 2;
             write_reg(bo.a.rd, bo.a.imm);
             write_reg(bo.b.rd, bo.fused_imm);
             instret_ += 2;
@@ -708,14 +717,13 @@ bool Cpu::exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
           if (fuse_fast && budget >= 2) {
             cycles_ += 2;
             budget -= 2;
-            r.cycles += 2;
             write_reg(bo.a.rd, pc_ + bo.a.imm);
             write_reg(bo.b.rd, pc_ + bo.len);
             instret_ += 2;
             pc_ = bo.fused_imm;
             ++st.fused_exec;
             ++stall_;  // jalr taken-control-flow penalty
-            if (!burn_stall(budget, r)) return false;
+            if (!burn_stall(budget)) return false;
             continue;
           }
           break;
@@ -724,22 +732,16 @@ bool Cpu::exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
       }
       // Sequential retire pair: the win is skipping the dispatch-loop
       // re-entry and fuse re-classification, not altered timing.
-      if (!retire_half(bo.a, budget, r)) return false;
+      if (!retire_half(bo.a, budget)) return false;
       if (budget == 0) return false;
-      if (!retire_half(bo.b, budget, r)) return false;
+      if (!retire_half(bo.b, budget)) return false;
       ++st.fused_exec;
     }
   }
   return true;
 }
 
-Cpu::BurstResult Cpu::run_burst_blocks(std::uint64_t budget) {
-  BurstResult r;
-  // Same entry contract as the uop-at-a-time burst: interrupt line low
-  // for the whole window, so the per-tick prologue reduces to one mip
-  // update; bus_access_ latches only on burst-ending events.
-  mip_ &= ~kMeip;
-  bus_access_ = false;
+void Cpu::run_burst_blocks(std::uint64_t& budget) {
   BlockStats& st = blocks_.stats();
   Block* prev = nullptr;  // last fully executed block, for chaining
   while (budget > 0) {
@@ -781,19 +783,19 @@ Cpu::BurstResult Cpu::run_burst_blocks(std::uint64_t budget) {
       // Single-step fallback: one exact run_burst iteration.
       prev = nullptr;
       ++st.fallback_steps;
-      if (!burst_step(budget, r)) break;
+      if (!burst_step(budget)) break;
       continue;
     }
-    ++st.dispatches;
-    const bool done = exec_block(*blk, budget, r, blocks_.generation());
-    if (bus_access_ || halt_ != Halt::kRunning || wfi_) {
-      r.bus_access = bus_access_;
+    // The block-tier form of burst_step's fetch check: stop before
+    // running code the DMA has yet to write.
+    if (dma_ != nullptr && dma_->dst.overlaps(blk->start, blk->end - blk->start))
       break;
-    }
+    ++st.dispatches;
+    const bool done = exec_block(*blk, budget, blocks_.generation());
+    if (end_burst_ || halt_ != Halt::kRunning || wfi_) break;
     if (stall_ > 0) break;  // budget exhausted mid-stall
     prev = done ? blk : nullptr;
   }
-  return r;
 }
 
 // ------------------------------------------------ direct-memory fast path
@@ -843,6 +845,7 @@ const Bus::DirectWindow* Cpu::lookup_window(std::uint32_t addr, unsigned size,
 bool Cpu::fast_read(std::uint32_t addr, unsigned size, std::uint32_t& value) {
   const Bus::DirectWindow* w = lookup_window(addr, size, 1);
   if (w == nullptr) return false;
+  if (dma_ != nullptr) guard_dma(addr, size, /*store=*/false);
   value = load_le(w->data + (addr - w->base), size);
   stall_ += w->latency;
   return true;
@@ -851,6 +854,7 @@ bool Cpu::fast_read(std::uint32_t addr, unsigned size, std::uint32_t& value) {
 bool Cpu::fast_write(std::uint32_t addr, std::uint32_t value, unsigned size) {
   const Bus::DirectWindow* w = lookup_window(addr, size, 1);
   if (w == nullptr) return false;
+  if (dma_ != nullptr) guard_dma(addr, size, /*store=*/true);
   store_le(w->data + (addr - w->base), value, size);
   const std::size_t slot = w == &win_[0] ? 0 : 1;
   store_lo_[slot] = std::min(store_lo_[slot], addr);
@@ -1281,7 +1285,7 @@ void Cpu::step() {
   // window-edge accesses): decode every time, exactly like the seed.
   // Two halfword reads so a compressed tail at the end of a region
   // cannot fault on the phantom upper parcel.
-  bus_access_ = true;
+  sync_devices();
   const Bus::Access lo = bus_.read(pc, 2);
   if (lo.fault) {
     mem_fault(1, pc);  // instruction access fault
@@ -1374,11 +1378,13 @@ void Cpu::exec_op(const MicroOp& u) {
       if (u.op == MicroOp::kLw) size = 4;
       std::uint32_t v;
       if (!fast_read(addr, size, v)) {
-        // MMIO reads are pure (BusDevice contract), so a burst may keep
-        // running through them; only a fault forces the caller's hand.
+        // MMIO reads are pure (BusDevice contract), so a burst keeps
+        // running through them once the devices have caught up; only a
+        // fault ends it.
+        sync_devices();
         const Bus::Access acc = bus_.read(addr, size);
         if (acc.fault) {
-          bus_access_ = true;
+          end_burst_ = true;
           mem_fault(5);  // load access fault
           return;
         }
@@ -1401,16 +1407,18 @@ void Cpu::exec_op(const MicroOp& u) {
       if (u.op == MicroOp::kSh) size = 2;
       if (u.op == MicroOp::kSw) size = 4;
       if (!fast_write(addr, v, size)) {
+        sync_devices();
         const Bus::Access acc = bus_.write(addr, v, size);
         if (acc.fault) {
-          bus_access_ = true;
+          end_burst_ = true;
           mem_fault(7);  // store access fault
           return;
         }
-        // Writes that can start a device (CTRL registers) end the
-        // burst so the device phase of this cycle runs; passive stores
-        // (SPM data, DMA descriptors) keep the burst going.
-        bus_access_ = bus_access_ || acc.activating;
+        // Writes that can schedule a device event (CTRL, WDOG, a busy
+        // DMA's descriptor) end the burst, whose window no longer
+        // bounds the next edge; so does any store while the line is
+        // high (a W1C may lower it). Passive stores keep it going.
+        end_burst_ = end_burst_ || acc.activating || irq_;
         stall_ += acc.latency;
       }
       break;
@@ -1433,6 +1441,7 @@ void Cpu::exec_op(const MicroOp& u) {
       wfi_ = true;
       return;  // pc advances when an interrupt becomes pending
     case MicroOp::kMret:
+      end_burst_ = end_burst_ || irq_;  // may make a pending trap due
       if (mstatus_ & kMstatusMpie)
         mstatus_ |= kMstatusMie;
       else
@@ -1447,6 +1456,7 @@ void Cpu::exec_op(const MicroOp& u) {
     case MicroOp::kCsrrwi:
     case MicroOp::kCsrrsi:
     case MicroOp::kCsrrci: {
+      end_burst_ = end_burst_ || irq_;  // may make a pending trap due
       const std::uint32_t csr = u.imm;
       const std::uint32_t old = read_csr(csr);
       const std::uint32_t a = read_reg(u.rs1);

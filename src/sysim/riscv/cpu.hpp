@@ -67,6 +67,25 @@ enum class Halt {
   kIllegal,      ///< illegal instruction, no handler
 };
 
+/// The devices a burst runs ahead of; System implements it.
+class BurstDevices {
+ public:
+  /// Advance every device through the cycles before `issue_cycle`, the
+  /// cycle (on the CPU's cycle counter, zero-based) in which the CPU
+  /// issues the access it is about to make.
+  virtual void catch_up(std::uint64_t issue_cycle) = 0;
+
+ protected:
+  ~BurstDevices() = default;
+};
+
+/// Bus-address spans an in-flight DMA transfer has yet to read (`src`)
+/// and write (`dst`), as of the start of a burst.
+struct DmaInFlight {
+  ByteExtent src;
+  ByteExtent dst;
+};
+
 class Cpu final : public BusWriteObserver {
  public:
   Cpu(Bus& bus, CpuConfig cfg = {});
@@ -81,22 +100,34 @@ class Cpu final : public BusWriteObserver {
   /// unless the CPU is waiting in WFI (where any n is idle).
   void skip_cycles(std::uint64_t n);
 
-  struct BurstResult {
-    std::uint64_t cycles = 0;  ///< cycles consumed (instructions + stalls)
-    bool bus_access = false;   ///< last instruction reached the bus (MMIO)
-  };
-  /// Execute instructions back-to-back for up to `budget` (>= 1) cycles,
-  /// bypassing the per-cycle System loop. Caller guarantees: not halted,
-  /// not in WFI, no pending stall, the external interrupt line low and
-  /// unable to rise for the window (all devices idle), and the
-  /// predecoded engine active. Exits early when the CPU halts, parks on
-  /// WFI, or an instruction performs an activating MMIO write, a slow
-  /// fetch, or a faulting access — the caller must then run the device
-  /// phase of that final cycle, since the write may have started a
-  /// device. Pure MMIO reads and passive stores (SPM data, DMA
-  /// descriptors) do not end the burst. Architectural state evolves
-  /// exactly as under per-cycle tick().
-  BurstResult run_burst(std::uint64_t budget);
+  /// Execute instructions back-to-back for up to `budget` (>= 1) cycles
+  /// while the devices lag behind (temporal decoupling); returns the
+  /// cycles consumed. Caller guarantees: not halted, not in WFI, no
+  /// pending stall, the predecoded engine active, the interrupt line
+  /// level loaded with set_irq(), and no device event (PE completion,
+  /// watchdog expiry, DMA completion) before the device phase of the
+  /// window's last cycle, so the line holds its level unless the CPU
+  /// itself writes a device. `dma` is the in-flight bulk DMA transfer,
+  /// or nullptr when the engine is idle.
+  ///
+  /// The devices stay at the cycle the burst started in until the CPU
+  /// needs them: every bus-routed access (MMIO load or store, slow
+  /// fetch) first calls `devices.catch_up()`, and so does a direct load
+  /// overlapping the DMA's remaining destination or a direct store
+  /// overlapping its remaining source or destination. The caller
+  /// advances the devices the rest of the way after the burst.
+  ///
+  /// Returns 0 without executing when a trap is due (line high, MIE and
+  /// MEIE set), the DMA destination overlaps cached code, or the first
+  /// fetch overlaps the DMA's remaining destination; the caller must
+  /// then tick. Otherwise ends early when the CPU halts, parks on WFI,
+  /// faults on the bus or writes an activating register; before an
+  /// instruction whose fetch overlaps the DMA's remaining destination;
+  /// and, when the line is high, after any MMIO store (a W1C may lower
+  /// it), CSR instruction or mret (either may make the trap due).
+  /// Architectural state evolves exactly as under per-cycle tick().
+  std::uint64_t run_burst(std::uint64_t budget, BurstDevices& devices,
+                          const DmaInFlight* dma);
 
   [[nodiscard]] bool halted() const { return halt_ != Halt::kRunning; }
   [[nodiscard]] Halt halt_reason() const { return halt_; }
@@ -203,19 +234,21 @@ class Cpu final : public BusWriteObserver {
   /// micro-op's register, memory, CSR and trap effects plus its stall
   /// and instret/pc update. No cycle or budget bookkeeping.
   void exec_op(const MicroOp& u);
-  /// One run_burst iteration through step(): its issue cycle, the
-  /// instruction, and the stall burn. False when the burst must end
-  /// (bus event, halt, WFI, or budget exhausted mid-stall).
-  bool burst_step(std::uint64_t& budget, BurstResult& r);
+  /// One run_burst iteration through step(): the fetch check against
+  /// the DMA destination, its issue cycle, the instruction, and the
+  /// stall burn. False when the burst must end (fetch from the DMA
+  /// destination, burst-ending event, halt, WFI, or budget exhausted
+  /// mid-stall).
+  bool burst_step(std::uint64_t& budget);
   /// Consume pending stall cycles from the burst budget. False when the
   /// budget ran out before the stall drained.
-  bool burn_stall(std::uint64_t& budget, BurstResult& r);
+  bool burn_stall(std::uint64_t& budget);
   // -- Block translation tier ----------------------------------------------
   /// run_burst() body when cfg.block_tier is on: dispatch translated
   /// blocks (chain -> lookup -> build), falling back to single-step
   /// step() iterations whenever a block cannot be used (MMIO-resident
   /// code, revoked fetch window, mid-pair resume points).
-  BurstResult run_burst_blocks(std::uint64_t budget);
+  void run_burst_blocks(std::uint64_t& budget);
   /// Decode the straight-line run at `start` through the fetch window
   /// into `blk` (with the fusion peephole). False when no instruction
   /// could be read; the block is left invalid.
@@ -225,13 +258,13 @@ class Cpu final : public BusWriteObserver {
   /// retired (pc_ is at a block successor); false when the block or
   /// burst must stop early (budget/stall exhaustion, bus event, halt,
   /// WFI, or the block was invalidated by one of its own stores).
-  bool exec_block(const Block& blk, std::uint64_t& budget, BurstResult& r,
+  bool exec_block(const Block& blk, std::uint64_t& budget,
                   std::uint64_t gen0);
   /// One micro-op through the exact run_burst iteration shape: cycle
   /// and budget bookkeeping around exec_op (fetch stall, exit checks,
   /// stall burn). Caller guarantees budget >= 1. Returns false when the
   /// block/burst must stop after this op.
-  bool retire_half(const MicroOp& u, std::uint64_t& budget, BurstResult& r);
+  bool retire_half(const MicroOp& u, std::uint64_t& budget);
   /// Compute-only register-op core (LUI/AUIPC, OP-IMM, OP, M, fence):
   /// no cycle/stall/pc bookkeeping — callers account for those. Called
   /// by exec_op and by exec_block's static runs.
@@ -266,6 +299,20 @@ class Cpu final : public BusWriteObserver {
   void set_window(std::size_t slot, std::uint32_t addr);
   bool fast_read(std::uint32_t addr, unsigned size, std::uint32_t& value);
   bool fast_write(std::uint32_t addr, std::uint32_t value, unsigned size);
+  /// Inside a burst, bring the lagging devices up to the current
+  /// instruction's issue cycle before a bus-routed access; a no-op
+  /// under per-cycle tick().
+  void sync_devices() {
+    if (devices_ != nullptr) devices_->catch_up(cycles_ - 1);
+  }
+  /// Catch the devices up before a direct access that touches bytes the
+  /// in-flight DMA transfer has yet to write (loads and stores) or read
+  /// (stores). Called only while `dma_` is set.
+  void guard_dma(std::uint32_t addr, unsigned size, bool store) {
+    if (dma_->dst.overlaps(addr, size) ||
+        (store && dma_->src.overlaps(addr, size)))
+      devices_->catch_up(cycles_ - 1);
+  }
   void icache_invalidate(std::uint32_t addr, std::uint32_t bytes);
   void icache_flush();
   /// Flush one slot's accumulated store span into its window's device
@@ -284,7 +331,8 @@ class Cpu final : public BusWriteObserver {
   unsigned stall_ = 0;
   bool irq_ = false;
   bool wfi_ = false;
-  bool bus_access_ = false;  ///< set by the slow paths during step()
+  /// Set during a burst by an event that must end it (see run_burst).
+  bool end_burst_ = false;
   Halt halt_ = Halt::kRunning;
 
   std::array<Bus::DirectWindow, 2> win_{};  ///< [0] fetch, [1] data
@@ -307,6 +355,11 @@ class Cpu final : public BusWriteObserver {
   /// edges, including half-word-aligned tags.
   ByteExtent icache_ext_;
   BlockCache blocks_;  ///< basic-block translation tier (cfg.block_tier)
+  /// Set only inside run_burst: the lagging devices and, while a DMA
+  /// transfer is in flight, its remaining spans. `dma_` doubles as the
+  /// guard flag every direct access tests.
+  BurstDevices* devices_ = nullptr;
+  const DmaInFlight* dma_ = nullptr;
 
   // Machine CSRs.
   std::uint32_t mstatus_ = 0;

@@ -64,63 +64,71 @@ void System::tick() {
   dma_->tick();
   for (const auto& pe : pes_) pe->tick();
   ++cycle_;
+  ++stats_.ticks;
 }
 
-std::uint64_t System::skippable_cycles() const {
-  constexpr std::uint64_t kForever = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t cpu_idle;
-  if (cpu_->stall_remaining() > 0) {
-    cpu_idle = cpu_->stall_remaining();
-  } else if (cpu_->waiting_for_interrupt()) {
-    // The CPU samples the OR-ed interrupt line at the top of each
-    // non-stalled tick; a pending line means it wakes next tick.
-    bool irq = dma_->irq_pending();
-    for (const auto& pe : pes_) irq = irq || pe->irq_pending();
-    if (irq) return 0;
-    cpu_idle = kForever;  // sleeps until a device raises the line
-  } else {
-    return 0;  // an instruction issues next tick
-  }
-  // Nearest device event: the DMA completing its transfer or a PE
-  // completing its optical operation (the only per-cycle side effects
-  // are the final DONE/IRQ edges). The DMA query runs only once the CPU
-  // is known idle: a busy DMA engine issues bus transactions every
-  // cycle, but when both endpoints resolve to raw memory spans those
-  // transactions are pure data movement nobody can observe while the
-  // CPU sleeps — the remaining beats bulk-move inside skip_cycles.
-  std::uint64_t device_event = kForever;
-  if (dma_->busy()) {
-    device_event = dma_->bulk_cycles_remaining();
-    if (device_event == 0) return 0;  // MMIO endpoint or overlap: tick
-  }
+std::uint64_t System::scan_devices(bool& line) const {
+  // The only per-cycle side effects of a busy device are its final
+  // DONE/IRQ edges: the DMA completing its transfer, a PE completing its
+  // optical operation, or an armed watchdog expiring. A busy DMA moves
+  // data every cycle, but while both endpoints resolve to raw memory
+  // spans that movement is bulk-movable in skip_cycles; otherwise
+  // (MMIO endpoint, overlap, revoked span) it must tick.
+  std::uint64_t edge = std::numeric_limits<std::uint64_t>::max();
+  line = dma_->irq_pending();
+  if (dma_->busy()) edge = dma_->bulk_cycles_remaining();
   for (const auto& pe : pes_) {
-    if (pe->busy())
-      device_event = std::min(device_event, pe->busy_cycles_remaining());
-    // An armed watchdog is a second scheduled device event: its expiry
-    // latches ERROR and raises the interrupt line, so skipping must not
-    // jump past the deadline.
+    line = line || pe->irq_pending();
+    if (pe->busy()) edge = std::min(edge, pe->busy_cycles_remaining());
     if (pe->watchdog_armed())
-      device_event = std::min(device_event, pe->watchdog_cycles_remaining());
+      edge = std::min(edge, pe->watchdog_cycles_remaining());
   }
-  return std::min(cpu_idle, device_event);
+  return edge;
+}
+
+void System::advance_devices(std::uint64_t n) {
+  dma_->skip_cycles(n);
+  for (const auto& pe : pes_) pe->skip_cycles(n);
 }
 
 void System::skip_cycles(std::uint64_t n) {
   cpu_->skip_cycles(n);
-  dma_->skip_cycles(n);
-  for (const auto& pe : pes_) pe->skip_cycles(n);
+  advance_devices(n);
   cycle_ += n;
+  ++stats_.skips;
+  stats_.skipped_cycles += n;
 }
 
-bool System::can_burst() const {
-  // The CPU may free-run only while no device event can preempt it:
-  // every device idle with its interrupt line low (so the line cannot
-  // rise mid-burst), and the CPU itself ready to issue.
+void System::catch_up(std::uint64_t issue_cycle) {
+  const std::uint64_t target = issue_cycle + cpu_offset_;
+  if (target <= devices_at_) return;
+  advance_devices(target - devices_at_);
+  devices_at_ = target;
+  ++stats_.catch_ups;
+}
+
+bool System::burst(std::uint64_t window, bool line) {
   if (cfg_.cpu.legacy_decode) return false;
-  if (dma_->busy() || dma_->irq_pending()) return false;
-  for (const auto& pe : pes_)
-    if (pe->busy() || pe->irq_pending() || pe->watchdog_armed()) return false;
-  return !cpu_->waiting_for_interrupt() && cpu_->stall_remaining() == 0;
+  // The scan only lets a busy DMA through when its transfer is
+  // bulk-movable, so its remaining spans are plain memory.
+  rv::DmaInFlight spans;
+  const rv::DmaInFlight* dma = nullptr;
+  if (dma_->busy()) {
+    const DmaEngine::Snapshot d = dma_->snapshot();
+    spans.src = {d.src + d.cursor, d.src + d.len};
+    spans.dst = {d.dst + d.cursor, d.dst + d.len};
+    dma = &spans;
+  }
+  devices_at_ = cycle_;
+  cpu_offset_ = cycle_ - cpu_->cycles();
+  cpu_->set_irq(line);
+  const std::uint64_t n = cpu_->run_burst(window, *this, dma);
+  if (n == 0) return false;
+  cycle_ += n;
+  advance_devices(cycle_ - devices_at_);
+  ++stats_.bursts;
+  stats_.burst_cycles += n;
+  return true;
 }
 
 void System::run_until(std::uint64_t target) {
@@ -129,25 +137,26 @@ void System::run_until(std::uint64_t target) {
     return;
   }
   while (!cpu_->halted() && cycle_ < target) {
-    const std::uint64_t idle = skippable_cycles();
-    if (idle > 0) {
-      skip_cycles(std::min(idle, target - cycle_));
+    bool line = false;
+    const std::uint64_t edge = scan_devices(line);
+    if (edge == 0) {  // the DMA moves one bus beat per cycle
+      tick();
       continue;
     }
-    if (can_burst()) {
-      cpu_->set_irq(false);  // the line is low and stays low
-      const rv::Cpu::BurstResult b = cpu_->run_burst(target - cycle_);
-      cycle_ += b.cycles;
-      if (b.bus_access) {
-        // Device phase of the access cycle: the MMIO access may have
-        // started the DMA engine or a PE, whose tick for that cycle is
-        // still pending (idle devices tick as no-ops).
-        dma_->tick();
-        for (const auto& pe : pes_) pe->tick();
-      }
-      continue;
+    const std::uint64_t window = std::min(edge, target - cycle_);
+    if (cpu_->stall_remaining() > 0) {
+      skip_cycles(std::min<std::uint64_t>(cpu_->stall_remaining(), window));
+    } else if (cpu_->waiting_for_interrupt()) {
+      // The CPU samples the line at the top of each non-stalled tick: a
+      // high line wakes it next tick, a low one cannot rise before the
+      // edge.
+      if (line)
+        tick();
+      else
+        skip_cycles(window);
+    } else if (!burst(window, line)) {
+      tick();
     }
-    tick();
   }
 }
 

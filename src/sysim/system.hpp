@@ -5,11 +5,23 @@
 /// interrupt lines from DMA and every PE OR-ed into the CPU's external
 /// interrupt. Synchronous cycle stepping: every tick advances the CPU and
 /// all devices by one system clock cycle. run()/run_until() are
-/// event-driven by default: stretches where no component does visible
-/// work — the CPU stalled on a memory/multiplier latency or parked in
-/// WFI, the DMA engine quiescent, PEs counting down their optical
-/// busy time — are skipped in bulk via the per-component skip_cycles()
-/// hooks, at bit-identical cycle counts to per-cycle ticking.
+/// event-driven by default, at bit-identical cycle counts to per-cycle
+/// ticking. Each loop iteration scans the devices once for the next
+/// device edge (PE completion, watchdog expiry, bulk DMA completion) and
+/// the interrupt line, then:
+///  - skips the CPU's stall or WFI cycles in bulk via the per-component
+///    skip_cycles() hooks, up to that edge;
+///  - or lets the CPU run a burst (Cpu::run_burst) up to that edge while
+///    the devices lag behind (SystemC TLM-2.0-style temporal decoupling
+///    with the quantum bounded by the next device event). The devices
+///    catch up through skip_cycles() before every bus-routed CPU access,
+///    before direct accesses that touch an in-flight DMA's remaining
+///    bytes, and at the end of the burst;
+///  - or ticks once when neither is exact: a trap is due, the CPU wakes
+///    from WFI, a DMA transfer must move one bus beat per cycle (MMIO
+///    endpoint, overlapping ranges, revoked span), or the DMA writes
+///    cached code.
+/// All clocks agree at every loop iteration and on every return.
 ///
 /// Address map:
 ///   0x8000_0000  DRAM (code + data)
@@ -46,9 +58,27 @@ struct SystemConfig {
   bool event_driven = true;
 };
 
-class System {
+/// Event-loop counters (host-side execution strategy, not architectural
+/// state: excluded from SystemSnapshot and untouched by restore()). Every
+/// cycle run_until() advances is a burst cycle, a skipped cycle or a tick.
+struct SystemStats {
+  std::uint64_t bursts = 0;          ///< CPU bursts that ran
+  std::uint64_t burst_cycles = 0;    ///< cycles the CPU ran in bursts
+  std::uint64_t skips = 0;           ///< bulk skips of stall/WFI cycles
+  std::uint64_t skipped_cycles = 0;  ///< cycles skipped in bulk
+  std::uint64_t ticks = 0;           ///< lockstep tick() cycles
+  std::uint64_t catch_ups = 0;       ///< mid-burst device advances
+};
+
+class System final : private rv::BurstDevices {
  public:
   explicit System(SystemConfig cfg = {});
+  // The CPU and the DMA engine hold references to bus_, so a moved or
+  // copied System would run against the original's bus.
+  System(const System&) = delete;
+  System& operator=(const System&) = delete;
+  System(System&&) = delete;
+  System& operator=(System&&) = delete;
 
   /// Copy an assembled program to the reset address.
   void load_program(const std::vector<std::uint32_t>& words);
@@ -113,14 +143,21 @@ class System {
   [[nodiscard]] PhotonicAccelerator& pe(std::size_t i) { return *pes_.at(i); }
   [[nodiscard]] const SystemConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t now() const { return cycle_; }
+  [[nodiscard]] const SystemStats& stats() const { return stats_; }
 
  private:
-  /// Cycles that can elapse from the current state without any component
-  /// doing observable work (0 when the next tick must be stepped).
-  [[nodiscard]] std::uint64_t skippable_cycles() const;
-  /// True when the CPU can free-run instructions without per-cycle
-  /// device ticking (all devices idle, interrupt line low).
-  [[nodiscard]] bool can_burst() const;
+  /// One pass over the devices: the cycles to the nearest device edge
+  /// (the edge lands in the last of them; 0 when the DMA must tick per
+  /// cycle, ~0 with no event due), and the OR-ed interrupt line in
+  /// `line`. An out-parameter rather than a {u64, bool} return, which
+  /// GCC builds through a stalled stack round trip on this hot path.
+  [[nodiscard]] std::uint64_t scan_devices(bool& line) const;
+  /// Let the CPU run up to `window` cycles with the devices lagging;
+  /// false when the burst could not start and the cycle must be ticked.
+  bool burst(std::uint64_t window, bool line);
+  /// rv::BurstDevices: advance the devices to the CPU's issue cycle.
+  void catch_up(std::uint64_t issue_cycle) override;
+  void advance_devices(std::uint64_t n);
   /// Advance every clock by `n` guaranteed-idle cycles at once.
   void skip_cycles(std::uint64_t n);
 
@@ -131,6 +168,12 @@ class System {
   std::vector<std::unique_ptr<PhotonicAccelerator>> pes_;
   std::unique_ptr<rv::Cpu> cpu_;
   std::uint64_t cycle_ = 0;
+  // Burst bookkeeping: the devices' cycle while they lag the CPU, and
+  // cycle_ minus the CPU's cycle counter (the two can differ after
+  // Cpu::set_counters), both fixed when a burst starts.
+  std::uint64_t devices_at_ = 0;
+  std::uint64_t cpu_offset_ = 0;
+  SystemStats stats_;
 };
 
 }  // namespace aspen::sys

@@ -2,6 +2,9 @@
 // assembler, DMA, accelerator device, full-system workloads, faults.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <type_traits>
+
 #include "sysim/fault.hpp"
 #include "sysim/system.hpp"
 #include "sysim/workloads.hpp"
@@ -466,6 +469,55 @@ TEST(DmaTest, BulkCycleCountMatchesTickingExhaustively) {
           EXPECT_EQ(predicted, ticked)
               << "beat=" << beat << " src_off=" << src_off
               << " dst_off=" << dst_off << " len=" << len;
+        }
+      }
+    }
+  }
+}
+
+TEST(DmaTest, BulkSkipMatchesTickingAtEveryCycle) {
+  // Device catch-ups advance a bulk transfer by arbitrary cycle counts:
+  // skip_cycles(k) must leave the same bytes moved and the same state as
+  // k ticks, for every k, across beat widths, alignments and lengths.
+  const auto make = [](unsigned beat, std::uint32_t src_off,
+                       std::uint32_t dst_off, std::uint32_t len) {
+    struct Rig {
+      Bus bus{0};
+      Memory ram{"ram", 4096, 1};
+      DmaEngine dma;
+      explicit Rig(unsigned b) : dma(bus, b) {}
+    };
+    auto rig = std::make_unique<Rig>(beat);
+    rig->bus.attach(0x80000000u, 4096, &rig->ram);
+    rig->bus.attach(0x40000000u, 0x1000, &rig->dma);
+    for (std::uint32_t i = 0; i < 128; ++i)
+      rig->ram.write(i, (i * 29 + 3) & 0xFFu, 1);
+    (void)rig->bus.write(0x40000000u + DmaEngine::kRegSrc,
+                         0x80000000u + src_off, 4);
+    (void)rig->bus.write(0x40000000u + DmaEngine::kRegDst,
+                         0x80000800u + dst_off, 4);
+    (void)rig->bus.write(0x40000000u + DmaEngine::kRegLen, len, 4);
+    (void)rig->bus.write(0x40000000u + DmaEngine::kRegCtrl,
+                         DmaEngine::kCtrlStart, 4);
+    return rig;
+  };
+  for (const unsigned beat : {1u, 2u, 3u, 4u, 6u, 8u}) {
+    for (std::uint32_t src_off = 0; src_off < 4; ++src_off) {
+      for (std::uint32_t dst_off = 0; dst_off < 4; ++dst_off) {
+        for (std::uint32_t len : {1u, 5u, 13u, 64u, 100u}) {
+          auto ticked = make(beat, src_off, dst_off, len);
+          for (std::uint64_t k = 1; ticked->dma.busy(); ++k) {
+            ticked->dma.tick();
+            auto skipped = make(beat, src_off, dst_off, len);
+            skipped->dma.skip_cycles(k);
+            ASSERT_EQ(skipped->dma.busy(), ticked->dma.busy());
+            for (std::uint32_t i = 0; i < len + 8; ++i)
+              ASSERT_EQ(skipped->ram.read(0x800 + i, 1),
+                        ticked->ram.read(0x800 + i, 1))
+                  << "beat=" << beat << " src_off=" << src_off
+                  << " dst_off=" << dst_off << " len=" << len
+                  << " k=" << k << " byte " << i;
+          }
         }
       }
     }
@@ -971,6 +1023,47 @@ TEST(SystemTest, StreamingOffloadMatchesGolden) {
   for (std::size_t i = 0; i < golden.size(); ++i)
     max_err = std::max(max_err, std::abs(got[i] - golden[i]));
   EXPECT_LE(max_err, 4);
+}
+
+TEST(SystemTest, NotCopyableOrMovable) {
+  // The CPU and the DMA engine hold references to their System's bus.
+  static_assert(!std::is_copy_constructible_v<System>);
+  static_assert(!std::is_copy_assignable_v<System>);
+  static_assert(!std::is_move_constructible_v<System>);
+  static_assert(!std::is_move_assignable_v<System>);
+}
+
+TEST(SystemTest, StatsAccountForEveryCycleOfDmaStreaming) {
+  // DMA-fed streaming offload: the CPU runs in bursts while the DMA and
+  // the PE are busy, so the only lockstep ticks left are the WFI wakes.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  GemmWorkload tile;
+  tile.n = 8;
+  tile.m = 4;
+  const std::size_t batches = 8;
+  GemmWorkload full = tile;
+  full.m = tile.m * batches;
+
+  System system(sc);
+  stage_gemm_data(system, full, random_fixed(full.n * full.n, 0.9, 23),
+                  random_fixed(full.n * full.m, 0.9, 24));
+  system.load_program(build_gemm_offload_stream(
+      tile, sc, OffloadPath::kDmaInterrupt, batches));
+  const auto staged = system.snapshot();
+  const auto result = system.run();
+  ASSERT_EQ(result.halt, Halt::kEcallExit);
+
+  const SystemStats st = system.stats();
+  EXPECT_EQ(st.burst_cycles + st.skipped_cycles + st.ticks, system.now());
+  EXPECT_LT(st.ticks * 10, result.instret);
+  EXPECT_GT(st.bursts, batches);
+  EXPECT_GT(st.catch_ups, batches);
+
+  // Host-side counters: a restore leaves them alone.
+  system.restore(staged);
+  EXPECT_EQ(system.stats().ticks, st.ticks);
+  EXPECT_EQ(system.stats().burst_cycles, st.burst_cycles);
 }
 
 // ---------------------------------------------------------------- faults

@@ -1200,6 +1200,405 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.what);
     });
 
+// ------------------------------------------ bursts while devices are busy
+//
+// The CPU runs ahead of busy devices inside a burst, and the devices
+// catch up before every MMIO access, before direct accesses touching an
+// in-flight DMA's remaining bytes, and at the end of the burst. Each
+// case below lands a CPU access on a device edge or on an in-flight
+// DMA span and must match the per-cycle oracle on every tier.
+
+/// Program the DMA engine at s7 to copy `bytes` from the address in
+/// `src` to the one in `dst` and start it. Clobbers t1.
+void emit_dma_start(Assembler& as, int src, int dst, std::uint32_t bytes,
+                    std::uint32_t ctrl = DmaEngine::kCtrlStart) {
+  as.sw(src, s7, DmaEngine::kRegSrc);
+  as.sw(dst, s7, DmaEngine::kRegDst);
+  as.li(t1, bytes);
+  as.sw(t1, s7, DmaEngine::kRegLen);
+  as.li(t1, ctrl);
+  as.sw(t1, s7, DmaEngine::kRegCtrl);
+}
+
+/// Spin on the DMA STATUS at s7 until DONE, then W1C it. Clobbers t1.
+void emit_dma_wait(Assembler& as, const std::string& tag) {
+  as.label(tag);
+  as.lw(t1, s7, DmaEngine::kRegStatus);
+  as.andi(t1, t1, DmaEngine::kStatusDone);
+  as.beq(t1, zero, tag);
+  as.li(t1, DmaEngine::kStatusDone);
+  as.sw(t1, s7, DmaEngine::kRegStatus);
+}
+
+void emit_exit(Assembler& as) {
+  as.li(a7, 93);
+  as.ecall();
+}
+
+/// Stage `bytes` of distinct nonzero data at DRAM offset `off`.
+std::function<void(System&)> pattern_stager(std::uint32_t off,
+                                            std::uint32_t bytes) {
+  return [off, bytes](System& s) {
+    std::vector<std::uint8_t> v(bytes);
+    for (std::size_t i = 0; i < v.size(); ++i)
+      v[i] = static_cast<std::uint8_t>(i * 13 + 7) | 1u;
+    s.write_dram(off, v.data(), v.size());
+  };
+}
+
+TEST(SysimDiffTest, BurstPollsDmaStatusMidTransfer) {
+  // No WFI: the CPU spins on STATUS while a 1 KiB transfer is in
+  // flight, logging every value it reads. Each poll is an MMIO read in
+  // the middle of a burst.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  Assembler as(sc.dram_base);
+  as.li(s7, sc.dma_base);
+  as.li(a1, sc.dram_base + 0x10000);
+  as.li(a2, sc.dram_base + 0x11000);
+  as.li(s1, sc.dram_base + 0x20000);  // poll log
+  emit_dma_start(as, a1, a2, 0x400);
+  as.li(a0, 0);
+  as.label("poll");
+  as.lw(t1, s7, DmaEngine::kRegStatus);
+  as.sw(t1, s1, 0);
+  as.addi(s1, s1, 4);
+  as.addi(a0, a0, 1);
+  as.andi(t1, t1, DmaEngine::kStatusDone);
+  as.beq(t1, zero, "poll");
+  emit_exit(as);
+  diff_program(sc, as.assemble(), "poll dma status",
+               pattern_stager(0x10000, 0x400));
+}
+
+/// A sweep over every CPU issue cycle of one 64-byte (16-beat) transfer:
+/// for each delay d (unrolled nops after START) and each word j (a
+/// runtime loop), a fresh transfer, then one access to word j of the
+/// source or destination. Loads are logged at 0x30000; stores write a
+/// marker the DRAM image records. Each transfer gets its own source and
+/// destination, so every access meets untouched bytes.
+enum class SpanAccess { kLoadDst, kStoreSrc, kStoreDst };
+
+std::vector<std::uint32_t> build_dma_span_sweep(const SystemConfig& sc,
+                                                SpanAccess access) {
+  constexpr int kDelays = 20;
+  constexpr std::uint32_t kBytes = 64;
+  Assembler as(sc.dram_base);
+  as.li(s7, sc.dma_base);
+  as.li(a1, sc.dram_base + 0x40000);  // source cursor
+  as.li(a2, sc.dram_base + 0x60000);  // destination cursor
+  as.li(s1, sc.dram_base + 0x30000);  // load log
+  as.li(s3, 0xDEADBEEFu);             // store marker
+  for (int d = 0; d < kDelays; ++d) {
+    const std::string tag = "d" + std::to_string(d);
+    as.li(s2, 0);  // 4 * j
+    as.label(tag);
+    as.add(t3, access == SpanAccess::kStoreSrc ? a1 : a2, s2);
+    emit_dma_start(as, a1, a2, kBytes);
+    for (int i = 0; i < d; ++i) as.nop();
+    if (access == SpanAccess::kLoadDst) {
+      as.lw(t2, t3, 0);
+      as.sw(t2, s1, 0);
+      as.addi(s1, s1, 4);
+    } else {
+      as.sw(s3, t3, 0);
+    }
+    emit_dma_wait(as, tag + "_wait");
+    as.addi(a1, a1, kBytes);
+    as.addi(a2, a2, kBytes);
+    as.addi(s2, s2, 4);
+    as.li(t1, kBytes);
+    as.blt(s2, t1, tag);
+  }
+  emit_exit(as);
+  return as.assemble();
+}
+
+TEST(SysimDiffTest, BurstReadsDmaDestinationAtEveryBeat) {
+  SystemConfig sc;
+  sc.accel = small_accel();
+  diff_program(sc, build_dma_span_sweep(sc, SpanAccess::kLoadDst),
+               "read dma destination", pattern_stager(0x40000, 0x10000));
+}
+
+TEST(SysimDiffTest, BurstStoresIntoDmaSpansAtEveryBeat) {
+  SystemConfig sc;
+  sc.accel = small_accel();
+  diff_program(sc, build_dma_span_sweep(sc, SpanAccess::kStoreSrc),
+               "store into dma source", pattern_stager(0x40000, 0x10000));
+  diff_program(sc, build_dma_span_sweep(sc, SpanAccess::kStoreDst),
+               "store into dma destination",
+               pattern_stager(0x40000, 0x10000));
+}
+
+TEST(SysimDiffTest, BurstSeesPeDoneLandWhileSpinning) {
+  // The CPU spins on PE STATUS through a weight load with IRQ_EN set and
+  // interrupts masked: DONE lands mid-spin, the line rises, and the
+  // spin ends in a burst with the line high. The W1C must end that
+  // burst, so the mip read after it sees MEIP clear.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  Assembler as(sc.dram_base);
+  as.li(s0, sc.accel_base);
+  as.li(t0, PhotonicAccelerator::kCtrlLoadWeights |
+                PhotonicAccelerator::kCtrlIrqEn);
+  as.sw(t0, s0, PhotonicAccelerator::kRegCtrl);
+  as.li(a0, 0);
+  as.label("spin");
+  as.lw(t1, s0, PhotonicAccelerator::kRegStatus);
+  as.addi(a0, a0, 1);
+  as.andi(t1, t1, PhotonicAccelerator::kStatusDone);
+  as.beq(t1, zero, "spin");
+  as.csrrs(a1, kCsrMip, zero);
+  as.li(t1, PhotonicAccelerator::kStatusDone);
+  as.sw(t1, s0, PhotonicAccelerator::kRegStatus);  // W1C lowers the line
+  as.csrrs(a2, kCsrMip, zero);
+  emit_exit(as);
+  const auto program = as.assemble();
+  const Capture block = diff_drive(sc, "pe done while spinning",
+                                   [&](System& system) {
+                                     system.load_program(program);
+                                     system.run();
+                                   });
+  EXPECT_EQ(block.result.halt, Halt::kEcallExit);
+  EXPECT_GT(block.regs[10], 1u) << "the spin must see BUSY first";
+  EXPECT_EQ(block.regs[11] & (1u << 11), 1u << 11) << "MEIP before the W1C";
+  EXPECT_EQ(block.regs[12] & (1u << 11), 0u) << "MEIP after the W1C";
+}
+
+TEST(SysimDiffTest, BurstSeesWatchdogExpireWhileSpinning) {
+  // The CPU arms the watchdog and spins reading WDOG, logging each
+  // remaining count, until it reads 0. Every read must see the
+  // countdown of its own cycle, and the expiry must latch ERROR with
+  // cause WATCHDOG and raise the line on the exact cycle.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  Assembler as(sc.dram_base);
+  as.li(s0, sc.accel_base);
+  as.li(s1, sc.dram_base + 0x20000);  // WDOG log
+  as.li(t0, 150);
+  as.sw(t0, s0, PhotonicAccelerator::kRegWdog);
+  as.label("spin");
+  as.lw(t1, s0, PhotonicAccelerator::kRegWdog);
+  as.sw(t1, s1, 0);
+  as.addi(s1, s1, 4);
+  as.bne(t1, zero, "spin");
+  as.lw(a1, s0, PhotonicAccelerator::kRegStatus);
+  as.lw(a2, s0, PhotonicAccelerator::kRegErr);
+  as.csrrs(a3, kCsrMip, zero);
+  as.li(t1, PhotonicAccelerator::kStatusError);
+  as.sw(t1, s0, PhotonicAccelerator::kRegStatus);
+  as.csrrs(a4, kCsrMip, zero);
+  as.li(a0, 0);
+  emit_exit(as);
+  const auto program = as.assemble();
+  const Capture block = diff_drive(sc, "watchdog expiry while spinning",
+                                   [&](System& system) {
+                                     system.load_program(program);
+                                     system.run();
+                                   });
+  EXPECT_EQ(block.result.halt, Halt::kEcallExit);
+  EXPECT_EQ(block.regs[11] & PhotonicAccelerator::kStatusError,
+            PhotonicAccelerator::kStatusError);
+  EXPECT_NE(block.regs[12], 0u) << "ERR must name the watchdog";
+  EXPECT_EQ(block.regs[13] & (1u << 11), 1u << 11);
+  EXPECT_EQ(block.regs[14] & (1u << 11), 0u);
+}
+
+TEST(SysimDiffTest, BurstJumpsIntoCodeTheDmaIsWriting) {
+  // The DMA copies 8 padding nops and a routine (8 x "addi a0, a0, 100"
+  // and a ret) over an older copy whose routine adds 1, and the CPU
+  // calls the routine d cycles after START: a0 tells how many new
+  // instructions it ran. The padding lets the DMA's cursor reach the
+  // routine after the CPU could first fetch it, so a sweep over d lands
+  // the call before, on and after the beats that rewrite it. Cold: the
+  // routine never ran, so a burst must stop before fetching bytes the
+  // DMA has yet to write. Warm: it ran once first and is cached, so the
+  // transfer must take the lockstep path.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  constexpr int kDelays = 14;
+  constexpr std::uint32_t kPad = 8 * 4;
+  constexpr std::uint32_t kNew = 0x8000, kOld = 0x10000, kStride = 128;
+  const auto image = [&](std::int32_t step) {
+    Assembler r(sc.dram_base);
+    for (int i = 0; i < 8; ++i) r.nop();
+    for (int i = 0; i < 8; ++i) r.addi(a0, a0, step);
+    r.ret();
+    return r.assemble();
+  };
+  const auto fresh = image(100);
+  const auto old = image(1);
+  const auto image_bytes = static_cast<std::uint32_t>(fresh.size() * 4);
+
+  Assembler as(sc.dram_base);
+  as.li(s7, sc.dma_base);
+  as.li(a1, sc.dram_base + kNew);
+  as.li(s2, sc.dram_base + kOld);  // destination cursor
+  as.li(s1, sc.dram_base + 0x20000);  // a0 log
+  for (int d = 0; d < kDelays; ++d) {
+    for (const bool warm : {false, true}) {
+      as.addi(s3, s2, kPad);  // the routine
+      if (warm) as.jalr(ra, s3, 0);
+      as.li(a0, 0);
+      emit_dma_start(as, a1, s2, image_bytes);
+      for (int i = 0; i < d; ++i) as.nop();
+      as.jalr(ra, s3, 0);
+      as.sw(a0, s1, 0);
+      as.addi(s1, s1, 4);
+      emit_dma_wait(as, "w" + std::to_string(d) + (warm ? "w" : "c"));
+      as.addi(s2, s2, kStride);
+    }
+  }
+  emit_exit(as);
+  const auto program = as.assemble();
+  const auto stage = [&](System& s) {
+    s.write_dram(kNew, fresh.data(), image_bytes);
+    for (int k = 0; k < 2 * kDelays; ++k)
+      s.write_dram(kOld + static_cast<std::uint32_t>(k) * kStride, old.data(),
+                   image_bytes);
+  };
+  diff_program(sc, program, "dma writes code the cpu jumps into", stage);
+}
+
+TEST(SysimDiffTest, BurstEndsWhenInterruptBecomesDue) {
+  // A DMA completion raises the line while MIE is clear. The CPU then
+  // runs on with the line high and masked, until a csrrs sets MIE (or an
+  // mret restores it from MPIE): the trap is due from the very next
+  // instruction, so the burst must end right after the CSR write or the
+  // mret. The handler logs mepc and exits with the pre-trap count.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  for (const bool via_mret : {false, true}) {
+    Assembler as(sc.dram_base);
+    as.li(t0, sc.dram_base + 0x400);  // handler
+    as.csrrw(zero, kCsrMtvec, t0);
+    as.li(t0, 1u << 11);  // MEIE; MIE stays clear
+    as.csrrw(zero, kCsrMie, t0);
+    as.li(s7, sc.dma_base);
+    as.li(a1, sc.dram_base + 0x10000);
+    as.li(a2, sc.dram_base + 0x11000);
+    emit_dma_start(as, a1, a2, 128,
+                   DmaEngine::kCtrlStart | DmaEngine::kCtrlIrqEn);
+    as.label("poll");
+    as.lw(t1, s7, DmaEngine::kRegStatus);
+    as.andi(t1, t1, DmaEngine::kStatusDone);
+    as.beq(t1, zero, "poll");
+    as.li(a0, 0);
+    for (int i = 0; i < 6; ++i) as.addi(a0, a0, 1);
+    if (via_mret) {
+      as.li(t0, 1u << 7);  // MPIE
+      as.csrrs(zero, kCsrMstatus, t0);
+      as.jal(t0, "resume");  // t0 = address of "resume"
+      as.label("resume");
+      as.addi(t0, t0, 12);  // skip this addi, csrrw and mret
+      as.csrrw(zero, kCsrMepc, t0);
+      as.mret();
+    } else {
+      as.li(t0, 1u << 3);  // MIE
+      as.csrrs(zero, kCsrMstatus, t0);
+    }
+    for (int i = 0; i < 6; ++i) as.addi(a0, a0, 100);
+    as.label("stuck");
+    as.j("stuck");
+    while (as.current_address() < sc.dram_base + 0x400) as.nop();
+    as.label("handler");
+    as.csrrs(a3, kCsrMepc, zero);
+    as.csrrs(a4, kCsrMcause, zero);
+    as.li(t1, DmaEngine::kStatusDone);
+    as.sw(t1, s7, DmaEngine::kRegStatus);
+    emit_exit(as);
+    const auto program = as.assemble();
+    const Capture block = diff_drive(
+        sc, via_mret ? "mret makes the trap due" : "csrrs makes the trap due",
+        [&](System& system) {
+          pattern_stager(0x10000, 128)(system);
+          system.load_program(program);
+          system.run();
+        });
+    EXPECT_EQ(block.result.halt, Halt::kEcallExit);
+    EXPECT_EQ(block.regs[14], 0x8000000Bu);
+    EXPECT_EQ(block.result.exit_code, 6u)
+        << "no instruction after the enabling one may run before the trap";
+  }
+}
+
+TEST(SysimDiffTest, BurstShortensBusyDmaTransfer) {
+  // Mid-transfer, the CPU rewrites LEN of a 1 KiB transfer to 64 bytes
+  // and counts in a loop with interrupts enabled: the transfer now ends
+  // long before the edge the burst started with, and the completion
+  // trap must still land on its exact cycle. A LEN below the bytes
+  // already moved ends the transfer on the next beat.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  for (const int delay : {0, 40}) {
+    Assembler as(sc.dram_base);
+    as.li(t0, sc.dram_base + 0x400);  // handler
+    as.csrrw(zero, kCsrMtvec, t0);
+    as.li(t0, 1u << 11);  // MEIE
+    as.csrrw(zero, kCsrMie, t0);
+    as.li(t0, 1u << 3);  // MIE
+    as.csrrs(zero, kCsrMstatus, t0);
+    as.li(s7, sc.dma_base);
+    as.li(a1, sc.dram_base + 0x10000);
+    as.li(a2, sc.dram_base + 0x11000);
+    emit_dma_start(as, a1, a2, 0x400,
+                   DmaEngine::kCtrlStart | DmaEngine::kCtrlIrqEn);
+    for (int i = 0; i < delay; ++i) as.nop();
+    as.li(t0, 64);
+    as.sw(t0, s7, DmaEngine::kRegLen);
+    as.li(a0, 0);
+    as.label("count");
+    as.addi(a0, a0, 1);
+    as.j("count");
+    while (as.current_address() < sc.dram_base + 0x400) as.nop();
+    as.label("handler");
+    as.csrrs(a3, kCsrMepc, zero);
+    as.li(t1, DmaEngine::kStatusDone);
+    as.sw(t1, s7, DmaEngine::kRegStatus);
+    emit_exit(as);
+    diff_program(sc, as.assemble(), "shorten a busy dma transfer",
+                 pattern_stager(0x10000, 0x400));
+  }
+}
+
+TEST(SysimDiffTest, DmaWithMmioEndpointKeepsLockstep) {
+  // The DMA copies the PE's MMR block to DRAM: every beat is a device
+  // read, so the transfer cannot bulk-move and the event loop must tick
+  // every cycle of it while the CPU polls.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  constexpr std::uint32_t kBytes = PhotonicAccelerator::kRegWdog + 4;
+  Assembler as(sc.dram_base);
+  as.li(s0, sc.accel_base);
+  as.li(s7, sc.dma_base);
+  as.li(t0, 0x1234);
+  as.sw(t0, s0, PhotonicAccelerator::kRegCrcW);
+  as.li(t0, 0x5678);
+  as.sw(t0, s0, PhotonicAccelerator::kRegCrcX);
+  as.li(a1, sc.accel_base);
+  as.li(a2, sc.dram_base + 0x20000);
+  emit_dma_start(as, a1, a2, kBytes);
+  as.li(a0, 0);
+  as.label("poll");
+  as.lw(t1, s7, DmaEngine::kRegStatus);
+  as.addi(a0, a0, 1);
+  as.andi(t1, t1, DmaEngine::kStatusDone);
+  as.beq(t1, zero, "poll");
+  emit_exit(as);
+  const auto program = as.assemble();
+  diff_drive(sc, "dma with an mmio endpoint", [&](System& system) {
+    system.load_program(program);
+    system.run();
+    // The first beat moves in the device phase of the START store's
+    // cycle, which ends the burst that issued it; every later beat
+    // must be ticked.
+    if (system.config().event_driven) {
+      EXPECT_GE(system.stats().ticks, kBytes / 4 - 1);
+    }
+  });
+}
+
 // ---------------------------------------------- snapshot / restore
 
 TEST(SnapshotTest, MutateRestoreRoundTripEqualsFreshSystem) {
