@@ -76,20 +76,49 @@ CMat GemmCore::multiply(const CMat& x) {
   return out;
 }
 
-void GemmCore::multiply_noiseless(const CMat& x, CMat& out) {
-  engine_.count_mvm_ops(x.cols());
+void GemmCore::multiply_noiseless(const std::vector<double>& x,
+                                  std::size_t cols, std::vector<double>& re,
+                                  std::vector<double>& im) {
+  const std::size_t n = data_ports();
+  if (x.size() != n * cols)
+    throw std::invalid_argument("GemmCore: input rows != data ports");
+  engine_.count_mvm_ops(cols);
   if (!cfg_.abft.enabled) {
-    engine_.multiply_noiseless_batch_into(x, out);
+    engine_.multiply_noiseless_batch_into(x, cols, re, im);
     return;
   }
-  pad_input(x);
-  engine_.multiply_noiseless_batch_into(abft_x_, abft_y_);
+  // Port by port, the checksum input rows are the trailing zeros.
+  abft_x_real_.assign(x.begin(), x.end());
+  abft_x_real_.resize(x.size() + kAbftRows * cols, 0.0);
+  engine_.multiply_noiseless_batch_into(abft_x_real_, cols, re, im);
+  abft_y_.resize(n + kAbftRows, cols);
+  for (std::size_t i = 0; i < re.size(); ++i)
+    abft_y_.raw()[i] = cplx{re[i], im[i]};
   last_abft_ = abft_check(abft_y_, cfg_.abft.tolerance);
   abft_counters_.add(last_abft_.counts);
-  const std::size_t n = data_ports();
-  out.resize(n, x.cols());
-  for (std::size_t c = 0; c < x.cols(); ++c)
-    for (std::size_t r = 0; r < n; ++r) out(r, c) = abft_y_(r, c);
+  re.resize(x.size());
+  im.resize(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    re[i] = abft_y_.raw()[i].real();
+    im[i] = abft_y_.raw()[i].imag();
+  }
+}
+
+void GemmCore::multiply_noiseless(const CMat& x, CMat& out) {
+  if (x.rows() != data_ports())
+    throw std::invalid_argument("GemmCore: input rows != data ports");
+  // Row-major CMat storage is already the port-by-port layout.
+  tile_x_.resize(x.raw().size());
+  for (std::size_t i = 0; i < tile_x_.size(); ++i) {
+    if (x.raw()[i].imag() != 0.0)
+      throw std::invalid_argument(
+          "GemmCore::multiply_noiseless: complex input");
+    tile_x_[i] = x.raw()[i].real();
+  }
+  multiply_noiseless(tile_x_, x.cols(), tile_re_, tile_im_);
+  out.resize(x.rows(), x.cols());
+  for (std::size_t i = 0; i < tile_re_.size(); ++i)
+    out.raw()[i] = cplx{tile_re_[i], tile_im_[i]};
 }
 
 CMat GemmCore::multiply_physical(const CMat& x) {

@@ -79,9 +79,20 @@ class GemmCore {
   [[nodiscard]] lina::CMat multiply(const lina::CMat& x);
 
   /// Deterministic tile path used by the memory-mapped accelerator:
-  /// noiseless batched multiply, plus ABFT verify/repair when enabled.
-  /// With ABFT off this delegates straight to the engine (bit-identical
-  /// to calling multiply_noiseless_batch_into directly).
+  /// the engine's real-input noiseless kernel on an N x `cols` tile
+  /// stored port by port (entry (r, c) at x[r * cols + c]), writing the
+  /// real and imaginary output parts in the same layout. With ABFT off
+  /// this delegates straight to the engine; with ABFT on the same kernel
+  /// runs on the zero-padded (N+2)-port tile and the complex checksum
+  /// verify/repair runs before the data rows are returned. Throws
+  /// std::invalid_argument (counting nothing) unless x.size() is
+  /// N * cols.
+  void multiply_noiseless(const std::vector<double>& x, std::size_t cols,
+                          std::vector<double>& re, std::vector<double>& im);
+  /// Complex-matrix adapter over the real path for an N x M input whose
+  /// imaginary parts are all zero (bit-identical results); throws
+  /// std::invalid_argument on a shape mismatch or a nonzero imaginary
+  /// part.
   void multiply_noiseless(const lina::CMat& x, lina::CMat& out);
 
   /// Rows/columns of the data tile callers see (engine ports minus the
@@ -136,9 +147,13 @@ class GemmCore {
   lina::CMat fields_;
   lina::CMat outputs_;
   lina::CMat mixed_;
-  /// ABFT scratch: zero-padded input and full augmented output blocks.
+  /// ABFT scratch: zero-padded input (complex for the physical path, real
+  /// for the noiseless one) and the full augmented output block.
   lina::CMat abft_x_;
+  std::vector<double> abft_x_real_;
   lina::CMat abft_y_;
+  /// Real input and output parts of the complex-matrix adapter.
+  std::vector<double> tile_x_, tile_re_, tile_im_;
 };
 
 }  // namespace aspen::core

@@ -415,27 +415,80 @@ void MvmEngine::multiply_noiseless_into(const CVec& x, CVec& out) const {
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = out[i] / scale;
 }
 
-void MvmEngine::multiply_noiseless_batch_into(const CMat& x,
-                                              CMat& out) const {
-  const double launch =
-      std::sqrt(cfg_.laser.power_w / static_cast<double>(cfg_.ports));
-  scratch_noiseless_batch_.resize(x.rows(), x.cols());
-  const cplx* xin = x.raw().data();
-  cplx* fields = scratch_noiseless_batch_.raw().data();
-  for (std::size_t i = 0; i < x.raw().size(); ++i)
-    fields[i] = launch * modulator_.amplitude_scale() * xin[i];
-  lina::mul_into(out, t_phys_, scratch_noiseless_batch_);
+namespace {
+
+/// Output row `row` of the real-input tile kernel for columns
+/// [j0, j0 + W): both accumulators start from +0 and sum over k in
+/// increasing order, then take the complex rescale product. These are
+/// the complex form's operations minus its exact-zero terms, so the
+/// results stay bit-identical; reordering the sum or folding the rescale
+/// into T would not. W columns of accumulators stay in registers across
+/// the k loop.
+template <std::size_t W>
+void noiseless_tile_block(const cplx* row, std::size_t ports,
+                          const double* fields, std::size_t cols,
+                          std::size_t j0, cplx inv_scale, double* re,
+                          double* im) {
+  double acc_re[W] = {};
+  double acc_im[W] = {};
+  for (std::size_t k = 0; k < ports; ++k) {
+    const double tr = row[k].real();
+    const double ti = row[k].imag();
+    const double* f = fields + k * cols + j0;
+    for (std::size_t j = 0; j < W; ++j) {
+      acc_re[j] += tr * f[j];
+      acc_im[j] += ti * f[j];
+    }
+  }
+  const double ir = inv_scale.real();
+  const double ii = inv_scale.imag();
+  for (std::size_t j = 0; j < W; ++j) {
+    re[j0 + j] = acc_re[j] * ir - acc_im[j] * ii;
+    im[j0 + j] = acc_re[j] * ii + acc_im[j] * ir;
+  }
+}
+
+}  // namespace
+
+void MvmEngine::multiply_noiseless_batch_into(const std::vector<double>& x,
+                                              std::size_t cols,
+                                              std::vector<double>& re,
+                                              std::vector<double>& im) const {
+  const std::size_t n = cfg_.ports;
+  if (x.size() != n * cols)
+    throw std::invalid_argument(
+        "MvmEngine::multiply_noiseless_batch_into: shape mismatch");
+  re.resize(x.size());
+  im.resize(x.size());
   if (sigma_max_ <= 0.0) {  // zero weights -> zero output; see rescale()
-    for (auto& v : out.raw()) v = cplx{0.0, 0.0};
+    std::fill(re.begin(), re.end(), 0.0);
+    std::fill(im.begin(), im.end(), 0.0);
     return;
   }
+  const double launch =
+      std::sqrt(cfg_.laser.power_w / static_cast<double>(cfg_.ports));
+  scratch_fields_.resize(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    scratch_fields_[i] = launch * modulator_.amplitude_scale() * x[i];
   // One reciprocal instead of a division per element (the whole tile
   // shares the scale; agrees with the per-column path to ~1 ulp, well
   // inside the Q3.12 conversion at the SPM boundary).
   const cplx inv_scale =
       cplx{1.0, 0.0} /
       (gain_ * launch * modulator_.amplitude_scale() / sigma_max_);
-  for (auto& v : out.raw()) v *= inv_scale;
+  constexpr std::size_t kBlock = 8;
+  for (std::size_t i = 0; i < n; ++i) {
+    const cplx* row = t_phys_.raw().data() + i * n;
+    double* re_row = re.data() + i * cols;
+    double* im_row = im.data() + i * cols;
+    std::size_t j = 0;
+    for (; j + kBlock <= cols; j += kBlock)
+      noiseless_tile_block<kBlock>(row, n, scratch_fields_.data(), cols, j,
+                                   inv_scale, re_row, im_row);
+    for (; j < cols; ++j)
+      noiseless_tile_block<1>(row, n, scratch_fields_.data(), cols, j,
+                              inv_scale, re_row, im_row);
+  }
 }
 
 MvmEngine::Snapshot MvmEngine::snapshot() const {

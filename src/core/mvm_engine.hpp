@@ -109,17 +109,23 @@ class MvmEngine {
   /// Deterministic device-error-only result (no shot/RIN/ADC noise):
   /// isolates systematic from stochastic error in the analyses.
   [[nodiscard]] lina::CVec multiply_noiseless(const lina::CVec& x) const;
-  /// Allocation-free variant writing into `out` (identical values; the
-  /// memory-mapped accelerator's deterministic path streams tiles
-  /// through this without per-column heap churn).
+  /// Allocation-free variant writing into `out` (identical values).
   void multiply_noiseless_into(const lina::CVec& x, lina::CVec& out) const;
-  /// Whole-tile noiseless evaluation as one matrix product. Accumulation
-  /// order matches the per-column path (k-major), but the final rescale
-  /// multiplies by one shared reciprocal instead of dividing per
-  /// element, so results agree with multiply_noiseless() to ~1 ulp —
-  /// compare with a tolerance, not bitwise.
-  void multiply_noiseless_batch_into(const lina::CMat& x,
-                                     lina::CMat& out) const;
+  /// Whole-tile noiseless evaluation of a real input tile: `x` holds
+  /// ports x `cols` real entries stored port by port (entry (k, j) at
+  /// x[k * cols + j]); the real and imaginary output parts land in `re`
+  /// and `im` in the same layout. Bit-identical to the complex product
+  /// T_phys * (launch * x + 0i) followed by one multiply with the shared
+  /// reciprocal of the rescale: the imaginary input terms it drops are
+  /// exact zeros, and the k sum runs in the same increasing order.
+  /// Against the per-vector multiply_noiseless(), which divides per
+  /// element, results agree to ~1 ulp — compare with a tolerance, not
+  /// bitwise. Throws std::invalid_argument unless x.size() is
+  /// ports * cols.
+  void multiply_noiseless_batch_into(const std::vector<double>& x,
+                                     std::size_t cols,
+                                     std::vector<double>& re,
+                                     std::vector<double>& im) const;
 
   // -- Lower-level stages (used by the WDM GeMM scheduler) --------------
   /// DAC + modulator encoding into field amplitudes (per-port).
@@ -290,7 +296,7 @@ class MvmEngine {
   mutable lina::CMat scratch_path_;  ///< compose_path_into scratch
   lina::CMat batch_fields_;          ///< multiply_batch encode scratch
   mutable lina::CVec scratch_noiseless_;  ///< multiply_noiseless_into fields
-  mutable lina::CMat scratch_noiseless_batch_;  ///< batch variant fields
+  mutable std::vector<double> scratch_fields_;  ///< batch variant fields
   std::vector<ProgramMemo> program_memo_;  ///< unordered, byte-budgeted
   std::uint64_t program_memo_clock_ = 0;   ///< last use stamp handed out
   ProgramMemoStats program_memo_stats_;    ///< entries/bytes kept current

@@ -35,10 +35,21 @@ PhotonicAccelerator::PhotonicAccelerator(AcceleratorConfig cfg)
 }
 
 std::int16_t PhotonicAccelerator::to_fixed(double v) {
-  const double scaled = std::round(v * (1 << kFracBits));
-  if (scaled > 32767.0) return 32767;
-  if (scaled < -32768.0) return -32768;
-  return static_cast<std::int16_t>(scaled);
+  const double scaled = v * (1 << kFracBits);
+  // Saturate first: these are exactly the inputs that round half away
+  // from zero takes past the int16 range, and the ones left convert to
+  // an integer without overflow (NaN saturates low, never reaching the
+  // conversion).
+  if (scaled >= 32767.5) return 32767;
+  if (!(scaled > -32768.5)) return -32768;
+  // Round half away from zero without a libm call: truncate, then step
+  // one away from zero when the fraction (exact, as |scaled| < 2^15)
+  // reaches one half.
+  int q = static_cast<int>(scaled);
+  const double frac = scaled - q;
+  if (frac >= 0.5) ++q;
+  if (frac <= -0.5) --q;
+  return static_cast<std::int16_t>(q);
 }
 
 double PhotonicAccelerator::from_fixed(std::int16_t v) {
@@ -179,7 +190,7 @@ void PhotonicAccelerator::start_operation(std::uint32_t ctrl) {
 
   if ((ctrl & kCtrlStart) && !aborted) {
     const std::size_t m = cols_;
-    scratch_x_.resize(n, m);
+    tile_x_.resize(n * m);
     const BusDevice::DirectSpan xs = spm_x_.direct_span();
     const bool check = (ctrl & kCtrlCrcX) != 0;
     std::uint32_t crc = kCrc32Init;
@@ -187,15 +198,21 @@ void PhotonicAccelerator::start_operation(std::uint32_t ctrl) {
       for (std::size_t r = 0; r < n; ++r) {
         const std::int16_t fixed = spm_fixed_at(spm_x_, xs, c * n + r);
         if (check) crc = crc32_le16(crc, static_cast<std::uint16_t>(fixed));
-        scratch_x_(r, c) = cplx{from_fixed(fixed), 0.0};
+        tile_x_[r * m + c] = from_fixed(fixed);
       }
     if (check && (crc ^ kCrc32FinalXor) != crc_x_expect_) {
       latch_error(kErrCrcX);
     } else {
       if (cfg_.deterministic) {
-        gemm_.multiply_noiseless(scratch_x_, scratch_y_);
+        gemm_.multiply_noiseless(tile_x_, m, tile_re_, tile_im_);
       } else {
-        scratch_y_ = gemm_.multiply(scratch_x_);
+        CMat x(n, m);
+        for (std::size_t i = 0; i < tile_x_.size(); ++i)
+          x.raw()[i] = cplx{tile_x_[i], 0.0};
+        const CMat y = gemm_.multiply(x);
+        tile_re_.resize(y.raw().size());
+        for (std::size_t i = 0; i < tile_re_.size(); ++i)
+          tile_re_[i] = y.raw()[i].real();
       }
       if (cfg_.gemm.abft.enabled) {
         if (gemm_.last_abft().counts.uncorrectable > 0) latch_error(kErrAbft);
@@ -210,7 +227,7 @@ void PhotonicAccelerator::start_operation(std::uint32_t ctrl) {
       for (std::size_t c = 0; c < m; ++c)
         for (std::size_t r = 0; r < n; ++r) {
           const auto fixed =
-              static_cast<std::uint16_t>(to_fixed(scratch_y_(r, c).real()));
+              static_cast<std::uint16_t>(to_fixed(tile_re_[r * m + c]));
           if (ys.data != nullptr) {
             std::memcpy(ys.data + 2 * (c * n + r), &fixed, 2);
           } else {

@@ -49,6 +49,13 @@
 /// a fixed handshake overhead. Data conversion is Q3.12 fixed point with
 /// saturation (range [-8, 8), resolution 2^-12) — wide enough for N <= 8
 /// dot products of [-1, 1] operands without overflow.
+///
+/// START data path: the tiles stay real end to end. SPM_X is decoded
+/// (and CRC-folded when checked) into a real N x M tile stored port by
+/// port, the deterministic path runs GemmCore's real-input noiseless
+/// kernel on it (ABFT pads and checks inside the core), and SPM_Y takes
+/// the rounded real parts. The noisy path (deterministic = false) builds
+/// its complex input from the same real tile.
 
 #include <memory>
 
@@ -205,9 +212,11 @@ class PhotonicAccelerator final : public BusDevice {
   std::uint32_t crc_w_expect_ = 0;
   std::uint32_t crc_x_expect_ = 0;
   std::uint64_t watchdog_cycles_ = 0;  ///< 0 = disarmed
-  // start_operation marshalling scratch (tiles stream through every op).
-  lina::CMat scratch_x_;
-  lina::CMat scratch_y_;
+  // START tiles, real and stored port by port (entry (r, c) at
+  // [r * cols + c]): SPM_X in, the output's real and imaginary parts out.
+  std::vector<double> tile_x_;
+  std::vector<double> tile_re_;
+  std::vector<double> tile_im_;
 };
 
 }  // namespace aspen::sys

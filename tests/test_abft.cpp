@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "core/abft.hpp"
 #include "core/gemm_core.hpp"
 #include "lina/random.hpp"
+#include "noiseless_reference.hpp"
 #include "sysim/crc32.hpp"
 #include "sysim/fault.hpp"
 #include "sysim/system.hpp"
@@ -26,6 +28,9 @@ using aspen::core::GemmCore;
 using aspen::core::kAbftRows;
 using aspen::lina::CMat;
 using aspen::lina::cplx;
+using aspen::testing::bits;
+using aspen::testing::complex_noiseless_reference;
+using aspen::testing::real_tile;
 
 // --------------------------------------------------------- ABFT checksums
 
@@ -228,6 +233,91 @@ TEST(GemmCoreAbftTest, PhaseUpsetDetectabilityFollowsMeshSide) {
   EXPECT_FALSE(v_detected);
 }
 
+// The augmented (N+2)-row tile the ABFT engine sees: the data rows of x
+// plus zero checksum input rows.
+CMat pad_checksum_rows(const CMat& x) {
+  CMat p(x.rows() + kAbftRows, x.cols());
+  for (std::size_t r = 0; r < x.rows(); ++r)
+    for (std::size_t c = 0; c < x.cols(); ++c) p(r, c) = x(r, c);
+  return p;
+}
+
+TEST(GemmCoreAbftTest, RealNoiselessKernelMatchesComplexFormOnPaddedTile) {
+  const std::size_t n = 8;
+  for (const bool pcm : {false, true}) {
+    // The thermo-optic die is error-free, so its checksum identities
+    // close and the upset below is located and repaired; drifted PCM
+    // weights miss the default tolerance, so its columns are detected
+    // and left unrepaired.
+    GemmConfig cfg = gemm_cfg(true);
+    if (pcm) {
+      cfg.mvm.errors.coupler_sigma = 0.02;
+      cfg.mvm.errors.phase_sigma = 0.02;
+      cfg.mvm.weights = aspen::core::WeightTechnology::kPcm;
+      cfg.mvm.pcm_drift_time_s = 1e4;
+    }
+    GemmCore core(cfg);
+    ASSERT_EQ(core.engine().config().ports, n + kAbftRows);
+    aspen::lina::Rng rng(pcm ? 301 : 300);
+    const CMat w1 = random_real_tile(n, 1.0, pcm ? 303 : 302);
+    const CMat w2 = random_real_tile(n, 1.0, pcm ? 305 : 304);
+    std::size_t repaired = 0;  // data entries the checksum repair changed
+    const auto sweep = [&](const char* state) {
+      for (const std::size_t m : {1, 2, 7, 8, 9, 64}) {
+        SCOPED_TRACE(std::string(pcm ? "pcm, " : "thermo, ") + state + ", " +
+                     std::to_string(m) + " cols");
+        const CMat x = aspen::lina::random_real(n, m, rng, -1.0, 1.0);
+        const CMat padded = pad_checksum_rows(x);
+        CMat ref = complex_noiseless_reference(core.engine(), padded);
+
+        // The engine kernel on the padded tile, every row.
+        std::vector<double> re, im;
+        core.engine().multiply_noiseless_batch_into(real_tile(padded), m, re,
+                                                    im);
+        ASSERT_EQ(re.size(), ref.raw().size());
+        for (std::size_t i = 0; i < re.size(); ++i) {
+          EXPECT_EQ(bits(re[i]), bits(ref.raw()[i].real())) << i;
+          EXPECT_EQ(bits(im[i]), bits(ref.raw()[i].imag())) << i;
+        }
+
+        // The checked tile: the same verify/repair on the same values,
+        // then the data rows.
+        const AbftReport ref_report = abft_check(ref, cfg.abft.tolerance);
+        for (std::size_t i = 0; i < n * m; ++i)
+          repaired += cplx{re[i], im[i]} != ref.raw()[i];
+        core.multiply_noiseless(real_tile(x), m, re, im);
+        ASSERT_EQ(re.size(), n * m);
+        ASSERT_EQ(im.size(), n * m);
+        for (std::size_t i = 0; i < re.size(); ++i) {
+          EXPECT_EQ(bits(re[i]), bits(ref.raw()[i].real())) << i;
+          EXPECT_EQ(bits(im[i]), bits(ref.raw()[i].imag())) << i;
+        }
+        const auto& got = core.last_abft().counts;
+        EXPECT_EQ(got.columns_checked, ref_report.counts.columns_checked);
+        EXPECT_EQ(got.detected, ref_report.counts.detected);
+        EXPECT_EQ(got.corrected, ref_report.counts.corrected);
+        EXPECT_EQ(got.uncorrectable, ref_report.counts.uncorrectable);
+      }
+    };
+    core.set_weights(w1);
+    sweep("miss");
+    core.set_weights(w2);
+    core.set_weights(w1);
+    ASSERT_GT(core.engine().program_memo_stats().hits, 0u);
+    sweep("memo hit");
+    // An output-side upset that lands on a data row: on the error-free
+    // die ABFT locates and repairs it, on both sides.
+    core.engine().perturb_phase(core.engine().phase_state_size() - 3, 0.8);
+    repaired = 0;
+    sweep("phase upset");
+    if (!pcm) {
+      EXPECT_GT(repaired, 0u) << "the sweep must cover data repairs";
+    }
+    core.set_weights(CMat(n, n));
+    sweep("zero weights");
+  }
+}
+
 // -------------------------------------------- accelerator error surface
 
 using PA = PhotonicAccelerator;
@@ -317,6 +407,46 @@ TEST(AcceleratorFaultTest, MatchingCrcsRunCleanToGolden) {
     max_err = std::max(max_err, std::abs(got - golden[i]));
   }
   EXPECT_LE(max_err, 4);
+}
+
+TEST(AcceleratorFaultTest, StartWritesFixedPointOfComplexReference) {
+  const std::size_t n = 8;
+  for (const bool abft : {false, true}) {
+    PA accel(accel_cfg(abft));
+    const auto a = random_fixed(n * n, 0.9, 14);
+    write_spm(accel, PA::kSpmWBase, a);
+    accel.write(PA::kRegCtrl, PA::kCtrlLoadWeights, 4);
+    run_to_idle(accel);
+    for (const std::size_t m : {1, 3, 8, 9, 16}) {
+      for (const bool upset : {false, true}) {
+        SCOPED_TRACE(std::string(abft ? "abft, " : "plain, ") +
+                     std::to_string(m) + " cols" + (upset ? ", upset" : ""));
+        if (upset) accel.inject_phase_fault(accel.phase_state_size() - 3, 0.8);
+        const auto x = random_fixed(n * m, 0.9, 15 + m);
+        write_spm(accel, PA::kSpmXBase, x);
+        accel.write(PA::kRegCols, static_cast<std::uint32_t>(m), 4);
+        accel.write(PA::kRegCtrl, PA::kCtrlStart, 4);
+        run_to_idle(accel);
+
+        // SPM_X is column-major; the reference tile is rows x columns.
+        CMat xm(n, m);
+        for (std::size_t c = 0; c < m; ++c)
+          for (std::size_t r = 0; r < n; ++r)
+            xm(r, c) = cplx{PA::from_fixed(x[c * n + r]), 0.0};
+        CMat ref = complex_noiseless_reference(
+            accel.gemm().engine(), abft ? pad_checksum_rows(xm) : xm);
+        if (abft) (void)abft_check(ref, accel.config().gemm.abft.tolerance);
+        for (std::size_t c = 0; c < m; ++c)
+          for (std::size_t r = 0; r < n; ++r) {
+            const auto got = static_cast<std::int16_t>(accel.read(
+                PA::kSpmYBase + static_cast<std::uint32_t>(2 * (c * n + r)),
+                2));
+            EXPECT_EQ(got, PA::to_fixed(ref(r, c).real()))
+                << "row " << r << " col " << c;
+          }
+      }
+    }
+  }
 }
 
 TEST(Crc32Test, IeeeCheckValue) {

@@ -4,16 +4,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/energy_model.hpp"
 #include "core/gemm_core.hpp"
 #include "core/mvm_engine.hpp"
 #include "lina/random.hpp"
+#include "noiseless_reference.hpp"
 
 namespace {
 
 using namespace aspen::core;
+using aspen::testing::bits;
+using aspen::testing::complex_noiseless_reference;
+using aspen::testing::real_tile;
 using aspen::lina::CMat;
 using aspen::lina::cplx;
 using aspen::lina::CVec;
@@ -203,7 +208,109 @@ TEST(MvmEngineTest, CountersAdvance) {
     CMat out;
     gemm.multiply_noiseless(xs, out);
     EXPECT_EQ(gemm.engine().counters().mvm_ops, before + 10) << "abft " << abft;
+
+    // A call that throws on its shape counts nothing.
+    const CMat wrong = aspen::lina::random_real(7, 5, rng, -0.5, 0.5);
+    EXPECT_THROW(gemm.multiply_noiseless(wrong, out), std::invalid_argument);
+    EXPECT_EQ(gemm.engine().counters().mvm_ops, before + 10) << "abft " << abft;
   }
+}
+
+// ------------------------------------------ real-input noiseless kernel
+
+// Every output of the real kernel, both parts, bit for bit against the
+// complex form it replaced.
+void expect_kernel_matches_complex_form(const MvmEngine& eng, const CMat& x,
+                                        const std::string& what) {
+  std::vector<double> re, im;
+  eng.multiply_noiseless_batch_into(real_tile(x), x.cols(), re, im);
+  const CMat ref = complex_noiseless_reference(eng, x);
+  ASSERT_EQ(re.size(), ref.raw().size()) << what;
+  ASSERT_EQ(im.size(), ref.raw().size()) << what;
+  for (std::size_t i = 0; i < re.size(); ++i) {
+    EXPECT_EQ(bits(re[i]), bits(ref.raw()[i].real()))
+        << what << " entry " << i << ": " << re[i] << " vs "
+        << ref.raw()[i].real();
+    EXPECT_EQ(bits(im[i]), bits(ref.raw()[i].imag()))
+        << what << " entry " << i << ": " << im[i] << " vs "
+        << ref.raw()[i].imag();
+  }
+}
+
+TEST(MvmEngineTest, RealNoiselessKernelMatchesComplexFormBitForBit) {
+  const std::size_t col_counts[] = {1, 2, 7, 8, 9, 64};
+  for (const std::size_t ports : {std::size_t{4}, std::size_t{8}}) {
+    for (const bool pcm : {false, true}) {
+      MvmConfig cfg;
+      cfg.ports = ports;
+      cfg.errors.coupler_sigma = 0.02;
+      cfg.errors.phase_sigma = 0.02;
+      if (pcm) {
+        cfg.weights = WeightTechnology::kPcm;
+        cfg.pcm_drift_time_s = 1e4;
+      }
+      MvmEngine eng(cfg);
+      Rng rng(200 + ports + (pcm ? 1 : 0));
+      const CMat w1 = aspen::lina::random_real(ports, ports, rng);
+      const CMat w2 = aspen::lina::random_real(ports, ports, rng);
+      const auto sweep = [&](const std::string& state) {
+        for (const std::size_t m : col_counts) {
+          const std::string what = std::to_string(ports) + " ports, " +
+                                   (pcm ? "pcm" : "thermo") + ", " + state +
+                                   ", " + std::to_string(m) + " cols";
+          expect_kernel_matches_complex_form(
+              eng, aspen::lina::random_real(ports, m, rng, -1.0, 1.0), what);
+        }
+      };
+      eng.set_matrix(w1);
+      sweep("miss");
+      eng.set_matrix(w2);
+      eng.set_matrix(w1);
+      ASSERT_GT(eng.program_memo_stats().hits, 0u);
+      sweep("memo hit");
+      eng.perturb_phase(eng.phase_state_size() / 2, 0.4);
+      sweep("phase upset");
+      eng.set_matrix(CMat(ports, ports));
+      sweep("zero weights");
+    }
+  }
+}
+
+TEST(GemmCoreTest, NoiselessAdapterMatchesRealPathAndRejectsComplexInput) {
+  GemmConfig gc;
+  gc.mvm.ports = 8;
+  GemmCore gemm(gc);
+  Rng rng(201);
+  gemm.set_weights(aspen::lina::random_real(8, 8, rng));
+  CMat x = aspen::lina::random_real(8, 9, rng, -1.0, 1.0);
+
+  CMat out;
+  gemm.multiply_noiseless(x, out);
+  std::vector<double> re, im;
+  gemm.multiply_noiseless(real_tile(x), x.cols(), re, im);
+  const CMat ref = complex_noiseless_reference(gemm.engine(), x);
+  ASSERT_EQ(out.rows(), 8u);
+  ASSERT_EQ(out.cols(), 9u);
+  for (std::size_t i = 0; i < out.raw().size(); ++i) {
+    EXPECT_EQ(bits(out.raw()[i].real()), bits(re[i])) << i;
+    EXPECT_EQ(bits(out.raw()[i].imag()), bits(im[i])) << i;
+    EXPECT_EQ(bits(out.raw()[i].real()), bits(ref.raw()[i].real())) << i;
+    EXPECT_EQ(bits(out.raw()[i].imag()), bits(ref.raw()[i].imag())) << i;
+  }
+
+  // Only real tiles reach the real kernel; the call counts nothing.
+  const std::uint64_t before = gemm.engine().counters().mvm_ops;
+  x(3, 4) = cplx{x(3, 4).real(), 0.25};
+  EXPECT_THROW(gemm.multiply_noiseless(x, out), std::invalid_argument);
+  EXPECT_EQ(gemm.engine().counters().mvm_ops, before);
+  // A real tile of the wrong length is refused as well.
+  const std::vector<double> short_tile(8 * 9 - 1, 0.0);
+  EXPECT_THROW(gemm.multiply_noiseless(short_tile, 9, re, im),
+               std::invalid_argument);
+  EXPECT_THROW(
+      gemm.engine().multiply_noiseless_batch_into(short_tile, 9, re, im),
+      std::invalid_argument);
+  EXPECT_EQ(gemm.engine().counters().mvm_ops, before);
 }
 
 // -------------------------------------- weight-programming memoization

@@ -2,8 +2,11 @@
 // assembler, DMA, accelerator device, full-system workloads, faults.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <type_traits>
+#include <vector>
 
 #include "sysim/fault.hpp"
 #include "sysim/system.hpp"
@@ -789,6 +792,42 @@ TEST(AcceleratorTest, FixedPointRoundTrip) {
               -1.25, 1e-3);
   EXPECT_EQ(PhotonicAccelerator::to_fixed(100.0), 32767);  // saturates
   EXPECT_EQ(PhotonicAccelerator::to_fixed(-100.0), -32768);
+
+  // Every rounding boundary against a std::round-based reference: the
+  // halfway points (q +- 0.5) / 4096 of every int16 code q and their
+  // nextafter neighbours, then the saturation edges around +-8 and large
+  // magnitudes.
+  const auto reference = [](double v) -> std::int16_t {
+    const double scaled = std::round(v * 4096.0);
+    if (scaled > 32767.0) return 32767;
+    if (scaled < -32768.0) return -32768;
+    return static_cast<std::int16_t>(scaled);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> inputs;
+  for (int q = -32768; q <= 32767; ++q)
+    for (const double half : {-0.5, 0.5}) {
+      const double b = (q + half) / 4096.0;
+      inputs.insert(inputs.end(), {std::nextafter(b, -inf), b,
+                                   std::nextafter(b, inf)});
+    }
+  const double dmax = std::numeric_limits<double>::max();
+  for (const double edge : {8.0, 32767.5 / 4096.0, 32768.5 / 4096.0, 1e3,
+                            1e10, 1e300, dmax})
+    for (const double sign : {-1.0, 1.0}) {
+      const double v = sign * edge;
+      inputs.insert(inputs.end(),
+                    {std::nextafter(v, -inf), v, std::nextafter(v, inf)});
+    }
+  std::size_t mismatches = 0;
+  for (const double v : inputs) {
+    if (PhotonicAccelerator::to_fixed(v) == reference(v)) continue;
+    if (++mismatches <= 5)
+      ADD_FAILURE() << "to_fixed(" << std::hexfloat << v << ") = "
+                    << PhotonicAccelerator::to_fixed(v) << ", std::round gives "
+                    << reference(v);
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << inputs.size() << " inputs";
 }
 
 TEST(AcceleratorTest, HostDrivenGemmMatchesGolden) {
