@@ -178,8 +178,6 @@ void bench_workload(const char* tag, const Workload& w,
                   "blocks"});
   rows.push_back({t + "_blk_chained", static_cast<double>(st.chained), n,
                   "dispatches"});
-  rows.push_back({t + "_blk_fused", static_cast<double>(st.fused_exec), n,
-                  "pairs"});
   rows.push_back({t + "_blk_evictions", static_cast<double>(st.evictions), n,
                   "evictions"});
   rows.push_back({t + "_blk_hit_rate", 100.0 * st.hit_rate(), n, "%"});
@@ -189,13 +187,12 @@ void bench_workload(const char* tag, const Workload& w,
                   n, "bytes"});
   std::printf(
       "  (cycles: %llu all tiers; blocks built %llu, dispatches %llu, "
-      "chained %llu, fused %llu, rvc %llu insts / %llu fetch bytes, "
+      "chained %llu, rvc %llu insts / %llu fetch bytes, "
       "evictions %llu, fallback steps %llu, hit rate %.1f%%)\n\n",
       static_cast<unsigned long long>(block_cycles),
       static_cast<unsigned long long>(st.blocks_built),
       static_cast<unsigned long long>(st.dispatches),
       static_cast<unsigned long long>(st.chained),
-      static_cast<unsigned long long>(st.fused_exec),
       static_cast<unsigned long long>(st.rvc_built),
       static_cast<unsigned long long>(st.fetch_bytes),
       static_cast<unsigned long long>(st.evictions),

@@ -382,15 +382,6 @@ lina::CMat MvmEngine::multiply_batch(const CMat& x) {
   return out;
 }
 
-std::vector<double> MvmEngine::multiply_real(const std::vector<double>& x) {
-  CVec v(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) v[i] = cplx{x[i], 0.0};
-  const CVec y = multiply(v);
-  std::vector<double> out(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) out[i] = y[i].real();
-  return out;
-}
-
 CVec MvmEngine::multiply_noiseless(const CVec& x) const {
   CVec out;
   multiply_noiseless_into(x, out);

@@ -102,10 +102,6 @@ class MvmEngine {
   /// it up to floating-point reassociation.
   [[nodiscard]] lina::CMat multiply_batch(const lina::CMat& x);
 
-  /// Real-vector convenience wrapper (returns real parts).
-  [[nodiscard]] std::vector<double> multiply_real(
-      const std::vector<double>& x);
-
   /// Deterministic device-error-only result (no shot/RIN/ADC noise):
   /// isolates systematic from stochastic error in the analyses.
   [[nodiscard]] lina::CVec multiply_noiseless(const lina::CVec& x) const;

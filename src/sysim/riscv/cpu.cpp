@@ -24,6 +24,10 @@ std::int32_t sign_extend(std::uint32_t v, unsigned bits) {
 
 Cpu::Cpu(Bus& bus, CpuConfig cfg)
     : bus_(bus), cfg_(cfg), pc_(cfg.reset_pc), icache_(kICacheEntries) {
+  // Every tier adds `latency - 1` to the unsigned stall counter for a
+  // multiply/divide; a zero latency would wrap it.
+  if (cfg.mul_latency == 0 || cfg.div_latency == 0)
+    throw std::invalid_argument("Cpu: mul/div latency must be >= 1");
   stuck_and_.fill(0xFFFFFFFFu);
 }
 
@@ -324,13 +328,6 @@ bool Cpu::build_block(Block& blk, std::uint32_t start) {
   constexpr std::size_t kMaxOps = 64;
   BlockStats& st = blocks_.stats();
 
-  // Does `m` read `reg`? OP-IMM forms carry immediate bits in the rs2
-  // slot, so only rs1 counts for them.
-  const auto reads_reg = [](const MicroOp& m, std::uint8_t reg) {
-    if (m.op >= MicroOp::kAddi && m.op <= MicroOp::kSrai) return m.rs1 == reg;
-    return m.rs1 == reg || m.rs2 == reg;
-  };
-
   if (start & 1u) return false;  // misaligned entry traps via step()
   std::uint32_t p = start;
   bool terminated = false;
@@ -359,69 +356,7 @@ bool Cpu::build_block(Block& blk, std::uint32_t start) {
         u.op == MicroOp::kWfi || u.op == MicroOp::kMret ||
         u.op == MicroOp::kIllegal;
 
-    // Fusion peephole against the previous op (only when it is a lone,
-    // unfused, non-terminator half — terminators end the loop, so the
-    // last op is never one). x0-producing firsts are excluded: their
-    // architectural result is 0, not the immediate the fused forms
-    // precompute.
-    BlockOp* prev =
-        blk.ops.empty() || blk.ops.back().fuse != kFuseNone ? nullptr
-                                                            : &blk.ops.back();
-    if (prev != nullptr && prev->a.rd != 0) {
-      const MicroOp& f = prev->a;
-      // lui+addi: materialize the full 32-bit constant in one pair.
-      if (f.op == MicroOp::kLui && u.op == MicroOp::kAddi && u.rs1 == f.rd) {
-        prev->b = u;
-        prev->fuse = kFuseLuiAddi;
-        prev->fused_imm = f.imm + u.imm;
-        prev->len = static_cast<std::uint8_t>(f.len + u.len);
-        ++st.fused_built;
-        p += u.len;
-        continue;
-      }
-      // auipc+jalr: the target is static — a chainable terminator.
-      if (f.op == MicroOp::kAuipc && u.op == MicroOp::kJalr &&
-          u.rs1 == f.rd) {
-        prev->b = u;
-        prev->fuse = kFuseAuipcJalr;
-        prev->fused_imm = ((p - f.len) + f.imm + u.imm) & ~1u;
-        prev->len = static_cast<std::uint8_t>(f.len + u.len);
-        ++st.fused_built;
-        blk.taken_pc = prev->fused_imm;
-        p += u.len;
-        terminated = true;
-        continue;
-      }
-      // load+op: ALU/M consumer of the just-loaded register.
-      if (f.op >= MicroOp::kLb && f.op <= MicroOp::kLhu &&
-          u.op >= MicroOp::kAddi && u.op <= MicroOp::kRemu &&
-          reads_reg(u, f.rd)) {
-        prev->b = u;
-        prev->fuse = kFuseLoadOp;
-        prev->len = static_cast<std::uint8_t>(f.len + u.len);
-        ++st.fused_built;
-        p += u.len;
-        continue;
-      }
-      // op+branch: compare-and-branch on a single-cycle ALU result.
-      if (f.op >= MicroOp::kAddi && f.op <= MicroOp::kAnd && is_branch &&
-          reads_reg(u, f.rd)) {
-        prev->b = u;
-        prev->fuse = kFuseOpBranch;
-        prev->len = static_cast<std::uint8_t>(f.len + u.len);
-        ++st.fused_built;
-        blk.taken_pc = p + u.imm;
-        blk.fall_pc = p + u.len;
-        p += u.len;
-        terminated = true;
-        continue;
-      }
-    }
-
-    BlockOp bo;
-    bo.a = u;
-    bo.len = u.len;
-    blk.ops.push_back(bo);
+    blk.ops.push_back(u);
     if (is_term) {
       if (is_branch) {
         blk.taken_pc = p + u.imm;
@@ -438,33 +373,30 @@ bool Cpu::build_block(Block& blk, std::uint32_t start) {
   blk.end = p;
   if (!terminated) blk.fall_pc = p;  // window edge / length cap
 
-  // Post-fusion pass. First, resolve standalone auipc into a kLui
-  // constant: the block is keyed by its entry PC, so every op's PC is
-  // static and the result can be precomputed (the op then no longer
-  // reads pc_ and qualifies for static runs).
+  // Resolve auipc into a kLui constant: the block is keyed by its entry
+  // PC, so every op's PC is static and the result can be precomputed
+  // (the op then no longer reads pc_ and qualifies for static runs).
   std::uint32_t op_pc = blk.start;
-  for (BlockOp& bo : blk.ops) {
-    if (bo.fuse == kFuseNone && bo.a.op == MicroOp::kAuipc) {
-      bo.a.op = MicroOp::kLui;
-      bo.a.imm = op_pc + bo.a.imm;
+  for (MicroOp& u : blk.ops) {
+    if (u.op == MicroOp::kAuipc) {
+      u.op = MicroOp::kLui;
+      u.imm = op_pc + u.imm;
     }
-    op_pc += bo.len;
+    op_pc += u.len;
   }
   // Then carve the exec plan into segments: consecutive pure register
   // ops — no faults, traps, bus traffic, or cycles_/pc_ reads, cycle
   // cost known now — form a static run the executor retires with one
   // batched budget/counter update; every other op gets a per-op
-  // segment. Cost 0 marks a dynamic op.
-  const auto static_cost = [this](const BlockOp& bo) -> std::uint32_t {
-    if (bo.fuse == kFuseLuiAddi) return 2;
-    if (bo.fuse != kFuseNone) return 0;
-    const std::uint8_t op = bo.a.op;
+  // segment. Cost 0 marks a dynamic op (the constructor rejects a zero
+  // latency, so an M op always costs at least 1).
+  const auto static_cost = [this](const MicroOp& u) -> std::uint32_t {
+    const std::uint8_t op = u.op;
     if (op == MicroOp::kLui || op == MicroOp::kFence ||
         (op >= MicroOp::kAddi && op <= MicroOp::kAnd))
       return 1;
     if (op >= MicroOp::kMul && op <= MicroOp::kRemu)
-      return 1 + ((op <= MicroOp::kMulhu) ? cfg_.mul_latency - 1
-                                          : cfg_.div_latency - 1);
+      return op <= MicroOp::kMulhu ? cfg_.mul_latency : cfg_.div_latency;
     return 0;
   };
   blk.segs.clear();
@@ -484,8 +416,6 @@ bool Cpu::build_block(Block& blk, std::uint32_t start) {
       s.static_run = true;
       do {
         s.cycles += c;
-        const bool fused = blk.ops[i].fuse != kFuseNone;
-        s.instret += fused ? 2u : 1u;
         s.pc_bump += blk.ops[i].len;
         ++s.count;
         ++i;
@@ -505,8 +435,8 @@ void Cpu::exec_alu(const MicroOp& u) {
       break;
     case MicroOp::kAuipc:
       // Only reachable with pc_ current (per-op paths): block building
-      // resolves standalone auipc to a kLui constant, so static runs —
-      // which batch the pc_ update — never see this case.
+      // resolves auipc to a kLui constant, so static runs — which batch
+      // the pc_ update — never see this case.
       write_reg(u.rd, pc_ + u.imm);
       break;
     case MicroOp::kAddi:
@@ -638,7 +568,7 @@ void Cpu::exec_alu(const MicroOp& u) {
   }
 }
 
-bool Cpu::retire_half(const MicroOp& u, std::uint64_t& budget) {
+bool Cpu::retire_op(const MicroOp& u, std::uint64_t& budget) {
   ++cycles_;
   --budget;
   stall_ += cfg_.fetch_latency;
@@ -650,7 +580,7 @@ bool Cpu::retire_half(const MicroOp& u, std::uint64_t& budget) {
   return burn_stall(budget);
 }
 
-// Flattening inlines retire_half, exec_op and the exec_alu switch into
+// Flattening inlines retire_op, exec_op and the exec_alu switch into
 // the dispatch loop — the per-op call overhead is the dominant simulator
 // cost on memory-heavy workloads (bench_sysim sw_gemm / stream rows).
 #if defined(__GNUC__)
@@ -658,31 +588,21 @@ __attribute__((flatten))
 #endif
 bool Cpu::exec_block(const Block& blk, std::uint64_t& budget,
                      std::uint64_t gen0) {
-  BlockStats& st = blocks_.stats();
-  // Fused fast paths precompute around the intermediate register value,
-  // which stuck-at register faults would mask on the intermediate read;
-  // with faults armed every pair retires sequentially (bit-exact). The
-  // same gate covers static runs (per-instruction fetch stalls and
-  // masked register reads both need per-op bookkeeping).
-  const bool fuse_fast = cfg_.fetch_latency == 0 && !reg_faults_armed_;
+  // Static runs batch the bookkeeping of ops that each take their static
+  // cost in cycles. Per-instruction fetch stalls and stuck-at masking of
+  // register reads both need per-op bookkeeping, so either one sends
+  // every op through retire_op (bit-exact).
+  const bool static_ok = cfg_.fetch_latency == 0 && !reg_faults_armed_;
   for (const Segment& seg : blk.segs) {
     // Static runs: nothing inside can fault, trap, touch the bus, or
     // observe cycles_/pc_, so when the budget covers the whole run the
     // budget/cycle/instret/pc bookkeeping collapses to one update.
-    if (seg.static_run && fuse_fast && budget >= seg.cycles) {
-      const BlockOp* bo = &blk.ops[seg.first];
-      for (std::uint32_t n = seg.count; n != 0; --n, ++bo) {
-        if (bo->fuse == kFuseNone) {
-          exec_alu(bo->a);
-        } else {  // kFuseLuiAddi: both destinations are precomputed
-          write_reg(bo->a.rd, bo->a.imm);
-          write_reg(bo->b.rd, bo->fused_imm);
-          ++st.fused_exec;
-        }
-      }
+    if (seg.static_run && static_ok && budget >= seg.cycles) {
+      const MicroOp* u = &blk.ops[seg.first];
+      for (std::uint32_t n = seg.count; n != 0; --n, ++u) exec_alu(*u);
       cycles_ += seg.cycles;
       budget -= seg.cycles;
-      instret_ += seg.instret;
+      instret_ += seg.count;
       pc_ += seg.pc_bump;
       continue;
     }
@@ -690,52 +610,13 @@ bool Cpu::exec_block(const Block& blk, std::uint64_t& budget,
     // faults, or nonzero fetch latency.
     const std::uint32_t seg_end = seg.first + seg.count;
     for (std::uint32_t oi = seg.first; oi < seg_end; ++oi) {
-      const BlockOp& bo = blk.ops[oi];
-      if (budget == 0) return false;
-      switch (bo.fuse) {
-        case kFuseNone:
-          if (!retire_half(bo.a, budget)) return false;
-          // A store that invalidated cached code (possibly this block)
-          // bumps the generation: stop and re-resolve from pc_.
-          if (bo.a.op >= MicroOp::kSb && bo.a.op <= MicroOp::kSw &&
-              blocks_.generation() != gen0)
-            return false;
-          continue;
-        case kFuseLuiAddi:
-          if (fuse_fast && budget >= 2) {
-            cycles_ += 2;
-            budget -= 2;
-            write_reg(bo.a.rd, bo.a.imm);
-            write_reg(bo.b.rd, bo.fused_imm);
-            instret_ += 2;
-            pc_ += bo.len;
-            ++st.fused_exec;
-            continue;
-          }
-          break;
-        case kFuseAuipcJalr:
-          if (fuse_fast && budget >= 2) {
-            cycles_ += 2;
-            budget -= 2;
-            write_reg(bo.a.rd, pc_ + bo.a.imm);
-            write_reg(bo.b.rd, pc_ + bo.len);
-            instret_ += 2;
-            pc_ = bo.fused_imm;
-            ++st.fused_exec;
-            ++stall_;  // jalr taken-control-flow penalty
-            if (!burn_stall(budget)) return false;
-            continue;
-          }
-          break;
-        default:  // kFuseLoadOp, kFuseOpBranch
-          break;
-      }
-      // Sequential retire pair: the win is skipping the dispatch-loop
-      // re-entry and fuse re-classification, not altered timing.
-      if (!retire_half(bo.a, budget)) return false;
-      if (budget == 0) return false;
-      if (!retire_half(bo.b, budget)) return false;
-      ++st.fused_exec;
+      const MicroOp& u = blk.ops[oi];
+      if (budget == 0 || !retire_op(u, budget)) return false;
+      // A store that invalidated cached code (possibly this block)
+      // bumps the generation: stop and re-resolve from pc_.
+      if (u.op >= MicroOp::kSb && u.op <= MicroOp::kSw &&
+          blocks_.generation() != gen0)
+        return false;
     }
   }
   return true;

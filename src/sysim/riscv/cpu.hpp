@@ -42,6 +42,8 @@ namespace aspen::sys::rv {
 
 struct CpuConfig {
   std::uint32_t reset_pc = 0x80000000u;
+  /// Cycles a multiply / divide occupies, issue cycle included; at least
+  /// 1 (the Cpu constructor throws std::invalid_argument on 0).
   unsigned mul_latency = 3;
   unsigned div_latency = 20;
   /// Instruction-fetch cycles. Default 0 models a tightly-coupled
@@ -53,9 +55,9 @@ struct CpuConfig {
   /// testing and before/after benchmarking; results are bit-identical.
   bool legacy_decode = false;
   /// Basic-block translation tier inside run_burst(): straight-line
-  /// runs decode once into chained, macro-op-fused blocks. The
-  /// uop-at-a-time path (false) and legacy_decode both remain as
-  /// differential references — all three tiers are bit-identical.
+  /// runs decode once into chained blocks. The uop-at-a-time path
+  /// (false) and legacy_decode both remain as differential references —
+  /// all three tiers are bit-identical.
   bool block_tier = true;
 };
 
@@ -200,8 +202,8 @@ class Cpu final : public BusWriteObserver {
   /// addresses the fast path already has in registers.
   void publish_store_spans();
 
-  /// Block-tier diagnostics (blocks built, chained dispatches, fused
-  /// pairs, evictions, hit rate). All zero when the tier is off.
+  /// Block-tier diagnostics (blocks built, chained dispatches,
+  /// evictions, hit rate). All zero when the tier is off.
   [[nodiscard]] const BlockStats& block_stats() const {
     return blocks_.stats();
   }
@@ -247,10 +249,10 @@ class Cpu final : public BusWriteObserver {
   /// run_burst() body when cfg.block_tier is on: dispatch translated
   /// blocks (chain -> lookup -> build), falling back to single-step
   /// step() iterations whenever a block cannot be used (MMIO-resident
-  /// code, revoked fetch window, mid-pair resume points).
+  /// code, revoked fetch window, misaligned pc).
   void run_burst_blocks(std::uint64_t& budget);
   /// Decode the straight-line run at `start` through the fetch window
-  /// into `blk` (with the fusion peephole). False when no instruction
+  /// into `blk` and carve it into segments. False when no instruction
   /// could be read; the block is left invalid.
   bool build_block(Block& blk, std::uint32_t start);
   /// Execute blk's ops with per-op cycle/instret/stall bookkeeping
@@ -264,7 +266,7 @@ class Cpu final : public BusWriteObserver {
   /// and budget bookkeeping around exec_op (fetch stall, exit checks,
   /// stall burn). Caller guarantees budget >= 1. Returns false when the
   /// block/burst must stop after this op.
-  bool retire_half(const MicroOp& u, std::uint64_t& budget);
+  bool retire_op(const MicroOp& u, std::uint64_t& budget);
   /// Compute-only register-op core (LUI/AUIPC, OP-IMM, OP, M, fence):
   /// no cycle/stall/pc bookkeeping — callers account for those. Called
   /// by exec_op and by exec_block's static runs.

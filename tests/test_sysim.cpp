@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -399,6 +400,25 @@ TEST(SystemTest, CounterProbeWorkloadStoresBothWords) {
   EXPECT_EQ(words[1], 0u);             // mcycle high (short run)
   EXPECT_GT(words[2], 0u);             // minstret low
   EXPECT_EQ(words[3], 0u);             // minstret high
+}
+
+TEST(CpuTest, ZeroMulOrDivLatencyRejected) {
+  // Every tier stalls a multiply or divide for `latency - 1` cycles on
+  // an unsigned counter, so a zero latency would stall ~2^32 cycles.
+  Bus bus{0};
+  const auto make_cpu = [&bus](CpuConfig cfg) { Cpu cpu(bus, cfg); };
+  for (const bool mul : {true, false}) {
+    CpuConfig cfg;
+    (mul ? cfg.mul_latency : cfg.div_latency) = 0;
+    EXPECT_THROW(make_cpu(cfg), std::invalid_argument) << mul;
+    SystemConfig sc;
+    sc.cpu = cfg;
+    EXPECT_THROW(System system(sc), std::invalid_argument) << mul;
+  }
+  CpuConfig ones;
+  ones.mul_latency = 1;
+  ones.div_latency = 1;
+  EXPECT_NO_THROW(make_cpu(ones));
 }
 
 TEST(CpuTest, CyclesExceedInstret) {

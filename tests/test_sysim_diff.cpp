@@ -4,8 +4,8 @@
 //   legacy: decode-every-fetch interpreter + per-cycle System ticking
 //   uop:    predecoded micro-op cache + DRAM fast path + bulk cycle
 //           skipping
-//   block:  basic-block translation (block cache, chaining, macro-op
-//           fusion) on top of the uop engine
+//   block:  basic-block translation (block cache, chaining, static
+//           runs) on top of the uop engine
 // — asserting bit-identical cycles, instret, halt reason, exit code,
 // final register file and final DRAM image. This is the contract that
 // lets the fault campaigns trust the optimized simulator.
@@ -163,6 +163,123 @@ TEST(SysimDiffTest, SoftwareGemm) {
   wl.m = 4;
   diff_program(sc, build_gemm_software(wl, sc), "software gemm",
                gemm_stager(wl, 301));
+}
+
+TEST(SysimDiffTest, SoftwareGemmStopsAtEveryCycleOfTwoInnerIterations) {
+  // Stops the software GEMM at every cycle from reset to the end of its
+  // first two inner-loop iterations (the second taken branch's penalty
+  // cycle included). Each stop restores a cycle-0 snapshot and calls
+  // run_until(c), so on the fast tiers a burst budget runs out at every
+  // offset: inside the inner loop's mul; add; addi static run, inside
+  // each load's DRAM stall and on each taken-branch penalty.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  GemmWorkload wl;
+  wl.n = 8;
+  wl.m = 4;
+  const auto program = build_gemm_software(wl, sc);
+  const auto stage = gemm_stager(wl, 301);
+
+  // The prologue is straight-line code, so the first two backward pc
+  // moves are the inner loop's first two taken branches.
+  System oracle(with_tier(sc, Tier::kLegacy));
+  stage(oracle);
+  oracle.load_program(program);
+  for (int back_edges = 0; back_edges < 2 && !oracle.cpu().halted();) {
+    const std::uint32_t pc = oracle.cpu().pc();
+    oracle.tick();
+    if (oracle.cpu().pc() < pc) ++back_edges;
+  }
+  ASSERT_FALSE(oracle.cpu().halted());
+  const std::uint64_t last = oracle.now() + 1;
+  ASSERT_GT(last, 60u) << "two iterations with two DRAM loads each";
+
+  struct Stop {
+    std::uint64_t now = 0, cycles = 0, instret = 0;
+    std::uint32_t pc = 0;
+    unsigned stall = 0;
+    std::array<std::uint32_t, 32> regs{};
+  };
+  std::vector<Stop> want;
+  for (const Tier tier : {Tier::kLegacy, Tier::kUop, Tier::kBlock}) {
+    System system(with_tier(sc, tier));
+    stage(system);
+    system.load_program(program);
+    const System::SystemSnapshot start = system.snapshot();
+    for (std::uint64_t c = 0; c <= last; ++c) {
+      system.restore(start);
+      system.run_until(c);
+      Stop got;
+      got.now = system.now();
+      got.cycles = system.cpu().cycles();
+      got.instret = system.cpu().instret();
+      got.pc = system.cpu().pc();
+      got.stall = system.cpu().stall_remaining();
+      for (int i = 0; i < 32; ++i)
+        got.regs[static_cast<std::size_t>(i)] = system.cpu().read_reg(i);
+      ASSERT_EQ(got.now, c) << tier_name(tier);
+      if (tier == Tier::kLegacy) {
+        want.push_back(got);
+        continue;
+      }
+      const Stop& w = want[c];
+      const std::string at =
+          std::string(tier_name(tier)) + " stopped at cycle " +
+          std::to_string(c);
+      EXPECT_EQ(got.cycles, w.cycles) << at;
+      EXPECT_EQ(got.instret, w.instret) << at;
+      EXPECT_EQ(got.pc, w.pc) << at;
+      EXPECT_EQ(got.stall, w.stall) << at;
+      EXPECT_EQ(got.regs, w.regs) << at << ": register file differs";
+    }
+  }
+}
+
+TEST(SysimDiffTest, UnitMulDivLatencyLoop) {
+  // mul_latency = div_latency = 1, the smallest the Cpu accepts: every
+  // M op costs one cycle and stalls none, on every tier, on operands
+  // from registers and behind a load. Fetch latency 1 sends every
+  // block-tier op through the per-op path instead of static runs.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  sc.cpu.mul_latency = 1;
+  sc.cpu.div_latency = 1;
+  Assembler as(sc.dram_base);
+  as.li(s0, sc.dram_base + 0x40000);
+  as.li(s1, 0);   // i
+  as.li(s2, 50);  // iterations
+  as.li(a0, 1);
+  as.li(a1, 3);
+  as.label("loop");
+  as.mul(a0, a0, a1);
+  as.addi(a0, a0, 7);
+  as.div(a2, a0, a1);
+  as.rem(a3, a0, a1);
+  as.mulhu(a4, a0, a0);
+  as.divu(a5, a0, s2);
+  as.sw(a2, s0, 0);
+  as.lw(t0, s0, 0);
+  as.mulh(t1, t0, a1);  // consumes the load
+  as.remu(t2, t0, a1);
+  as.addi(s1, s1, 1);
+  as.blt(s1, s2, "loop");
+  as.ebreak();
+  const auto program = as.assemble();
+  for (const unsigned fetch_latency : {0u, 1u}) {
+    SystemConfig pass = sc;
+    pass.cpu.fetch_latency = fetch_latency;
+    diff_program(pass, program,
+                 ("unit mul/div latency, fetch latency " +
+                  std::to_string(fetch_latency))
+                     .c_str());
+  }
+  const Capture legacy = run_tier(sc, Tier::kLegacy, program);
+  EXPECT_EQ(legacy.result.halt, Halt::kEbreak);
+  // One cycle per retired instruction and for the ebreak, plus 49 taken
+  // branch penalties and the bus + DRAM latency of each store and load.
+  EXPECT_EQ(legacy.result.cycles,
+            legacy.result.instret + 1 + 49 +
+                50 * 2 * (sc.bus_latency + sc.dram_latency));
 }
 
 class DiffOffloadTest : public ::testing::TestWithParam<OffloadPath> {};
@@ -522,10 +639,10 @@ TEST(SysimDiffTest, DmaOverwritesCachedBlock) {
 }
 
 TEST(SysimDiffTest, FaultFlipInsideFusedPair) {
-  // Transient bit flip in the second half of a lui+addi fused pair
-  // inside a hot loop: invalidation must evict the block and the
-  // rebuilt pair must fuse around the corrupted word, bit-identical to
-  // the decode-every-fetch oracle.
+  // Transient bit flip in the addi of a lui+addi constant inside a hot
+  // loop (one static run in the block tier): invalidation must evict
+  // the block and the rebuilt run must materialize the corrupted
+  // constant, bit-identical to the decode-every-fetch oracle.
   SystemConfig sc;
   sc.accel = small_accel();
   Assembler as(sc.dram_base);
@@ -534,15 +651,15 @@ TEST(SysimDiffTest, FaultFlipInsideFusedPair) {
   as.label("loop");
   as.li(a0, 0x12345678);  // lui+addi at byte offsets 8 and 12
   as.addi(s0, s0, 1);
-  as.blt(s0, s1, "loop");  // fuses with the addi (op+branch)
+  as.blt(s0, s1, "loop");
   as.ebreak();
   const auto program = as.assemble();
   ASSERT_EQ(as.address_of("loop"), sc.dram_base + 8);
 
   const Capture block =
-      diff_drive(sc, "flip inside fused pair", [&](System& system) {
+      diff_drive(sc, "flip inside lui+addi pair", [&](System& system) {
         system.load_program(program);
-        system.run_until(100);  // loop is hot, pair is fused
+        system.run_until(100);  // loop is hot, its block is built
         // Flip imm[4] of the addi half (code byte 15, bit 0).
         system.dram().flip_bit(15, 0);
         system.run_until(500000);
@@ -551,7 +668,6 @@ TEST(SysimDiffTest, FaultFlipInsideFusedPair) {
   EXPECT_EQ(block.regs[10], 0x12345668u)
       << "remaining iterations must materialize the corrupted constant";
   EXPECT_GE(block.bstats.evictions, 1u) << "flip must evict the block";
-  EXPECT_GT(block.bstats.fused_exec, 0u);
 }
 
 // ---------------------------------------------------------- RV32C
@@ -767,7 +883,7 @@ TEST(SysimDiffTest, FaultFlipInsideFoldedChain) {
   as.li(s0, 0);    // one word (addi)
   as.li(s1, 200);  // one word (addi)
   as.label("loop");
-  as.li(a0, 0x12345678);  // lui+addi fused pair
+  as.li(a0, 0x12345678);  // lui+addi
   as.addi(a1, a0, 0x10);  // a1 = const + 0x10
   as.slli(a2, a1, 1);     // chained through a1
   as.addi(s0, s0, 1);
@@ -863,9 +979,12 @@ const AluVector kAluVectors[] = {
 TEST(SysimDiffTest, IsaSpecVectorsOnEveryTier) {
   // Edge vectors from the ISA manual, checked on every tier against the
   // manual's values (not just against each other). Each ALU vector runs
-  // twice, once in a static register run and once fused behind the load
-  // that supplies rs1, so both block-tier dispatch shapes execute it;
-  // a jump after each case starts the next one in a fresh block.
+  // twice, once on operands from li and once behind the load that
+  // supplies rs1; a jump after each case starts the next one in a fresh
+  // block. The program runs twice: at fetch latency 0 the block tier
+  // retires every ALU op in a static run, and at fetch latency 1 it
+  // sends every op through retire_op -> exec_op, so both block-tier
+  // dispatch shapes execute every vector.
   SystemConfig sc;
   sc.accel = small_accel();
   constexpr std::uint32_t kData = 0x48000;  // operands, then load bytes
@@ -902,7 +1021,7 @@ TEST(SysimDiffTest, IsaSpecVectorsOnEveryTier) {
     as.li(a1, v.a);
     as.li(a2, v.b);
     v.emit(as, a0, a1, a2);
-    check(a0, v.want, std::string(v.what) + " (static run)");
+    check(a0, v.want, std::string(v.what) + " (li operands)");
     next_case();
     as.li(a0, kPoison);
     as.li(a2, v.b);
@@ -916,7 +1035,7 @@ TEST(SysimDiffTest, IsaSpecVectorsOnEveryTier) {
   // x0 is hardwired to zero: ALU and load writes to it are discarded.
   as.li(a1, 5);
   as.addi(zero, a1, 1);
-  check(zero, 0, "addi to x0 (static run)");
+  check(zero, 0, "addi to x0 (li operands)");
   next_case();
   as.li(a2, 3);
   as.lw(a1, s0, 0);
@@ -954,7 +1073,7 @@ TEST(SysimDiffTest, IsaSpecVectorsOnEveryTier) {
   next_case();
 
   // jalr with rd == rs1 jumps through the old rs1 (bit 0 cleared) and
-  // then links pc + 4: standalone, and as a fused auipc+jalr pair.
+  // then links pc + 4: after an addi, and right behind its auipc.
   as.li(a0, 0);
   as.label("jalr_plain");
   as.auipc(t0, 0);
@@ -964,11 +1083,11 @@ TEST(SysimDiffTest, IsaSpecVectorsOnEveryTier) {
   as.addi(a0, a0, 1);   // skipped
   const std::size_t plain_link = want.size();
   check(t0, 0, "jalr rd == rs1 link");
-  as.label("jalr_fused");
+  as.label("jalr_auipc");
   as.auipc(t1, 0);
-  as.jalr(t1, t1, 12);  // target jalr_fused + 12
+  as.jalr(t1, t1, 12);  // target jalr_auipc + 12
   as.addi(a0, a0, 1);   // skipped
-  const std::size_t fused_link = want.size();
+  const std::size_t auipc_link = want.size();
   check(t1, 0, "auipc+jalr rd == rs1 link");
   check(a0, 0, "jalr skipped the fall-through");
   as.li(a0, 0);
@@ -976,22 +1095,30 @@ TEST(SysimDiffTest, IsaSpecVectorsOnEveryTier) {
   as.ecall();
   const auto program = as.assemble();
   want[plain_link] = as.address_of("jalr_plain") + 12;
-  want[fused_link] = as.address_of("jalr_fused") + 8;
+  want[auipc_link] = as.address_of("jalr_auipc") + 8;
 
   const auto stage = [&](System& s) {
     s.write_dram(kData, data.data(), data.size() * 4);
   };
-  const Capture legacy = run_tier(sc, Tier::kLegacy, program, stage);
-  for (const Tier tier : {Tier::kLegacy, Tier::kUop, Tier::kBlock}) {
-    const Capture c =
-        tier == Tier::kLegacy ? legacy : run_tier(sc, tier, program, stage);
-    ASSERT_EQ(c.result.halt, Halt::kEcallExit) << tier_name(tier);
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      std::uint32_t got = 0;
-      std::memcpy(&got, c.dram.data() + kRes + 4 * i, 4);
-      EXPECT_EQ(got, want[i]) << names[i] << " [" << tier_name(tier) << "]";
+  for (const unsigned fetch_latency : {0u, 1u}) {
+    SystemConfig pass = sc;
+    pass.cpu.fetch_latency = fetch_latency;
+    const Capture legacy = run_tier(pass, Tier::kLegacy, program, stage);
+    for (const Tier tier : {Tier::kLegacy, Tier::kUop, Tier::kBlock}) {
+      const std::string what = std::string(tier_name(tier)) +
+                               ", fetch latency " +
+                               std::to_string(fetch_latency);
+      const Capture c = tier == Tier::kLegacy
+                            ? legacy
+                            : run_tier(pass, tier, program, stage);
+      ASSERT_EQ(c.result.halt, Halt::kEcallExit) << what;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        std::uint32_t got = 0;
+        std::memcpy(&got, c.dram.data() + kRes + 4 * i, 4);
+        EXPECT_EQ(got, want[i]) << names[i] << " [" << what << "]";
+      }
+      expect_identical(legacy, c, what.c_str());
     }
-    expect_identical(legacy, c, tier_name(tier));
   }
 }
 
