@@ -1,7 +1,7 @@
 // Sysim execution-core benchmarks: end-to-end workload and fault-campaign
 // wall time under the legacy engine (decode-every-fetch interpreter +
 // per-cycle System ticking, the seed behavior) vs the optimized engine
-// (predecoded micro-op cache + DRAM fast path + event-driven bulk cycle
+// (block translation tier + DRAM fast path + event-driven bulk cycle
 // skipping). The two paths are pinned bit-identical by
 // tests/test_sysim_diff.cpp, so the speedup rows are apples-to-apples.
 //
@@ -49,14 +49,13 @@ void record_speedup(const char* name, int size, double legacy_us,
 }
 
 /// Execution tiers under test: the seed's decode-every-fetch interpreter
-/// with per-cycle ticking, the predecoded uop-at-a-time engine, and the
-/// basic-block translation tier (block cache + chaining + fusion). All
-/// three are pinned bit-identical by tests/test_sysim_diff.cpp.
-SystemConfig tier_config(const SystemConfig& base, bool legacy, bool block) {
+/// with per-cycle ticking, and the event-driven basic-block translation
+/// tier (block cache + chaining + static runs). Both are pinned
+/// bit-identical by tests/test_sysim_diff.cpp.
+SystemConfig tier_config(const SystemConfig& base, bool legacy) {
   SystemConfig sc = base;
   sc.event_driven = !legacy;
   sc.cpu.legacy_decode = legacy;
-  sc.cpu.block_tier = block;
   return sc;
 }
 
@@ -98,8 +97,7 @@ std::uint64_t probe_run(const Workload& w, const SystemConfig& sc,
 /// Run-only wall time, averaged over enough repetitions to fill the
 /// measurement budget. The system is staged once and snapshot/restored
 /// per rep (outside the timed window): restore keeps each engine's
-/// set_matrix programming memo and the CPU's predecoded micro-ops and
-/// translated blocks warm, so after the warm-up rep every row measures
+/// set_matrix programming memo and the CPU's translated blocks warm, so after the warm-up rep every row measures
 /// steady-state execution, not weight-calibration math or re-decoding.
 double record_runs(const char* name, std::size_t n, const Stager& stage,
                    const SystemConfig& sc) {
@@ -141,36 +139,28 @@ double record_runs(const char* name, const Workload& w,
       sc);
 }
 
-/// One workload across all three tiers; asserts identical simulated
-/// cycle counts (cheap guard on top of the differential test suite) and
-/// emits the block tier's counters from a single fresh run.
+/// One workload on both tiers; asserts identical simulated cycle counts
+/// (cheap guard on top of the differential test suite) and emits the
+/// block tier's counters from a single fresh run.
 void bench_workload(const char* tag, const Workload& w,
                     const char* speedup_name) {
-  const SystemConfig legacy_sc = tier_config(w.sc, true, false);
-  const SystemConfig uop_sc = tier_config(w.sc, false, false);
-  const SystemConfig block_sc = tier_config(w.sc, false, true);
+  const SystemConfig legacy_sc = tier_config(w.sc, true);
+  const SystemConfig block_sc = tier_config(w.sc, false);
   const std::uint64_t legacy_cycles = probe_run(w, legacy_sc);
-  const std::uint64_t uop_cycles = probe_run(w, uop_sc);
   rv::BlockStats st;
   const std::uint64_t block_cycles = probe_run(w, block_sc, &st);
-  if (legacy_cycles != uop_cycles || legacy_cycles != block_cycles) {
-    std::fprintf(stderr,
-                 "bench_sysim: cycle mismatch on %s (%llu / %llu / %llu)\n",
+  if (legacy_cycles != block_cycles) {
+    std::fprintf(stderr, "bench_sysim: cycle mismatch on %s (%llu / %llu)\n",
                  tag, static_cast<unsigned long long>(legacy_cycles),
-                 static_cast<unsigned long long>(uop_cycles),
                  static_cast<unsigned long long>(block_cycles));
     std::exit(1);
   }
 
   const double legacy_us =
       record_runs((std::string(tag) + "_legacy").c_str(), w, legacy_sc);
-  const double uop_us =
-      record_runs((std::string(tag) + "_uop").c_str(), w, uop_sc);
   const double block_us =
       record_runs((std::string(tag) + "_block").c_str(), w, block_sc);
   record_speedup(speedup_name, static_cast<int>(w.wl.n), legacy_us, block_us);
-  record_speedup((std::string(tag) + "_block_vs_uop").c_str(),
-                 static_cast<int>(w.wl.n), uop_us, block_us);
 
   const int n = static_cast<int>(w.wl.n);
   const std::string t(tag);
@@ -186,7 +176,7 @@ void bench_workload(const char* tag, const Workload& w,
   rows.push_back({t + "_rvc_fetch_bytes", static_cast<double>(st.fetch_bytes),
                   n, "bytes"});
   std::printf(
-      "  (cycles: %llu all tiers; blocks built %llu, dispatches %llu, "
+      "  (cycles: %llu both tiers; blocks built %llu, dispatches %llu, "
       "chained %llu, rvc %llu insts / %llu fetch bytes, "
       "evictions %llu, fallback steps %llu, hit rate %.1f%%)\n\n",
       static_cast<unsigned long long>(block_cycles),
@@ -223,7 +213,7 @@ void bench_rvc_loop() {
   // RVC-dense scramble/checksum loop: the hot loop is almost entirely
   // 2-byte forms (c.lw/c.sw, c.addi, CA/CB ALU ops), so this tracks
   // mixed 2/4-byte fetch, block building over compressed runs, and the
-  // compressed-fetch counters across all three tiers.
+  // compressed-fetch counters on both tiers.
   const SystemConfig base = base_system();
   const std::uint32_t words = 256;
   const std::uint32_t src_off = 0x40000, dst_off = 0x48000;
@@ -237,30 +227,24 @@ void bench_rvc_loop() {
     system.load_program(program);
   };
 
-  const SystemConfig legacy_sc = tier_config(base, true, false);
-  const SystemConfig uop_sc = tier_config(base, false, false);
-  const SystemConfig block_sc = tier_config(base, false, true);
+  const SystemConfig legacy_sc = tier_config(base, true);
+  const SystemConfig block_sc = tier_config(base, false);
   const std::uint64_t legacy_cycles = probe_run(stage, legacy_sc);
-  const std::uint64_t uop_cycles = probe_run(stage, uop_sc);
   rv::BlockStats st;
   const std::uint64_t block_cycles = probe_run(stage, block_sc, &st);
-  if (legacy_cycles != uop_cycles || legacy_cycles != block_cycles) {
-    std::fprintf(
-        stderr, "bench_sysim: cycle mismatch on rvc_loop (%llu / %llu / %llu)\n",
-        static_cast<unsigned long long>(legacy_cycles),
-        static_cast<unsigned long long>(uop_cycles),
-        static_cast<unsigned long long>(block_cycles));
+  if (legacy_cycles != block_cycles) {
+    std::fprintf(stderr,
+                 "bench_sysim: cycle mismatch on rvc_loop (%llu / %llu)\n",
+                 static_cast<unsigned long long>(legacy_cycles),
+                 static_cast<unsigned long long>(block_cycles));
     std::exit(1);
   }
 
   const double legacy_us = record_runs("rvc_loop_legacy", words, stage,
                                        legacy_sc);
-  const double uop_us = record_runs("rvc_loop_uop", words, stage, uop_sc);
   const double block_us = record_runs("rvc_loop_block", words, stage,
                                       block_sc);
   record_speedup("rvc_loop_speedup", static_cast<int>(words), legacy_us,
-                 block_us);
-  record_speedup("rvc_loop_block_vs_uop", static_cast<int>(words), uop_us,
                  block_us);
 
   const int n = static_cast<int>(words);
@@ -278,7 +262,7 @@ void bench_rvc_loop() {
                  : 100.0;
   push_row("rvc_loop_fetch_density", n, density, "%");
   std::printf(
-      "  (cycles: %llu all tiers; rvc %llu of %llu insts built, "
+      "  (cycles: %llu both tiers; rvc %llu of %llu insts built, "
       "%llu fetch bytes)\n\n",
       static_cast<unsigned long long>(block_cycles),
       static_cast<unsigned long long>(st.rvc_built),
@@ -304,7 +288,7 @@ void bench_fault_campaign() {
   const int trials = bench::samples(40, 4);
 
   const auto campaign_us = [&](bool legacy) {
-    const SystemConfig sc = tier_config(base, legacy, !legacy);
+    const SystemConfig sc = tier_config(base, legacy);
     const auto run_campaign = [&] {
       FaultCampaign campaign(
           [&]() {
@@ -349,12 +333,12 @@ void bench_fault_campaign() {
 int main() {
   bench::header("BENCH sysim — event-driven execution core",
                 "Sec.5 campaigns run on the gem5-style platform; this "
-                "tracks simulator wall time per PR (legacy vs predecoded+"
+                "tracks simulator wall time per PR (legacy vs block tier + "
                 "event-driven, bit-identical results)");
 
   {
     // Software GEMM: pure instruction throughput (no device-busy idle
-    // windows) — isolates predecoded dispatch + DRAM fast path + bulk
+    // windows) — isolates block dispatch + DRAM fast path + bulk
     // memory-stall skipping.
     const SystemConfig sc = base_system();
     GemmWorkload wl;

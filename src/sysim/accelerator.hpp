@@ -97,7 +97,6 @@ class PhotonicAccelerator final : public BusDevice {
   void skip_cycles(std::uint64_t n);
 
   [[nodiscard]] bool irq_pending() const { return irq_; }
-  void clear_irq() { irq_ = false; }
   [[nodiscard]] bool busy() const { return busy_cycles_ > 0; }
   /// Cycles until the running operation completes (0 when idle).
   [[nodiscard]] std::uint64_t busy_cycles_remaining() const {

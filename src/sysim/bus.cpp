@@ -34,11 +34,6 @@ const Bus::Region* Bus::find(std::uint32_t addr) const {
   return nullptr;
 }
 
-BusDevice* Bus::device_at(std::uint32_t addr) const {
-  const Region* r = find(addr);
-  return r ? r->dev : nullptr;
-}
-
 Bus::Access Bus::read(std::uint32_t addr, unsigned size) {
   Access a;
   const Region* r = find(addr);

@@ -130,9 +130,6 @@ class Bus {
   [[nodiscard]] Access read(std::uint32_t addr, unsigned size);
   Access write(std::uint32_t addr, std::uint32_t value, unsigned size);
 
-  /// Device mapped at `addr`, or nullptr.
-  [[nodiscard]] BusDevice* device_at(std::uint32_t addr) const;
-
   /// Resolved fast-path window for the region containing `addr`: region
   /// base/size clipped to the device's direct span, the raw data pointer
   /// and the fixed per-access latency (bus + device). `data` is nullptr

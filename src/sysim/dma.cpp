@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 
 namespace aspen::sys {
 
 DmaEngine::DmaEngine(Bus& bus, unsigned bytes_per_cycle)
-    : bus_(bus), beat_(bytes_per_cycle == 0 ? 4 : bytes_per_cycle) {}
+    : bus_(bus), beat_(bytes_per_cycle) {
+  if (bytes_per_cycle == 0)
+    throw std::invalid_argument("DmaEngine: beat width must be >= 1 byte");
+}
 
 std::uint32_t DmaEngine::read(std::uint32_t offset, unsigned /*size*/) {
   switch (offset) {

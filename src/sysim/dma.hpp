@@ -26,7 +26,8 @@ namespace aspen::sys {
 
 class DmaEngine final : public BusDevice {
  public:
-  /// `bytes_per_cycle`: transfer beat width (bus words per cycle).
+  /// `bytes_per_cycle`: transfer beat width (bytes moved per cycle);
+  /// throws std::invalid_argument on 0.
   DmaEngine(Bus& bus, unsigned bytes_per_cycle = 4);
 
   std::uint32_t read(std::uint32_t offset, unsigned size) override;
@@ -58,7 +59,6 @@ class DmaEngine final : public BusDevice {
   [[nodiscard]] std::uint64_t bulk_cycles_remaining() const;
 
   [[nodiscard]] bool irq_pending() const { return irq_; }
-  void clear_irq() { irq_ = false; }
   [[nodiscard]] bool busy() const { return busy_; }
 
   /// Complete register/transfer state (no derived caches to invalidate).

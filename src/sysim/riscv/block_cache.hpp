@@ -1,18 +1,17 @@
 #pragma once
 /// \file block_cache.hpp
-/// Basic-block translation tier over the predecoded micro-op engine:
+/// Basic-block translation tier, the CPU's only cache of decoded code:
 /// straight-line instruction runs are decoded once into a Block — an
 /// array of micro-ops with a single entry check — executed back-to-back
 /// with per-op cycle/instret accounting (pure register runs retire
 /// through exec_alu with one batched update; every other op goes through
 /// the CPU's single exec_op semantics) and chained across direct
-/// branches/jumps via memoized successor links. Coherence rides the
-/// same write paths that keep the per-instruction micro-op cache
-/// honest: every store/DMA/fault-flip invalidation call also evicts
-/// overlapping blocks, and a generation counter lets the executor
-/// notice when the block it is running was invalidated under its feet
-/// (self-modifying code). Results are bit-identical to the
-/// uop-at-a-time path and to the legacy decode-every-fetch interpreter.
+/// branches/jumps via memoized successor links. Every CPU store, DMA or
+/// host write and fault flip evicts overlapping blocks, and a generation
+/// counter lets the executor notice when the block it is running was
+/// invalidated under its feet (self-modifying code). Results are
+/// bit-identical to per-cycle step() and to the legacy
+/// decode-every-fetch interpreter.
 
 #include <cstdint>
 #include <vector>
@@ -21,8 +20,8 @@ namespace aspen::sys::rv {
 
 /// Decoded micro-operation: one fetched word reduced to a dense handler
 /// tag plus pre-extracted register indices and a pre-extended immediate
-/// (shamt / CSR number reuse the imm slot). Shared by the per-PC
-/// micro-op cache and the block tier.
+/// (shamt / CSR number reuse the imm slot). Shared by step() and the
+/// block tier.
 struct MicroOp {
   enum Op : std::uint8_t {
     kLui, kAuipc, kJal, kJalr,
@@ -42,7 +41,7 @@ struct MicroOp {
   std::uint8_t rs2 = 0;
   /// Encoded length in bytes: 2 for an RV32C form (expanded to the same
   /// Op set), 4 for a full-width instruction. Drives PC stepping, link
-  /// values (jal/jalr write pc+len), and icache/block byte extents.
+  /// values (jal/jalr write pc+len), and block byte extents.
   std::uint8_t len = 4;
   std::uint32_t imm = 0;
 };
@@ -80,12 +79,11 @@ struct Block {
   std::vector<Segment> segs;  ///< exec plan: static runs + per-op runs
 };
 
-/// Byte-extent [lo, hi) over a set of cached code ranges: the exact
-/// overlap test store-invalidation uses to reject unrelated data
-/// traffic cheaply. Shared by the micro-op cache (entries cover
-/// [tag, tag+4), so its extent is [min tag, max tag + 4)) and the block
-/// cache (blocks cover [start, end)); half-word-aligned PCs and spans
-/// landing exactly on either edge resolve exactly — no slack bytes.
+/// Byte extent [lo, hi): the block cache's cover of every block's
+/// [start, end), whose exact overlap test lets store invalidation reject
+/// unrelated data traffic cheaply, and the DMA's in-flight spans.
+/// Half-word-aligned PCs and spans landing exactly on either edge
+/// resolve exactly — no slack bytes.
 struct ByteExtent {
   std::uint32_t lo = 0xFFFFFFFFu;
   std::uint32_t hi = 0;

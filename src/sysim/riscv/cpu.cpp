@@ -23,7 +23,7 @@ std::int32_t sign_extend(std::uint32_t v, unsigned bits) {
 }  // namespace
 
 Cpu::Cpu(Bus& bus, CpuConfig cfg)
-    : bus_(bus), cfg_(cfg), pc_(cfg.reset_pc), icache_(kICacheEntries) {
+    : bus_(bus), cfg_(cfg), pc_(cfg.reset_pc) {
   // Every tier adds `latency - 1` to the unsigned stall counter for a
   // multiply/divide; a zero latency would wrap it.
   if (cfg.mul_latency == 0 || cfg.div_latency == 0)
@@ -47,7 +47,7 @@ void Cpu::reset() {
   wfi_ = false;
   halt_ = Halt::kRunning;
   mstatus_ = mie_ = mip_ = mtvec_ = mscratch_ = mepc_ = mcause_ = mtval_ = 0;
-  icache_flush();
+  blocks_.flush();
 }
 
 Cpu::Snapshot Cpu::snapshot() const {
@@ -268,11 +268,9 @@ std::uint64_t Cpu::run_burst(std::uint64_t budget, BurstDevices& devices,
                              const DmaInFlight* dma) {
   // A due trap is taken by the per-cycle prologue in tick().
   if (irq_ && (mstatus_ & kMstatusMie) && (mie_ & kMeip)) return 0;
-  // DMA writes into cached code would evict it only when the devices
-  // catch up, after the CPU may already have run the stale copy.
-  if (dma != nullptr &&
-      (icache_ext_.overlaps(dma->dst) || blocks_.extent().overlaps(dma->dst)))
-    return 0;
+  // DMA writes into translated code would evict it only when the
+  // devices catch up, after the CPU may already have run the stale copy.
+  if (dma != nullptr && blocks_.extent().overlaps(dma->dst)) return 0;
   // The line holds its level for the whole window, and no trap can
   // become due without ending the burst, so the per-tick irq/WFI/trap
   // prologue reduces to this one mip update. end_burst_ latches only on
@@ -282,12 +280,7 @@ std::uint64_t Cpu::run_burst(std::uint64_t budget, BurstDevices& devices,
   devices_ = &devices;
   dma_ = dma;
   std::uint64_t left = budget;
-  if (cfg_.block_tier) {
-    run_burst_blocks(left);
-  } else {
-    while (left > 0 && burst_step(left)) {
-    }
-  }
+  run_burst_blocks(left);
   devices_ = nullptr;
   dma_ = nullptr;
   return budget - left;
@@ -332,22 +325,11 @@ bool Cpu::build_block(Block& blk, std::uint32_t start) {
   std::uint32_t p = start;
   bool terminated = false;
   while (!terminated && blk.ops.size() < kMaxOps && covers(w, p, 2)) {
-    std::uint16_t half;
-    std::memcpy(&half, w.data + (p - w.base), 2);
     MicroOp u;
-    if ((half & 3u) != 3u) {
-      u = decode(rvc_expand(half));
-      u.len = 2;
-      ++st.rvc_built;
-    } else {
-      // A 32-bit instruction whose upper parcel lies past the window
-      // edge ends the block; the fallback single-step fetches it over
-      // the bus.
-      if (!covers(w, p, 4)) break;
-      std::uint32_t word;
-      std::memcpy(&word, w.data + (p - w.base), 4);
-      u = decode(word);
-    }
+    // A 32-bit instruction whose upper parcel lies past the window edge
+    // ends the block; the fallback step fetches it over the bus.
+    if (!decode_at(w, p, u)) break;
+    if (u.len == 2) ++st.rvc_built;
     st.fetch_bytes += u.len;
     const bool is_branch = u.op >= MicroOp::kBeq && u.op <= MicroOp::kBgeu;
     const bool is_term =
@@ -574,8 +556,8 @@ bool Cpu::retire_op(const MicroOp& u, std::uint64_t& budget) {
   stall_ += cfg_.fetch_latency;
   exec_op(u);
   // Burst-ending events, halts and WFI end the burst before the stall
-  // burn, exactly like the uop burst loop (the remaining stall drains
-  // via skip_cycles).
+  // burn, exactly like burst_step (the remaining stall drains via
+  // skip_cycles).
   if (end_burst_ || halt_ != Halt::kRunning || wfi_) return false;
   return burn_stall(budget);
 }
@@ -629,10 +611,10 @@ void Cpu::run_burst_blocks(std::uint64_t& budget) {
     Block* blk = nullptr;
     std::int32_t* linkp = nullptr;
     // Blocks execute without re-touching the fetch window, so dispatch
-    // requires the window to still cover pc_. When it is gone (revoked
-    // spans under memory stuck-at faults, MMIO-resident code), fall
-    // back to step(), which takes the slow bus fetch exactly like the
-    // uop path.
+    // requires the window to still cover pc_. When it does not (first
+    // fetch from a new region, revoked spans under memory stuck-at
+    // faults, MMIO-resident code), fall back to burst_step(), whose
+    // step() re-resolves the window or takes the slow bus fetch.
     if ((pc_ & 1u) == 0 && covers(win_[0], pc_, 2) &&
         win_[0].data != nullptr) {
       if (prev != nullptr) {
@@ -661,7 +643,7 @@ void Cpu::run_burst_blocks(std::uint64_t& budget) {
       }
     }
     if (blk == nullptr) {
-      // Single-step fallback: one exact run_burst iteration.
+      // Single-step fallback through step().
       prev = nullptr;
       ++st.fallback_steps;
       if (!burst_step(budget)) break;
@@ -741,43 +723,8 @@ bool Cpu::fast_write(std::uint32_t addr, std::uint32_t value, unsigned size) {
   store_lo_[slot] = std::min(store_lo_[slot], addr);
   store_hi_[slot] = std::max(store_hi_[slot], addr + size);
   stall_ += w->latency;
-  icache_invalidate(addr, size);  // self-modifying code support
+  blocks_.invalidate_range(addr, size);  // self-modifying code support
   return true;
-}
-
-void Cpu::icache_flush() {
-  for (auto& e : icache_) e.tag = kInvalidTag;
-  icache_ext_.reset();
-  blocks_.flush();
-}
-
-void Cpu::icache_invalidate(std::uint32_t addr, std::uint32_t bytes) {
-  // The block tier runs its own extent-based reject first: blocks may
-  // cover code the per-PC cache never touched (block fetches bypass
-  // it), so its eviction cannot hide behind the icache extent below.
-  blocks_.invalidate_range(addr, bytes);
-  if (bytes == 0 || !icache_ext_.overlaps(addr, bytes)) return;
-  // An instruction with tag t occupies bytes [t, t+len), len 2 or 4, so
-  // a store over [addr, addr+bytes) overlaps tags in [addr-3, addr+bytes)
-  // — conservatively using the 4-byte reach for both lengths. With the
-  // misaligned-fetch trap every cached tag is even, so odd probe
-  // addresses can never match; the byte-granular loop is kept for the
-  // edge arithmetic and the extent check makes data stores free. A
-  // cleared 2-byte entry whose store only clipped bytes [t+2, t+4) is a
-  // spurious but harmless eviction.
-  const std::uint32_t first = addr >= 3 ? addr - 3 : 0;
-  const std::uint32_t last = addr + bytes - 1;
-  // Entries map half-word-granular (slot = a >> 1), so a span covering
-  // 2 * entries byte addresses has touched every slot.
-  if (last - first >= 2 * kICacheEntries) {
-    icache_flush();
-    return;
-  }
-  for (std::uint32_t a = first;; ++a) {
-    ICacheEntry& e = icache_[(a >> 1) & (kICacheEntries - 1)];
-    if (e.tag == a) e.tag = kInvalidTag;
-    if (a == last) break;
-  }
 }
 
 void Cpu::bus_memory_written(BusDevice* dev, std::uint32_t offset,
@@ -787,7 +734,7 @@ void Cpu::bus_memory_written(BusDevice* dev, std::uint32_t offset,
     Bus::DirectWindow& w = win_[slot];
     if (w.dev != dev) continue;
     if (w.data != nullptr) {
-      icache_invalidate(w.base + offset, bytes);
+      blocks_.invalidate_range(w.base + offset, bytes);
       // A revoked span (stuck-at faults armed) forces every access back
       // onto the virtual read path, where the fault masks are applied.
       // Stores made through it are reported first, so the device's dirty
@@ -1112,6 +1059,22 @@ std::uint32_t Cpu::rvc_expand(std::uint16_t h) {
   }
 }
 
+bool Cpu::decode_at(const Bus::DirectWindow& w, std::uint32_t pc,
+                    MicroOp& u) {
+  std::uint16_t half;
+  std::memcpy(&half, w.data + (pc - w.base), 2);
+  if ((half & 3u) != 3u) {
+    u = decode(rvc_expand(half));
+    u.len = 2;
+    return true;
+  }
+  if (!covers(w, pc, 4)) return false;
+  std::uint32_t word;
+  std::memcpy(&word, w.data + (pc - w.base), 4);
+  u = decode(word);
+  return true;
+}
+
 void Cpu::step() {
   const std::uint32_t pc = pc_;
   if (pc & 1u) {
@@ -1120,69 +1083,39 @@ void Cpu::step() {
     mem_fault(0, pc);  // instruction address misaligned
     return;
   }
-  const Bus::DirectWindow* w = nullptr;
-  if (covers(win_[0], pc, 2)) {
-    if (win_[0].data != nullptr) w = &win_[0];
-  } else {
+  const Bus::DirectWindow& w = win_[0];
+  if (!covers(w, pc, 2)) {
     // Fetch owns slot 0; a miss (first fetch, revoked span, or region
     // change) re-resolves it — negatively for MMIO-resident code.
-    BusDevice* const prev_dev = win_[0].data != nullptr ? win_[0].dev : nullptr;
+    BusDevice* const prev_dev = w.data != nullptr ? w.dev : nullptr;
     set_window(0, pc);
-    // Entries decoded from a previous fetch device would no longer be
+    // Blocks decoded from a previous fetch device would no longer be
     // invalidated on writes to it: drop them when the device changes.
-    if (prev_dev != nullptr && win_[0].dev != prev_dev) icache_flush();
-    if (covers(win_[0], pc, 2) && win_[0].data != nullptr) w = &win_[0];
-  }
-  if (w != nullptr) {
-    // Half-word-granular slot index: compressed instructions make every
-    // even address a potential entry, so >> 2 would alias pc and pc+2.
-    ICacheEntry& e = icache_[(pc >> 1) & (kICacheEntries - 1)];
-    if (e.tag != pc) {
-      std::uint16_t half;
-      std::memcpy(&half, w->data + (pc - w->base), 2);
-      if ((half & 3u) != 3u) {
-        e.uop = decode(rvc_expand(half));
-        e.uop.len = 2;
-        icache_ext_.grow(pc, pc + 2);
-      } else if (covers(*w, pc, 4)) {
-        std::uint32_t word;
-        std::memcpy(&word, w->data + (pc - w->base), 4);
-        e.uop = decode(word);
-        icache_ext_.grow(pc, pc + 4);
-      } else {
-        // 32-bit instruction straddling the window edge: take the slow
-        // bus fetch below without caching a torn entry.
-        w = nullptr;
-      }
-      if (w != nullptr) e.tag = pc;
-    }
-    if (w != nullptr) {
-      stall_ += cfg_.fetch_latency;
-      exec_op(e.uop);
-      return;
-    }
-  }
-  // Slow fetch (MMIO-resident code, spans revoked by stuck-at faults,
-  // window-edge accesses): decode every time, exactly like the seed.
-  // Two halfword reads so a compressed tail at the end of a region
-  // cannot fault on the phantom upper parcel.
-  sync_devices();
-  const Bus::Access lo = bus_.read(pc, 2);
-  if (lo.fault) {
-    mem_fault(1, pc);  // instruction access fault
-    return;
+    if (prev_dev != nullptr && w.dev != prev_dev) blocks_.flush();
   }
   MicroOp u;
-  if ((lo.value & 3u) != 3u) {
-    u = decode(rvc_expand(static_cast<std::uint16_t>(lo.value)));
-    u.len = 2;
-  } else {
-    const Bus::Access hi = bus_.read(pc + 2, 2);
-    if (hi.fault) {
-      mem_fault(1, pc);
+  if (w.data == nullptr || !covers(w, pc, 2) || !decode_at(w, pc, u)) {
+    // Slow fetch (MMIO-resident code, spans revoked by stuck-at faults,
+    // a 32-bit instruction straddling the window edge). Two halfword
+    // reads so a compressed tail at the end of a region cannot fault on
+    // the phantom upper parcel.
+    sync_devices();
+    const Bus::Access lo = bus_.read(pc, 2);
+    if (lo.fault) {
+      mem_fault(1, pc);  // instruction access fault
       return;
     }
-    u = decode(lo.value | hi.value << 16);
+    if ((lo.value & 3u) != 3u) {
+      u = decode(rvc_expand(static_cast<std::uint16_t>(lo.value)));
+      u.len = 2;
+    } else {
+      const Bus::Access hi = bus_.read(pc + 2, 2);
+      if (hi.fault) {
+        mem_fault(1, pc);
+        return;
+      }
+      u = decode(lo.value | hi.value << 16);
+    }
   }
   stall_ += cfg_.fetch_latency;
   exec_op(u);

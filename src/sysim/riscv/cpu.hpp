@@ -15,25 +15,27 @@
 ///    bit flips and permanent stuck-at bits) for the gem5-MARVEL-style
 ///    reliability campaigns.
 ///
-/// Execution core: each fetched word is decoded once into a compact
-/// micro-op (dense handler tag + pre-extracted fields) stored in a
-/// direct-mapped cache keyed by PC, and dispatched through a dense switch
-/// in step(). Fetch/load/store to DRAM resolve through a raw-span fast
-/// path (Bus::direct_window) instead of the virtual BusDevice call. DRAM
-/// stores — from this CPU, the DMA engine, the host, or injected faults —
-/// invalidate overlapping cache entries, so self-modifying code and
-/// fault flips behave exactly like the decode-every-fetch interpreter.
+/// Execution core: a fetched word decodes into a compact micro-op (dense
+/// handler tag + pre-extracted fields). run_burst() decodes straight-line
+/// runs once into translated blocks (block_cache.hpp) and dispatches
+/// them chained; step() — the per-cycle tick() and the burst's fallback
+/// where no block can run — decodes each fetch afresh. Fetch/load/store
+/// to DRAM and the SPM windows resolve through a raw-span fast path
+/// (Bus::direct_window) instead of the virtual BusDevice call. Stores —
+/// from this CPU, the DMA engine, the host, or injected faults — evict
+/// overlapping blocks, so self-modifying code and fault flips behave
+/// exactly like the decode-every-fetch interpreter.
 ///
 /// Semantics live in two places only: exec_op() defines every micro-op
-/// for both fast paths (the uop-at-a-time step() and the block tier's
-/// per-op retire, with exec_alu() as the register-op core that static
-/// runs call directly), and the legacy exec() interpreter, selected by
+/// for the fast path (step() and the block tier's per-op retire, with
+/// exec_alu() as the register-op core that static runs call directly),
+/// and the legacy exec() interpreter, selected by
 /// CpuConfig::legacy_decode, is the independent differential oracle.
-/// Cycle counts are bit-identical across all three tiers.
+/// Cycle counts are bit-identical between the two, whether the fast path
+/// is ticked per cycle or run in bursts.
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "sysim/bus.hpp"
 #include "sysim/riscv/block_cache.hpp"
@@ -51,14 +53,9 @@ struct CpuConfig {
   /// execute); data accesses always pay the full bus + device latency.
   unsigned fetch_latency = 0;
   /// Use the seed's decode-every-fetch interpreter instead of the
-  /// predecoded micro-op cache + DRAM fast path. Kept for differential
-  /// testing and before/after benchmarking; results are bit-identical.
+  /// micro-op decoder, block tier and direct-memory fast path. Kept as
+  /// the differential oracle; results are bit-identical.
   bool legacy_decode = false;
-  /// Basic-block translation tier inside run_burst(): straight-line
-  /// runs decode once into chained blocks. The uop-at-a-time path
-  /// (false) and legacy_decode both remain as differential references —
-  /// all three tiers are bit-identical.
-  bool block_tier = true;
 };
 
 enum class Halt {
@@ -105,11 +102,11 @@ class Cpu final : public BusWriteObserver {
   /// Execute instructions back-to-back for up to `budget` (>= 1) cycles
   /// while the devices lag behind (temporal decoupling); returns the
   /// cycles consumed. Caller guarantees: not halted, not in WFI, no
-  /// pending stall, the predecoded engine active, the interrupt line
-  /// level loaded with set_irq(), and no device event (PE completion,
-  /// watchdog expiry, DMA completion) before the device phase of the
-  /// window's last cycle, so the line holds its level unless the CPU
-  /// itself writes a device. `dma` is the in-flight bulk DMA transfer,
+  /// pending stall, legacy_decode off, the interrupt line level loaded
+  /// with set_irq(), and no device event (PE completion, watchdog
+  /// expiry, DMA completion) before the device phase of the window's
+  /// last cycle, so the line holds its level unless the CPU itself
+  /// writes a device. `dma` is the in-flight bulk DMA transfer,
   /// or nullptr when the engine is idle.
   ///
   /// The devices stay at the cycle the burst started in until the CPU
@@ -120,7 +117,7 @@ class Cpu final : public BusWriteObserver {
   /// advances the devices the rest of the way after the burst.
   ///
   /// Returns 0 without executing when a trap is due (line high, MIE and
-  /// MEIE set), the DMA destination overlaps cached code, or the first
+  /// MEIE set), the DMA destination overlaps translated code, or the first
   /// fetch overlaps the DMA's remaining destination; the caller must
   /// then tick. Otherwise ends early when the CPU halts, parks on WFI,
   /// faults on the bus or writes an activating register; before an
@@ -159,9 +156,9 @@ class Cpu final : public BusWriteObserver {
   void reset();
 
   // -- Snapshot / restore --------------------------------------------------
-  /// Complete architectural + timing state. Derived execution state (the
-  /// predecoded micro-op cache, translated blocks, resolved bus windows)
-  /// is deliberately excluded and survives restore().
+  /// Complete architectural + timing state. Derived execution state
+  /// (translated blocks, resolved bus windows) is deliberately excluded
+  /// and survives restore().
   struct Snapshot {
     std::array<std::uint32_t, 32> regs{};
     std::array<std::uint32_t, 32> stuck_or{};
@@ -203,40 +200,34 @@ class Cpu final : public BusWriteObserver {
   void publish_store_spans();
 
   /// Block-tier diagnostics (blocks built, chained dispatches,
-  /// evictions, hit rate). All zero when the tier is off.
+  /// evictions, hit rate). Only bursts build blocks, so all zero under
+  /// legacy_decode or per-cycle ticking.
   [[nodiscard]] const BlockStats& block_stats() const {
     return blocks_.stats();
   }
-  [[nodiscard]] bool block_tier_active() const {
-    return cfg_.block_tier && !cfg_.legacy_decode;
-  }
 
  private:
-  // MicroOp lives at namespace scope in block_cache.hpp, shared with
-  // the block tier.
-  struct ICacheEntry {
-    std::uint32_t tag = kInvalidTag;
-    MicroOp uop;
-  };
-  /// Tags are always even (odd PCs trap as misaligned before fetch), so
-  /// an odd sentinel can never collide with a cached tag.
-  static constexpr std::uint32_t kInvalidTag = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kICacheEntries = 4096;  // direct-mapped
-
   [[nodiscard]] static MicroOp decode(std::uint32_t inst);
+  /// Decode the instruction at `pc` from the raw window `w`, which must
+  /// cover [pc, pc+2): the one direct-window decode step() and
+  /// build_block() share. False when a 32-bit instruction's upper parcel
+  /// lies past the window edge.
+  [[nodiscard]] static bool decode_at(const Bus::DirectWindow& w,
+                                      std::uint32_t pc, MicroOp& u);
   /// Expand a 16-bit RV32C halfword ((h & 3) != 3) into its full-width
   /// RV32I/M equivalent encoding; reserved/unsupported forms expand to 0
-  /// (a guaranteed-illegal word). Shared by every tier so compressed
-  /// forms execute identically on all three.
+  /// (a guaranteed-illegal word). Shared by the legacy interpreter and
+  /// the fast path, so compressed forms execute identically on both.
   [[nodiscard]] static std::uint32_t rvc_expand(std::uint16_t h);
-  /// Fetch (icache / DRAM fast path / bus fallback) and dispatch one
-  /// instruction.
+  /// Fetch (direct window, else the bus), decode and dispatch one
+  /// instruction: the per-cycle tick()'s path and the burst's fallback
+  /// step where no block can run.
   void step();
-  /// The fast paths' single definition of instruction semantics: one
+  /// The fast path's single definition of instruction semantics: one
   /// micro-op's register, memory, CSR and trap effects plus its stall
   /// and instret/pc update. No cycle or budget bookkeeping.
   void exec_op(const MicroOp& u);
-  /// One run_burst iteration through step(): the fetch check against
+  /// The burst's fallback step through step(): the fetch check against
   /// the DMA destination, its issue cycle, the instruction, and the
   /// stall burn. False when the burst must end (fetch from the DMA
   /// destination, burst-ending event, halt, WFI, or budget exhausted
@@ -246,25 +237,25 @@ class Cpu final : public BusWriteObserver {
   /// budget ran out before the stall drained.
   bool burn_stall(std::uint64_t& budget);
   // -- Block translation tier ----------------------------------------------
-  /// run_burst() body when cfg.block_tier is on: dispatch translated
-  /// blocks (chain -> lookup -> build), falling back to single-step
-  /// step() iterations whenever a block cannot be used (MMIO-resident
-  /// code, revoked fetch window, misaligned pc).
+  /// run_burst()'s dispatch loop: translated blocks (chain -> lookup ->
+  /// build), falling back to burst_step() whenever a block cannot be
+  /// used (MMIO-resident code, revoked or unresolved fetch window,
+  /// misaligned pc).
   void run_burst_blocks(std::uint64_t& budget);
   /// Decode the straight-line run at `start` through the fetch window
   /// into `blk` and carve it into segments. False when no instruction
   /// could be read; the block is left invalid.
   bool build_block(Block& blk, std::uint32_t start);
   /// Execute blk's ops with per-op cycle/instret/stall bookkeeping
-  /// identical to a run_burst iteration. Returns true when every op
+  /// identical to per-cycle ticking. Returns true when every op
   /// retired (pc_ is at a block successor); false when the block or
   /// burst must stop early (budget/stall exhaustion, bus event, halt,
   /// WFI, or the block was invalidated by one of its own stores).
   bool exec_block(const Block& blk, std::uint64_t& budget,
                   std::uint64_t gen0);
-  /// One micro-op through the exact run_burst iteration shape: cycle
-  /// and budget bookkeeping around exec_op (fetch stall, exit checks,
-  /// stall burn). Caller guarantees budget >= 1. Returns false when the
+  /// One micro-op through the exact burst_step() shape: cycle and
+  /// budget bookkeeping around exec_op (fetch stall, exit checks, stall
+  /// burn). Caller guarantees budget >= 1. Returns false when the
   /// block/burst must stop after this op.
   bool retire_op(const MicroOp& u, std::uint64_t& budget);
   /// Compute-only register-op core (LUI/AUIPC, OP-IMM, OP, M, fence):
@@ -315,8 +306,6 @@ class Cpu final : public BusWriteObserver {
         (store && dma_->src.overlaps(addr, size)))
       devices_->catch_up(cycles_ - 1);
   }
-  void icache_invalidate(std::uint32_t addr, std::uint32_t bytes);
-  void icache_flush();
   /// Flush one slot's accumulated store span into its window's device
   /// and reset it. Must run before the slot's window is re-resolved (the
   /// span is expressed against the current window's device).
@@ -351,12 +340,7 @@ class Cpu final : public BusWriteObserver {
   /// down in the destructor).
   std::array<BusDevice*, 2> observed_devs_{};
   bool reg_faults_armed_ = false;  ///< any stuck bits on the register file
-  std::vector<ICacheEntry> icache_;
-  /// Byte extent [lo, hi) of cached instructions (entry tag t covers
-  /// [t, t+4)) for cheap store-invalidation rejects; exact at both
-  /// edges, including half-word-aligned tags.
-  ByteExtent icache_ext_;
-  BlockCache blocks_;  ///< basic-block translation tier (cfg.block_tier)
+  BlockCache blocks_;  ///< basic-block translation tier
   /// Set only inside run_burst: the lagging devices and, while a DMA
   /// transfer is in flight, its remaining spans. `dma_` doubles as the
   /// guard flag every direct access tests.

@@ -184,7 +184,7 @@ void System::restore(const SystemSnapshot& s) {
   cpu_->publish_store_spans();
   // The memories restore while the CPU still holds its windows, so every
   // notification lands on a live window and invalidates exactly the
-  // micro-ops and blocks covering changed bytes.
+  // blocks covering changed bytes.
   dram_->restore(s.dram);
   dma_->restore(s.dma);
   for (std::size_t i = 0; i < pes_.size(); ++i) pes_[i]->restore(s.pes[i]);

@@ -20,7 +20,7 @@
 ///  - or ticks once when neither is exact: a trap is due, the CPU wakes
 ///    from WFI, a DMA transfer must move one bus beat per cycle (MMIO
 ///    endpoint, overlapping ranges, revoked span), or the DMA writes
-///    cached code.
+///    translated code.
 /// All clocks agree at every loop iteration and on every return.
 ///
 /// Address map:
@@ -47,6 +47,8 @@ struct SystemConfig {
   std::uint32_t accel_stride = 0x10000u;
   std::uint32_t dma_base = 0x41000000u;
   unsigned bus_latency = 1;
+  /// DMA beat width in bytes; at least 1 (construction throws
+  /// std::invalid_argument on 0).
   unsigned dma_bytes_per_cycle = 4;
   std::size_t num_pes = 1;
   AcceleratorConfig accel;  ///< configuration shared by all PEs
@@ -107,8 +109,8 @@ class System final : private rv::BurstDevices {
 
   /// Complete captured platform state, restorable into any System built
   /// from the same SystemConfig. Component snapshots hold architectural
-  /// state only; derived caches (predecoded micro-ops, translated blocks,
-  /// bus windows, mesh transfers) are kept coherent across restores. Memory
+  /// state only; derived caches (translated blocks, bus windows, mesh
+  /// transfers) are kept coherent across restores. Memory
   /// images are immutable and shared, so copying a snapshot is cheap. The
   /// fault campaigns stage a workload once, snapshot, and restore per
   /// trial instead of paying construction (DRAM allocation + weight

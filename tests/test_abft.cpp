@@ -799,11 +799,13 @@ TEST(RecoveryCampaignTest, VerdictsBitIdenticalAcrossCpuTiers) {
   const auto a = random_fixed(wl.n * wl.n, 0.9, 61);
   const auto x = random_fixed(wl.n * wl.m, 0.9, 62);
 
-  const auto run_tier = [&](bool legacy_decode, bool block_tier) {
+  // Event-driven runs execute bursts through the block tier; per-cycle
+  // ticking runs every fast-path instruction through step().
+  const auto run_tier = [&](bool legacy_decode, bool event_driven) {
     SystemConfig sc;
     sc.accel = accel_cfg(true);
     sc.cpu.legacy_decode = legacy_decode;
-    sc.cpu.block_tier = block_tier;
+    sc.event_driven = event_driven;
     FaultCampaign campaign = make_recovery_campaign(sc, wl, a, x);
     // Spec streams are drawn serially from a fixed seed, so every tier
     // samples the identical trial list.
@@ -817,9 +819,9 @@ TEST(RecoveryCampaignTest, VerdictsBitIdenticalAcrossCpuTiers) {
   };
 
   const auto block = run_tier(false, true);
-  const auto uop = run_tier(false, false);
-  const auto legacy = run_tier(true, false);
-  EXPECT_EQ(block, uop) << "six-outcome verdicts must not depend on tier";
+  const auto step = run_tier(false, false);
+  const auto legacy = run_tier(true, true);
+  EXPECT_EQ(block, step) << "six-outcome verdicts must not depend on tier";
   EXPECT_EQ(block, legacy);
 }
 

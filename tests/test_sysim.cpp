@@ -459,6 +459,18 @@ TEST(DmaTest, CopiesBlockAndRaisesIrq) {
   EXPECT_FALSE(dma.irq_pending());
 }
 
+TEST(DmaTest, ZeroBeatWidthRejected) {
+  // A zero beat width must be refused, not run as 4-byte beats.
+  Bus bus(0);
+  const auto make_dma = [&bus](unsigned beat) { DmaEngine dma(bus, beat); };
+  EXPECT_THROW(make_dma(0), std::invalid_argument);
+  SystemConfig sc;
+  sc.dma_bytes_per_cycle = 0;
+  EXPECT_THROW(System system(sc), std::invalid_argument);
+  sc.dma_bytes_per_cycle = 1;
+  EXPECT_NO_THROW(System system(sc));
+}
+
 TEST(DmaTest, BulkCycleCountMatchesTickingExhaustively) {
   // The event-driven System trusts bulk_cycles_remaining() to predict
   // the exact completion cycle of a bulk-movable transfer; sweep beat
@@ -1396,8 +1408,8 @@ TEST(ByteExtentTest, TopOfAddressSpaceDoesNotWrap) {
 TEST(ByteExtentTest, HalfwordStoreOnTailOfCachedInstructionRedecodes) {
   // sh whose two bytes cover only the upper half of an already-executed
   // instruction: the exact [lo, hi) extent arithmetic must still evict
-  // and re-decode it in both the micro-op cache and the block cache (a
-  // rounding or slack bug here silently executes stale code).
+  // and re-decode it in the block cache (a rounding or slack bug here
+  // silently executes stale code).
   SystemConfig sc;
   Assembler enc(sc.dram_base);
   enc.addi(a0, zero, 77);

@@ -1,11 +1,13 @@
 // Differential suite for the event-driven sysim rebuild: every workload
 // program plus interrupt/WFI, self-modifying-code and fault-injection
-// scenarios run through ALL THREE execution tiers —
+// scenarios run through ALL THREE execution configurations —
 //   legacy: decode-every-fetch interpreter + per-cycle System ticking
-//   uop:    predecoded micro-op cache + DRAM fast path + bulk cycle
-//           skipping
-//   block:  basic-block translation (block cache, chaining, static
-//           runs) on top of the uop engine
+//   step:   the fast path's step() on every cycle: micro-op decode,
+//           exec_op semantics and the direct-memory fast path under
+//           per-cycle System ticking
+//   block:  event-driven run: CPU bursts through the basic-block tier
+//           (block cache, chaining, static runs, fallback steps) plus
+//           bulk cycle skipping
 // — asserting bit-identical cycles, instret, halt reason, exit code,
 // final register file and final DRAM image. This is the contract that
 // lets the fault campaigns trust the optimized simulator.
@@ -31,27 +33,27 @@ std::vector<std::int16_t> random_fixed(std::size_t count, std::uint64_t seed) {
   return v;
 }
 
-/// Execution tiers under differential test. The per-cycle interpreter
-/// is the oracle; the uop-at-a-time engine and the block translation
-/// tier built on top of it must both match it bit for bit.
-enum class Tier { kLegacy, kUop, kBlock };
+/// Execution configurations under differential test. The per-cycle
+/// interpreter is the oracle; the fast path ticked per cycle and the
+/// event-driven block tier must both match it bit for bit.
+enum class Tier { kLegacy, kStep, kBlock };
 
-constexpr Tier kFastTiers[] = {Tier::kUop, Tier::kBlock};
+constexpr Tier kFastTiers[] = {Tier::kStep, Tier::kBlock};
 
 const char* tier_name(Tier t) {
   switch (t) {
     case Tier::kLegacy: return "legacy";
-    case Tier::kUop: return "uop";
+    case Tier::kStep: return "step";
     default: return "block";
   }
 }
 
 SystemConfig with_tier(SystemConfig sc, Tier t) {
-  sc.event_driven = t != Tier::kLegacy;
+  // Per-cycle ticking sends every fast-path instruction through step(),
+  // so decode and exec_op stay diffed against the oracle on code that
+  // the event-driven run executes as blocks.
+  sc.event_driven = t == Tier::kBlock;
   sc.cpu.legacy_decode = t == Tier::kLegacy;
-  // Explicit on both fast tiers: the block tier is the default, so the
-  // uop tier exists only where a caller turns it off, as here.
-  sc.cpu.block_tier = t == Tier::kBlock;
   return sc;
 }
 
@@ -169,7 +171,7 @@ TEST(SysimDiffTest, SoftwareGemmStopsAtEveryCycleOfTwoInnerIterations) {
   // Stops the software GEMM at every cycle from reset to the end of its
   // first two inner-loop iterations (the second taken branch's penalty
   // cycle included). Each stop restores a cycle-0 snapshot and calls
-  // run_until(c), so on the fast tiers a burst budget runs out at every
+  // run_until(c), so on the block tier a burst budget runs out at every
   // offset: inside the inner loop's mul; add; addi static run, inside
   // each load's DRAM stall and on each taken-branch penalty.
   SystemConfig sc;
@@ -201,7 +203,7 @@ TEST(SysimDiffTest, SoftwareGemmStopsAtEveryCycleOfTwoInnerIterations) {
     std::array<std::uint32_t, 32> regs{};
   };
   std::vector<Stop> want;
-  for (const Tier tier : {Tier::kLegacy, Tier::kUop, Tier::kBlock}) {
+  for (const Tier tier : {Tier::kLegacy, Tier::kStep, Tier::kBlock}) {
     System system(with_tier(sc, tier));
     stage(system);
     system.load_program(program);
@@ -1104,7 +1106,7 @@ TEST(SysimDiffTest, IsaSpecVectorsOnEveryTier) {
     SystemConfig pass = sc;
     pass.cpu.fetch_latency = fetch_latency;
     const Capture legacy = run_tier(pass, Tier::kLegacy, program, stage);
-    for (const Tier tier : {Tier::kLegacy, Tier::kUop, Tier::kBlock}) {
+    for (const Tier tier : {Tier::kLegacy, Tier::kStep, Tier::kBlock}) {
       const std::string what = std::string(tier_name(tier)) +
                                ", fetch latency " +
                                std::to_string(fetch_latency);
@@ -1541,51 +1543,69 @@ TEST(SysimDiffTest, BurstJumpsIntoCodeTheDmaIsWriting) {
   // the call before, on and after the beats that rewrite it. Cold: the
   // routine never ran, so a burst must stop before fetching bytes the
   // DMA has yet to write. Warm: it ran once first and is cached, so the
-  // transfer must take the lockstep path.
-  SystemConfig sc;
-  sc.accel = small_accel();
+  // transfer must take the lockstep path. The copies land in DRAM, where
+  // the call's first fetch dispatches a block, or in PE 0's SPM_X
+  // window, where it re-resolves the fetch window and so runs as the
+  // burst's fallback step. (Returning to DRAM changes the fetch device
+  // and flushes the blocks, so in SPM_X a warm routine is no longer
+  // cached when the DMA starts.)
   constexpr int kDelays = 14;
   constexpr std::uint32_t kPad = 8 * 4;
   constexpr std::uint32_t kNew = 0x8000, kOld = 0x10000, kStride = 128;
-  const auto image = [&](std::int32_t step) {
-    Assembler r(sc.dram_base);
-    for (int i = 0; i < 8; ++i) r.nop();
-    for (int i = 0; i < 8; ++i) r.addi(a0, a0, step);
-    r.ret();
-    return r.assemble();
-  };
-  const auto fresh = image(100);
-  const auto old = image(1);
-  const auto image_bytes = static_cast<std::uint32_t>(fresh.size() * 4);
+  for (const bool spm : {false, true}) {
+    SystemConfig sc;
+    sc.accel = small_accel();
+    // 28 copies at a 128-byte stride fill SPM_X's 4 KiB window.
+    if (spm) sc.accel.max_cols = 256;
+    const auto image = [&](std::int32_t step) {
+      Assembler r(sc.dram_base);
+      for (int i = 0; i < 8; ++i) r.nop();
+      for (int i = 0; i < 8; ++i) r.addi(a0, a0, step);
+      r.ret();
+      return r.assemble();
+    };
+    const auto fresh = image(100);
+    const auto old = image(1);
+    const auto image_bytes = static_cast<std::uint32_t>(fresh.size() * 4);
 
-  Assembler as(sc.dram_base);
-  as.li(s7, sc.dma_base);
-  as.li(a1, sc.dram_base + kNew);
-  as.li(s2, sc.dram_base + kOld);  // destination cursor
-  as.li(s1, sc.dram_base + 0x20000);  // a0 log
-  for (int d = 0; d < kDelays; ++d) {
-    for (const bool warm : {false, true}) {
-      as.addi(s3, s2, kPad);  // the routine
-      if (warm) as.jalr(ra, s3, 0);
-      as.li(a0, 0);
-      emit_dma_start(as, a1, s2, image_bytes);
-      for (int i = 0; i < d; ++i) as.nop();
-      as.jalr(ra, s3, 0);
-      as.sw(a0, s1, 0);
-      as.addi(s1, s1, 4);
-      emit_dma_wait(as, "w" + std::to_string(d) + (warm ? "w" : "c"));
-      as.addi(s2, s2, kStride);
+    Assembler as(sc.dram_base);
+    as.li(s7, sc.dma_base);
+    as.li(a1, sc.dram_base + kNew);
+    // Destination cursor.
+    as.li(s2, spm ? sc.accel_base + PhotonicAccelerator::kSpmXBase
+                  : sc.dram_base + kOld);
+    as.li(s1, sc.dram_base + 0x20000);  // a0 log
+    for (int d = 0; d < kDelays; ++d) {
+      for (const bool warm : {false, true}) {
+        as.addi(s3, s2, kPad);  // the routine
+        if (warm) as.jalr(ra, s3, 0);
+        as.li(a0, 0);
+        emit_dma_start(as, a1, s2, image_bytes);
+        for (int i = 0; i < d; ++i) as.nop();
+        as.jalr(ra, s3, 0);
+        as.sw(a0, s1, 0);
+        as.addi(s1, s1, 4);
+        emit_dma_wait(as, "w" + std::to_string(d) + (warm ? "w" : "c"));
+        as.addi(s2, s2, kStride);
+      }
     }
+    emit_exit(as);
+    const auto program = as.assemble();
+    const auto stage = [&](System& s) {
+      s.write_dram(kNew, fresh.data(), image_bytes);
+      for (int k = 0; k < 2 * kDelays; ++k) {
+        const std::uint32_t off = static_cast<std::uint32_t>(k) * kStride;
+        if (spm)
+          s.pe(0).spm_x().load(off, old.data(), image_bytes);
+        else
+          s.write_dram(kOld + off, old.data(), image_bytes);
+      }
+    };
+    diff_program(sc, program,
+                 spm ? "dma writes spm_x code the cpu jumps into"
+                     : "dma writes code the cpu jumps into",
+                 stage);
   }
-  emit_exit(as);
-  const auto program = as.assemble();
-  const auto stage = [&](System& s) {
-    s.write_dram(kNew, fresh.data(), image_bytes);
-    for (int k = 0; k < 2 * kDelays; ++k)
-      s.write_dram(kOld + static_cast<std::uint32_t>(k) * kStride, old.data(),
-                   image_bytes);
-  };
-  diff_program(sc, program, "dma writes code the cpu jumps into", stage);
 }
 
 TEST(SysimDiffTest, BurstEndsWhenInterruptBecomesDue) {
@@ -1912,7 +1932,7 @@ TEST(SnapshotTest, CrossImageRestoresMatchFreshRestore) {
       {"software", build_gemm_software(wl, sc)},
       {"dma offload", build_gemm_offload(wl, sc, OffloadPath::kDmaInterrupt)},
   };
-  for (const Tier tier : {Tier::kLegacy, Tier::kUop, Tier::kBlock}) {
+  for (const Tier tier : {Tier::kLegacy, Tier::kStep, Tier::kBlock}) {
     for (const auto& [name, program] : programs) {
       const std::string what = std::string(name) + " [" + tier_name(tier) + "]";
       System system(with_tier(sc, tier));
