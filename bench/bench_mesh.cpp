@@ -1,15 +1,14 @@
 // Mesh micro-benchmarks: the hot loops behind every experiment harness —
 // single-phase set_phase + transfer (the column-factored cache's O(N^2)
-// incremental path vs the from-scratch rebuild), in-situ calibration at
-// 8/16/32 ports, and batched vs looped MVM. Standalone (chrono-based, no
-// external benchmark dependency) so it always builds; emits the rows both
-// as a table and as machine-readable BENCH_mesh.json for CI artifacts.
+// incremental path vs the from-scratch rebuild) and in-situ calibration
+// at 8/16/32 ports. Standalone (chrono-based, no external benchmark
+// dependency) so it always builds; emits the rows both as a table and as
+// machine-readable BENCH_mesh.json for CI artifacts.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/mvm_engine.hpp"
 #include "lina/random.hpp"
 #include "mesh/calibrate.hpp"
 #include "mesh/decompose.hpp"
@@ -22,12 +21,11 @@ using Clock = std::chrono::steady_clock;
 
 std::vector<bench::BenchRow> rows;
 
-/// Time fn() and record ns per op (one call counts as `ops_per_call`
-/// operations). Repetitions are sized so the timed region lasts about
-/// `target_s`; smoke mode shrinks that to a sanity check.
+/// Time fn() and record ns per call. Repetitions are sized so the timed
+/// region lasts about `target_s`; smoke mode shrinks that to a sanity
+/// check.
 template <class F>
-double record(const char* name, int ports, F&& fn, double target_s = 0.2,
-              double ops_per_call = 1.0) {
+double record(const char* name, int ports, F&& fn, double target_s = 0.2) {
   fn();  // warm up (and populate caches)
   const auto probe0 = Clock::now();
   fn();
@@ -41,7 +39,7 @@ double record(const char* name, int ports, F&& fn, double target_s = 0.2,
   for (int i = 0; i < reps; ++i) fn();
   const double total =
       std::chrono::duration<double>(Clock::now() - t0).count();
-  const double ns = total / (reps * ops_per_call) * 1e9;
+  const double ns = total / reps * 1e9;
   std::printf("%-34s ports=%-3d %14.1f ns/op  (%d reps)\n", name, ports, ns,
               reps);
   rows.push_back({name, ns, ports});
@@ -93,48 +91,15 @@ void bench_calibrate(std::size_t n) {
       0.5);
 }
 
-void bench_mvm(std::size_t n, std::size_t batch) {
-  core::MvmConfig cfg;
-  cfg.ports = n;
-  core::MvmEngine eng_batch(cfg);
-  core::MvmEngine eng_loop(cfg);
-  lina::Rng rng(7);
-  const lina::CMat w = lina::random_real(n, n, rng);
-  eng_batch.set_matrix(w);
-  eng_loop.set_matrix(w);
-  lina::CMat x(n, batch);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < batch; ++c)
-      x(r, c) = lina::cplx{rng.uniform(-1.0, 1.0), 0.0};
-
-  const auto per_vec = static_cast<double>(batch);
-  record(
-      "mvm_multiply_batch_per_vec", static_cast<int>(n),
-      [&] {
-        const lina::CMat y = eng_batch.multiply_batch(x);
-        (void)y;
-      },
-      0.2, per_vec);
-
-  record(
-      "mvm_multiply_looped_per_vec", static_cast<int>(n),
-      [&] {
-        for (std::size_t c = 0; c < batch; ++c)
-          (void)eng_loop.multiply(x.col(c));
-      },
-      0.2, per_vec);
-}
-
 }  // namespace
 
 int main() {
-  bench::header("BENCH mesh — transfer cache / calibration / batched MVM",
-                "in-situ programming and MVM scheduling are the paper's "
-                "core loops; this tracks their cost per PR");
+  bench::header("BENCH mesh — transfer cache / calibration",
+                "in-situ programming is one of the paper's core loops; "
+                "this tracks its cost per PR");
 
   for (std::size_t n : {8, 16, 32}) bench_transfer(n);
   for (std::size_t n : {8, 16, 32}) bench_calibrate(n);
-  bench_mvm(16, 64);
 
   bench::json_report("BENCH_mesh.json", rows);
   std::printf("\nwrote BENCH_mesh.json (%zu rows)\n", rows.size());

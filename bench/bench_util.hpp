@@ -39,16 +39,17 @@ inline void show(lina::Table& t) {
   std::cout << "\n";
 }
 
-/// One machine-readable microbenchmark result row.
+/// One machine-readable bench result row: a timing, a fidelity, a
+/// coverage fraction, ... as `unit` says.
 struct BenchRow {
-  std::string name;   ///< kernel identifier, stable across PRs
-  double ns_per_op;   ///< measured value (unit below, ns/op by default)
+  std::string name;   ///< row identifier, stable across PRs
+  double value;       ///< measured value, in `unit`
   int ports;          ///< problem size (0 when not size-parameterized)
-  std::string unit = "ns/op";  ///< measurement unit (e.g. "x" for ratios)
+  std::string unit = "ns/op";  ///< measurement unit (e.g. "%" for overheads)
 };
 
-/// Write benchmark rows as a JSON array (e.g. BENCH_mesh.json) so CI can
-/// archive the performance trajectory as a workflow artifact.
+/// Write bench rows as a JSON array (BENCH_mesh.json, BENCH_e2.json,
+/// BENCH_e7.json) so CI can archive them as workflow artifacts.
 inline void json_report(const std::string& path,
                         const std::vector<BenchRow>& rows) {
   std::ofstream os(path);
@@ -56,7 +57,7 @@ inline void json_report(const std::string& path,
   os << std::fixed << "[\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     os << "  {\"name\": \"" << rows[i].name
-       << "\", \"ns_per_op\": " << rows[i].ns_per_op
+       << "\", \"value\": " << rows[i].value
        << ", \"ports\": " << rows[i].ports
        << ", \"unit\": \"" << rows[i].unit << "\"}"
        << (i + 1 < rows.size() ? "," : "") << "\n";

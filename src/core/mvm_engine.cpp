@@ -358,52 +358,23 @@ void MvmEngine::rescale_batch(CMat& detected) const {
   for (auto& v : detected.raw()) v /= scale;
 }
 
-lina::CMat MvmEngine::multiply_batch(const CMat& x) {
-  if (x.rows() != cfg_.ports)
-    throw std::invalid_argument("MvmEngine::multiply_batch: row mismatch");
-  const std::size_t m = x.cols();
-  encode_batch(x, 0, m, batch_fields_);
-  CMat out;
-  lina::mul_into(out, t_phys_, batch_fields_);
-  for (std::size_t c = 0; c < m; ++c) {
-    // Laser RIN: common-mode launch-power fluctuation per symbol. The
-    // scalar commutes with the mesh product, so scaling the propagated
-    // column (instead of the launched fields) is equivalent; drawing it
-    // right before this symbol's detection keeps the rng stream in the
-    // same order as a multiply() loop.
-    const double p = laser_.sample_power(rng_);
-    const cplx rin_scale{std::sqrt(p / cfg_.laser.power_w), 0.0};
-    for (std::size_t i = 0; i < cfg_.ports; ++i)
-      out(i, c) = receiver_.measure(out(i, c) * rin_scale, rng_);
-  }
-  rescale_batch(out);
-  counters_.mvm_ops += m;
-  counters_.busy_time_s += static_cast<double>(m) * symbol_time_s();
-  return out;
-}
-
 CVec MvmEngine::multiply_noiseless(const CVec& x) const {
-  CVec out;
-  multiply_noiseless_into(x, out);
-  return out;
-}
-
-void MvmEngine::multiply_noiseless_into(const CVec& x, CVec& out) const {
   // Device (systematic) errors only: exact encoding, no RIN/shot/ADC.
-  // Same expressions and evaluation order as the allocating path.
   const double launch =
       std::sqrt(cfg_.laser.power_w / static_cast<double>(cfg_.ports));
-  scratch_noiseless_.resize(x.size());
+  CVec fields(x.size());
   for (std::size_t i = 0; i < x.size(); ++i)
-    scratch_noiseless_[i] = launch * modulator_.amplitude_scale() * x[i];
-  lina::mul_vec_into(out, t_phys_, scratch_noiseless_);
+    fields[i] = launch * modulator_.amplitude_scale() * x[i];
+  CVec out;
+  lina::mul_vec_into(out, t_phys_, fields);
   if (sigma_max_ <= 0.0) {  // zero weights -> zero output; see rescale()
     for (std::size_t i = 0; i < out.size(); ++i) out[i] = cplx{0.0, 0.0};
-    return;
+    return out;
   }
   const cplx scale =
       gain_ * launch * modulator_.amplitude_scale() / sigma_max_;
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = out[i] / scale;
+  return out;
 }
 
 namespace {

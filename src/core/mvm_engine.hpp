@@ -93,20 +93,9 @@ class MvmEngine {
   /// the engine does not rescale inputs implicitly.
   [[nodiscard]] lina::CVec multiply(const lina::CVec& x);
 
-  /// Batched end-to-end multiply: every column of `x` (ports x M) is one
-  /// symbol pushed through the mesh. Propagation of the whole block is a
-  /// single matrix-matrix product on the cached physical transfer, and
-  /// encode/detect run allocation-free on reused scratch. Noise draws
-  /// (per-symbol RIN, per-sample detection) are consumed in exactly the
-  /// same order as the equivalent multiply() loop, so results agree with
-  /// it up to floating-point reassociation.
-  [[nodiscard]] lina::CMat multiply_batch(const lina::CMat& x);
-
   /// Deterministic device-error-only result (no shot/RIN/ADC noise):
   /// isolates systematic from stochastic error in the analyses.
   [[nodiscard]] lina::CVec multiply_noiseless(const lina::CVec& x) const;
-  /// Allocation-free variant writing into `out` (identical values).
-  void multiply_noiseless_into(const lina::CVec& x, lina::CVec& out) const;
   /// Whole-tile noiseless evaluation of a real input tile: `x` holds
   /// ports x `cols` real entries stored port by port (entry (k, j) at
   /// x[k * cols + j]); the real and imaginary output parts land in `re`
@@ -133,7 +122,7 @@ class MvmEngine {
   /// Undo the calibrated system gain: measured field -> W-units output.
   [[nodiscard]] lina::CVec rescale(const lina::CVec& detected) const;
 
-  // -- Batched stages (used by multiply_batch and the WDM GeMM core) -----
+  // -- Batched stages (used by the WDM GeMM core) ------------------------
   /// Encode `count` columns of `x` starting at `first` into field
   /// amplitudes; writes a ports x count block into `fields` (storage
   /// reused, no allocation once warm).
@@ -290,8 +279,6 @@ class MvmEngine {
   phot::CwLaser laser_;
   MvmCounters counters_;
   mutable lina::CMat scratch_path_;  ///< compose_path_into scratch
-  lina::CMat batch_fields_;          ///< multiply_batch encode scratch
-  mutable lina::CVec scratch_noiseless_;  ///< multiply_noiseless_into fields
   mutable std::vector<double> scratch_fields_;  ///< batch variant fields
   std::vector<ProgramMemo> program_memo_;  ///< unordered, byte-budgeted
   std::uint64_t program_memo_clock_ = 0;   ///< last use stamp handed out

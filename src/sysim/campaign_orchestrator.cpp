@@ -65,6 +65,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Relaunch backoff growth per lost attempt, and its cap.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffMaxMs = 1'000;
+
 int ms_until(Clock::time_point deadline, Clock::time_point now) {
   if (deadline <= now) return 0;
   const auto ms =
@@ -93,7 +97,7 @@ struct Slot {
   std::size_t task = 0;
   std::size_t wr_off = 0;
   FrameBuffer frames;
-  Clock::time_point started{}, last_frame{};
+  Clock::time_point last_frame{};
 };
 
 std::map<std::uint64_t, CampaignResult> load_journal(
@@ -206,10 +210,9 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
   const auto backoff_ms = [&](unsigned attempts_used) -> std::uint32_t {
     // attempts_used >= 1 when a retry is being scheduled.
     double d = cfg_.backoff_initial_ms *
-               std::pow(cfg_.backoff_multiplier,
+               std::pow(kBackoffMultiplier,
                         static_cast<int>(attempts_used) - 1);
-    return static_cast<std::uint32_t>(
-        std::min<double>(d, cfg_.backoff_max_ms));
+    return static_cast<std::uint32_t>(std::min<double>(d, kBackoffMaxMs));
   };
 
   const auto close_slot = [&](Slot& s) {
@@ -307,9 +310,7 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
       }
       if (journal != nullptr) ::close(fileno(journal));
       if (cfg_.child_entry) ::_exit(cfg_.child_entry(t.seq, attempt));
-      const std::vector<std::string> argv_s =
-          cfg_.worker_command ? cfg_.worker_command(t.seq, attempt)
-                              : cfg_.worker_argv;
+      const std::vector<std::string>& argv_s = cfg_.worker_argv;
       std::vector<char*> argv;
       argv.reserve(argv_s.size() + 1);
       for (const std::string& a : argv_s)
@@ -331,7 +332,7 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
     s.task = task;
     s.wr_off = 0;
     s.frames = FrameBuffer{};
-    s.started = s.last_frame = Clock::now();
+    s.last_frame = Clock::now();
     s.active = true;
     ++o.attempts;
     ++stats_.launches;
@@ -386,8 +387,6 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
       if (cfg_.heartbeat_timeout_ms != 0)
         consider(s.last_frame +
                  std::chrono::milliseconds(cfg_.heartbeat_timeout_ms));
-      if (cfg_.shard_timeout_ms != 0)
-        consider(s.started + std::chrono::milliseconds(cfg_.shard_timeout_ms));
     }
 
     std::vector<pollfd> fds;
@@ -493,19 +492,11 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
     // Deadline sweep: hung workers are killed and their shards retried.
     const Clock::time_point after = Clock::now();
     for (Slot& s : slots) {
-      if (!s.active) continue;
-      const bool hb_lost =
-          cfg_.heartbeat_timeout_ms != 0 &&
+      if (s.active && cfg_.heartbeat_timeout_ms != 0 &&
           after - s.last_frame >=
-              std::chrono::milliseconds(cfg_.heartbeat_timeout_ms);
-      const bool over_budget =
-          cfg_.shard_timeout_ms != 0 &&
-          after - s.started >=
-              std::chrono::milliseconds(cfg_.shard_timeout_ms);
-      if (hb_lost || over_budget) {
+              std::chrono::milliseconds(cfg_.heartbeat_timeout_ms)) {
         ++stats_.kills;
-        fail_attempt(s, hb_lost ? "heartbeat deadline exceeded (hung worker)"
-                                : "shard deadline exceeded");
+        fail_attempt(s, "heartbeat deadline exceeded (hung worker)");
       }
     }
   }

@@ -32,8 +32,8 @@
 ///     per-cell outcome histograms (run_serial() is the in-process
 ///     oracle the orchestrated run is asserted against).
 ///
-/// Worker processes use campaign_worker_main(): the same loop the bench
-/// binary exposes behind --campaign-worker. All of this is POSIX
+/// Worker processes use campaign_worker_main(), as perfbench's
+/// `aspen_perfbench --campaign-worker` does. All of this is POSIX
 /// (fork/pipe/poll); on non-POSIX hosts construction works but run()
 /// throws.
 
@@ -77,22 +77,14 @@ struct OrchestratorConfig {
   /// SIGKILLed (0 disables). Heartbeats arrive every progress chunk, so
   /// this is a hang detector, not a throughput requirement.
   std::uint32_t heartbeat_timeout_ms = 30'000;
-  /// Total wall-clock deadline per shard attempt (0 disables).
-  std::uint32_t shard_timeout_ms = 0;
-  /// Exponential backoff before a lost shard is relaunched:
-  /// initial * multiplier^(attempt-1), capped at backoff_max_ms.
+  /// Backoff before a lost shard is relaunched: initial * 2^(attempt-1),
+  /// capped at 1 s.
   std::uint32_t backoff_initial_ms = 25;
-  double backoff_multiplier = 2.0;
-  std::uint32_t backoff_max_ms = 1'000;
   /// Resumable-journal path; empty disables journaling.
   std::string journal_path;
   /// Worker command line (argv[0] = executable); the child's stdin/stdout
   /// are the shard/frame pipes. Ignored when `child_entry` is set.
   std::vector<std::string> worker_argv;
-  /// Optional per-attempt command override (chaos flags for fault drills:
-  /// the CI smoke run crashes exactly one attempt this way).
-  std::function<std::vector<std::string>(std::uint64_t seq, unsigned attempt)>
-      worker_command;
   /// Test hook: run this in the forked child instead of exec'ing (pipes
   /// already dup2'ed onto fds 0/1); the return value is the child's exit
   /// code. Lets the self-fault-injection suite sabotage workers without

@@ -114,7 +114,6 @@ struct ByteExtent {
 /// architectural progress).
 struct BlockStats {
   std::uint64_t blocks_built = 0;
-  std::uint64_t dispatches = 0;   ///< block executions entered
   std::uint64_t chained = 0;      ///< dispatches resolved via a chain link
   std::uint64_t evictions = 0;    ///< blocks dropped by invalidation/flush
   std::uint64_t fallback_steps = 0;  ///< single-step dispatches (no block)
@@ -181,7 +180,7 @@ class BlockCache {
   /// next store boundary. The extent check makes data stores free.
   void invalidate_range(std::uint32_t addr, std::uint32_t bytes);
 
-  /// Drop everything (reset, fetch-device change, a cache-wide write).
+  /// Drop everything (a fetch-device change).
   void flush();
 
   [[nodiscard]] std::uint64_t generation() const { return gen_; }

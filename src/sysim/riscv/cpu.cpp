@@ -38,18 +38,6 @@ Cpu::~Cpu() {
     observed_devs_[1]->set_write_observer(nullptr);
 }
 
-void Cpu::reset() {
-  regs_.fill(0);
-  pc_ = cfg_.reset_pc;
-  cycles_ = instret_ = 0;
-  stall_ = 0;
-  irq_ = false;
-  wfi_ = false;
-  halt_ = Halt::kRunning;
-  mstatus_ = mie_ = mip_ = mtvec_ = mscratch_ = mepc_ = mcause_ = mtval_ = 0;
-  blocks_.flush();
-}
-
 Cpu::Snapshot Cpu::snapshot() const {
   Snapshot s;
   s.regs = regs_;
@@ -564,7 +552,8 @@ bool Cpu::retire_op(const MicroOp& u, std::uint64_t& budget) {
 
 // Flattening inlines retire_op, exec_op and the exec_alu switch into
 // the dispatch loop — the per-op call overhead is the dominant simulator
-// cost on memory-heavy workloads (bench_sysim sw_gemm / stream rows).
+// cost on memory-heavy workloads (perfbench's e6_sw_gemm and
+// e6_dma_stream).
 #if defined(__GNUC__)
 __attribute__((flatten))
 #endif
@@ -653,7 +642,6 @@ void Cpu::run_burst_blocks(std::uint64_t& budget) {
     // running code the DMA has yet to write.
     if (dma_ != nullptr && dma_->dst.overlaps(blk->start, blk->end - blk->start))
       break;
-    ++st.dispatches;
     const bool done = exec_block(*blk, budget, blocks_.generation());
     if (end_burst_ || halt_ != Halt::kRunning || wfi_) break;
     if (stall_ > 0) break;  // budget exhausted mid-stall

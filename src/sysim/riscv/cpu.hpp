@@ -153,8 +153,6 @@ class Cpu final : public BusWriteObserver {
     instret_ = instret;
   }
 
-  void reset();
-
   // -- Snapshot / restore --------------------------------------------------
   /// Complete architectural + timing state. Derived execution state
   /// (translated blocks, resolved bus windows) is deliberately excluded

@@ -10,6 +10,7 @@
 // record.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -52,8 +53,9 @@ GemmWorkload small_workload() {
   return wl;
 }
 
-FaultCampaign::SystemFactory make_factory(std::uint64_t seed) {
-  const SystemConfig sc = small_config();
+FaultCampaign::SystemFactory make_factory(std::uint64_t seed,
+                                          const SystemConfig& sc =
+                                              small_config()) {
   const GemmWorkload wl = small_workload();
   const auto a = random_fixed(wl.n * wl.n, seed);
   const auto x = random_fixed(wl.n * wl.m, seed + 1);
@@ -79,6 +81,16 @@ FaultCampaign::OutputReader make_reader() {
 /// platform (the sweep axes exercised here don't change the config).
 PointFactory make_point_factory(std::uint64_t seed) {
   return [seed](const SweepPoint&) { return make_factory(seed); };
+}
+
+/// Worker-side factory for an `adc_bits` sweep: the cell's ADC resolution
+/// lives in the config, so both sides of the wire must apply it.
+PointFactory make_adc_point_factory(std::uint64_t seed) {
+  return [seed](const SweepPoint& p) {
+    SystemConfig sc = small_config();
+    sc.accel.gemm.mvm.adc.bits = p.adc_bits;
+    return make_factory(seed, sc);
+  };
 }
 
 std::vector<FaultSpec> mixed_specs(FaultCampaign& campaign,
@@ -157,6 +169,23 @@ TEST(PlanShardsTest, PartitionsSpecsExactlyWithStableSeqs) {
 
 // -------------------------------------------------------- supervised pool
 
+using WorkerBody = std::function<int(std::uint64_t seq, unsigned attempt)>;
+
+/// `healthy`, except that the first attempt at shard 0 dies the way an
+/// OOM-killed or operator-killed worker dies: after reading the shard and
+/// proving liveness with one heartbeat.
+WorkerBody sigkill_first_attempt_of_shard0(WorkerBody healthy) {
+  return [healthy](std::uint64_t seq, unsigned attempt) {
+    if (seq == 0 && attempt == 0) {
+      const CampaignShard shard = deserialize_shard(io::read_all(0));
+      (void)io::write_frame(
+          1, serialize_progress({shard.seq, 0, shard.specs.size()}));
+      std::raise(SIGKILL);
+    }
+    return healthy(seq, attempt);
+  };
+}
+
 /// Fixture state shared by the supervision drills: a coordinator
 /// campaign, its serial-oracle histogram, and the planned shard tasks.
 struct Drill {
@@ -177,8 +206,7 @@ struct Drill {
 
   /// A healthy worker body (run in the forked child; fds 0/1 are the
   /// shard/frame pipes).
-  [[nodiscard]] std::function<int(std::uint64_t, unsigned)> healthy(
-      std::uint64_t seed) const {
+  [[nodiscard]] WorkerBody healthy(std::uint64_t seed) const {
     return [seed](std::uint64_t, unsigned) {
       return campaign_worker_main(0, 1, make_point_factory(seed),
                                   make_reader(), 4);
@@ -219,18 +247,7 @@ TEST(CampaignOrchestratorTest, SigkilledWorkerIsRetriedBitIdentical) {
   OrchestratorConfig oc;
   oc.max_workers = 2;
   oc.backoff_initial_ms = 1;
-  const auto healthy = d.healthy(612);
-  oc.child_entry = [healthy](std::uint64_t seq, unsigned attempt) {
-    if (seq == 0 && attempt == 0) {
-      // Die the way a OOM-killed or operator-killed worker dies: after
-      // reading the shard and proving liveness with one heartbeat.
-      const CampaignShard shard = deserialize_shard(io::read_all(0));
-      (void)io::write_frame(
-          1, serialize_progress({shard.seq, 0, shard.specs.size()}));
-      std::raise(SIGKILL);
-    }
-    return healthy(seq, attempt);
-  };
+  oc.child_entry = sigkill_first_attempt_of_shard0(d.healthy(612));
   CampaignOrchestrator orch(oc, d.serial_exec());
   const std::vector<ShardOutcome> outs = orch.run(d.tasks);
 
@@ -461,41 +478,88 @@ TEST(CampaignOrchestratorTest, JournalDuplicatedTailRecordMergesOnce) {
 
 // --------------------------------------------------------- multi-axis sweep
 
-TEST(SweepGridTest, OrchestratedSweepMatchesSerialOraclePerCell) {
-  SweepAxes axes;
-  axes.faults = {{FaultTarget::kCpuRegfile, FaultModel::kTransientFlip},
-                 {FaultTarget::kDramData, FaultModel::kStuckAt1}};
-  SweepGrid grid(axes, make_point_factory(618), make_reader(), kMaxCycles);
-  SweepRunConfig rc;
-  rc.trials_per_cell = 8;
-  rc.shards_per_cell = 2;
-
-  const std::vector<SweepPoint> pts = grid.points();
-  ASSERT_EQ(pts.size(), 2u);
-  EXPECT_EQ(pts[0].cell, 0u);
-  EXPECT_EQ(pts[1].cell, 1u);
-  EXPECT_EQ(pts[1].target, FaultTarget::kDramData);
-
+/// Run `grid` serially and through the orchestrator configured by `oc`,
+/// and check every cell against its serial oracle. Returns the
+/// orchestrator's supervision counters.
+CampaignOrchestrator::Stats expect_sweep_matches_serial(
+    SweepGrid& grid, const SweepRunConfig& rc, const OrchestratorConfig& oc) {
   const std::vector<SweepCell> serial = grid.run_serial(rc);
-  OrchestratorConfig oc;
-  oc.max_workers = 2;
-  oc.child_entry = [](std::uint64_t, unsigned) {
-    return campaign_worker_main(0, 1, make_point_factory(618), make_reader(),
-                                4);
-  };
   CampaignOrchestrator::Stats stats;
   const std::vector<SweepCell> swept = grid.run(rc, oc, &stats);
 
-  ASSERT_EQ(swept.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
+  EXPECT_EQ(swept.size(), serial.size());
+  for (std::size_t i = 0; i < std::min(swept.size(), serial.size()); ++i) {
     EXPECT_EQ(swept[i].hist.counts, serial[i].hist.counts)
         << "cell " << i << " diverged from the serial oracle";
     EXPECT_EQ(swept[i].hist.total, rc.trials_per_cell);
     EXPECT_EQ(swept[i].shards, rc.shards_per_cell);
     EXPECT_EQ(swept[i].golden_cycles, serial[i].golden_cycles);
   }
-  EXPECT_EQ(stats.launches, 4u);  // 2 cells x 2 shards, no failures
-  EXPECT_EQ(stats.failures, 0u);
+  return stats;
+}
+
+TEST(SweepGridTest, OrchestratedSweepMatchesSerialOraclePerCell) {
+  SweepRunConfig rc;
+  rc.trials_per_cell = 8;
+  rc.shards_per_cell = 2;
+
+  // Two healthy workers over two fault pairs.
+  {
+    SweepAxes axes;
+    axes.faults = {{FaultTarget::kCpuRegfile, FaultModel::kTransientFlip},
+                   {FaultTarget::kDramData, FaultModel::kStuckAt1}};
+    SweepGrid grid(axes, make_point_factory(618), make_reader(), kMaxCycles);
+
+    const std::vector<SweepPoint> pts = grid.points();
+    ASSERT_EQ(pts.size(), 2u);
+    EXPECT_EQ(pts[0].cell, 0u);
+    EXPECT_EQ(pts[1].cell, 1u);
+    EXPECT_EQ(pts[1].target, FaultTarget::kDramData);
+
+    OrchestratorConfig oc;
+    oc.max_workers = 2;
+    oc.child_entry = [](std::uint64_t, unsigned) {
+      return campaign_worker_main(0, 1, make_point_factory(618),
+                                  make_reader(), 4);
+    };
+    const CampaignOrchestrator::Stats stats =
+        expect_sweep_matches_serial(grid, rc, oc);
+    EXPECT_EQ(stats.launches, 4u);  // 2 cells x 2 shards, no failures
+    EXPECT_EQ(stats.failures, 0u);
+  }
+
+  // Four workers over 2 fault pairs x adc_bits {8, 6}: 4 cells, 8
+  // shards. The first attempt at shard 0 is SIGKILLed mid-shard, and
+  // the retry must leave every cell bit-identical to the serial oracle.
+  {
+    SweepAxes axes;
+    axes.faults = {{FaultTarget::kCpuRegfile, FaultModel::kTransientFlip},
+                   {FaultTarget::kAccelPhase, FaultModel::kTransientFlip}};
+    axes.adc_bits = {8, 6};
+    SweepGrid grid(axes, make_adc_point_factory(622), make_reader(),
+                   kMaxCycles);
+
+    const std::vector<SweepPoint> pts = grid.points();
+    ASSERT_EQ(pts.size(), 4u);
+    EXPECT_EQ(pts[0].adc_bits, 8);
+    EXPECT_EQ(pts[1].adc_bits, 6);
+    EXPECT_EQ(pts[2].target, FaultTarget::kAccelPhase);
+
+    OrchestratorConfig oc;
+    oc.max_workers = 4;
+    oc.backoff_initial_ms = 1;
+    oc.child_entry = sigkill_first_attempt_of_shard0(
+        [](std::uint64_t, unsigned) {
+          return campaign_worker_main(0, 1, make_adc_point_factory(622),
+                                      make_reader(), 4);
+        });
+    const CampaignOrchestrator::Stats stats =
+        expect_sweep_matches_serial(grid, rc, oc);
+    EXPECT_EQ(stats.failures, 1u);
+    EXPECT_EQ(stats.retries, 1u);
+    EXPECT_EQ(stats.launches, 9u);  // 8 shards plus the one retry
+    EXPECT_EQ(stats.serial_fallbacks, 0u);
+  }
 }
 
 /// Worker-side factory for the ABFT sweep axis: abft cells get the

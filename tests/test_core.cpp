@@ -786,36 +786,6 @@ TEST(EnergyModelTest, ReckAndClementsSameCellCountSameArea) {
             evaluate_accelerator(a).insertion_loss_db);
 }
 
-TEST(MvmEngineTest, MultiplyBatchMatchesLoopedMultiply) {
-  // Batched propagation is one GEMM, but the noise draws are consumed in
-  // the same order as a multiply() loop — results agree up to FP
-  // reassociation even with every noise source enabled (default config).
-  MvmConfig cfg;
-  cfg.ports = 8;
-  MvmEngine batched(cfg);
-  MvmEngine looped(cfg);
-  Rng rng(71);
-  const CMat w = aspen::lina::random_real(8, 8, rng);
-  batched.set_matrix(w);
-  looped.set_matrix(w);
-
-  const std::size_t m = 12;
-  CMat x(8, m);
-  for (std::size_t r = 0; r < 8; ++r)
-    for (std::size_t c = 0; c < m; ++c)
-      x(r, c) = cplx{rng.uniform(-1.0, 1.0), 0.0};
-
-  const CMat yb = batched.multiply_batch(x);
-  for (std::size_t c = 0; c < m; ++c) {
-    const CVec yl = looped.multiply(x.col(c));
-    for (std::size_t r = 0; r < 8; ++r)
-      EXPECT_LT(std::abs(yb(r, c) - yl[r]), 1e-9) << "r=" << r << " c=" << c;
-  }
-  EXPECT_EQ(batched.counters().mvm_ops, looped.counters().mvm_ops);
-  EXPECT_DOUBLE_EQ(batched.counters().busy_time_s,
-                   looped.counters().busy_time_s);
-}
-
 TEST(MvmEngineTest, TransferAtDetuningIsLogicallyConst) {
   MvmConfig cfg;
   cfg.ports = 6;
