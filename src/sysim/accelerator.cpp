@@ -203,17 +203,7 @@ void PhotonicAccelerator::start_operation(std::uint32_t ctrl) {
     if (check && (crc ^ kCrc32FinalXor) != crc_x_expect_) {
       latch_error(kErrCrcX);
     } else {
-      if (cfg_.deterministic) {
-        gemm_.multiply_noiseless(tile_x_, m, tile_re_, tile_im_);
-      } else {
-        CMat x(n, m);
-        for (std::size_t i = 0; i < tile_x_.size(); ++i)
-          x.raw()[i] = cplx{tile_x_[i], 0.0};
-        const CMat y = gemm_.multiply(x);
-        tile_re_.resize(y.raw().size());
-        for (std::size_t i = 0; i < tile_re_.size(); ++i)
-          tile_re_[i] = y.raw()[i].real();
-      }
+      gemm_.multiply_noiseless(tile_x_, m, tile_re_, tile_im_);
       if (cfg_.gemm.abft.enabled) {
         if (gemm_.last_abft().counts.uncorrectable > 0) latch_error(kErrAbft);
         // Pipelined checksum verifiers retire eight columns per cycle.

@@ -52,10 +52,10 @@
 ///
 /// START data path: the tiles stay real end to end. SPM_X is decoded
 /// (and CRC-folded when checked) into a real N x M tile stored port by
-/// port, the deterministic path runs GemmCore's real-input noiseless
-/// kernel on it (ABFT pads and checks inside the core), and SPM_Y takes
-/// the rounded real parts. The noisy path (deterministic = false) builds
-/// its complex input from the same real tile.
+/// port, GemmCore's real-input noiseless kernel runs on it (ABFT pads and
+/// checks inside the core), and SPM_Y takes the rounded real parts, so
+/// software-visible results are reproducible. The PE draws no analog
+/// noise; noisy photonic compute is studied on GemmCore directly.
 
 #include <memory>
 
@@ -69,9 +69,6 @@ struct AcceleratorConfig {
   std::uint32_t max_cols = 64;
   double clock_hz = 1e9;          ///< system clock for cycle conversion
   unsigned handshake_cycles = 20; ///< fixed start/finish overhead
-  /// Use the deterministic (noise-free) optical path so software-visible
-  /// results are reproducible; benches studying analog noise disable it.
-  bool deterministic = true;
 };
 
 class PhotonicAccelerator final : public BusDevice {

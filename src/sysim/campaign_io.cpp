@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -39,10 +38,6 @@ class Writer {
     const auto* s = static_cast<const std::uint8_t*>(p);
     buf_.insert(buf_.end(), s, s + n);
   }
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
@@ -70,7 +65,9 @@ class Reader {
     const std::uint64_t lo = u32();
     return lo | (static_cast<std::uint64_t>(u32()) << 32);
   }
-  bool b() { return u8() != 0; }
+  /// A bool is byte 0 or 1; any other byte would not re-serialize to
+  /// itself.
+  bool b() { return u8_enum(1, "bool") != 0; }
   double f64() {
     const std::uint64_t bits = u64();
     double d;
@@ -82,14 +79,6 @@ class Reader {
     need(n);
     std::memcpy(dst, p_ + pos_, n);
     pos_ += n;
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(p_ + pos_),
-                  static_cast<std::size_t>(n));
-    pos_ += static_cast<std::size_t>(n);
-    return s;
   }
   /// Element count for a vector whose entries occupy >= `elem_bytes`
   /// each — bounds the allocation by the remaining payload so a corrupt
@@ -105,16 +94,15 @@ class Reader {
                  at);
     return static_cast<std::size_t>(n);
   }
-  /// Validate that `n_elems` entries of `elem_bytes` each fit in the
-  /// remaining payload (for counts read as separate dimensions, e.g.
-  /// matrix rows x cols).
-  void need_elems(std::uint64_t n_elems, std::size_t elem_bytes) {
-    if (elem_bytes > 0 && n_elems > (n_ - pos_) / elem_bytes)
-      throw fail("element count " + std::to_string(n_elems) + " (>= " +
-                     std::to_string(elem_bytes) +
-                     " bytes each) exceeds the remaining payload (" +
-                     std::to_string(n_ - pos_) + " bytes)",
-                 pos_);
+  /// A u64 count that must fit `int` (histogram counts and totals).
+  int int_count(const char* what) {
+    const std::size_t at = pos_;
+    const std::uint64_t v = u64();
+    if (v > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+      throw fail(std::string(what) + " " + std::to_string(v) +
+                     " does not fit int",
+                 at);
+    return static_cast<int>(v);
   }
   /// Read + validate a one-byte enum whose valid values are [0, max].
   std::uint8_t u8_enum(std::uint8_t max, const char* what) {
@@ -172,7 +160,8 @@ PayloadKind read_header(Reader& r) {
                      std::to_string(kCampaignWireVersion),
                  4);
   const std::uint16_t got = r.u16();
-  if (got < 1 || got > static_cast<std::uint16_t>(PayloadKind::kJournal))
+  if (got < static_cast<std::uint16_t>(PayloadKind::kSpecBatch) ||
+      got > static_cast<std::uint16_t>(PayloadKind::kJournal))
     throw r.fail("unknown payload kind " + std::to_string(got), 6);
   return static_cast<PayloadKind>(got);
 }
@@ -188,305 +177,6 @@ void check_header(Reader& r, PayloadKind kind) {
 }
 
 // ------------------------------------------------------- composite types
-
-void put_f64_vec(Writer& w, const std::vector<double>& v) {
-  w.u64(v.size());
-  for (const double d : v) w.f64(d);
-}
-std::vector<double> get_f64_vec(Reader& r) {
-  const std::size_t n = r.count(8);
-  std::vector<double> v(n);
-  for (auto& d : v) d = r.f64();
-  return v;
-}
-
-void put_cmat(Writer& w, const lina::CMat& m) {
-  w.u64(m.rows());
-  w.u64(m.cols());
-  for (const lina::cplx& z : m.raw()) {
-    w.f64(z.real());
-    w.f64(z.imag());
-  }
-}
-lina::CMat get_cmat(Reader& r) {
-  const std::uint64_t rows = r.u64();
-  const std::uint64_t cols = r.u64();
-  if (rows != 0 && cols > std::numeric_limits<std::uint64_t>::max() / rows)
-    throw std::runtime_error("campaign_io: matrix dimensions overflow");
-  r.need_elems(rows * cols, 16);
-  lina::CMat m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-  for (lina::cplx& z : m.raw()) {
-    const double re = r.f64();
-    const double im = r.f64();
-    z = {re, im};
-  }
-  return m;
-}
-
-void put_rng(Writer& w, const lina::Rng& rng) {
-  // The standard stream representation of mt19937_64 round-trips the
-  // engine state exactly (decimal words, space-separated).
-  lina::Rng copy = rng;
-  std::ostringstream os;
-  os << copy.engine();
-  w.str(os.str());
-}
-lina::Rng get_rng(Reader& r) {
-  lina::Rng rng;
-  std::istringstream is(r.str());
-  is >> rng.engine();
-  if (is.fail()) throw std::runtime_error("campaign_io: bad rng state");
-  return rng;
-}
-
-void put_memory(Writer& w, const Memory::Snapshot& s) {
-  w.u64(s.size());
-  if (s.bytes) w.bytes(s.bytes->data(), s.size());
-  w.u64(s.stuck.size());
-  for (const Memory::Stuck& st : s.stuck) {
-    w.u32(st.offset);
-    w.u8(st.bit);
-    w.b(st.value);
-  }
-}
-Memory::Snapshot get_memory(Reader& r) {
-  Memory::Snapshot s;
-  auto image = std::make_shared<Memory::Image>(r.count(1));
-  r.bytes(image->data(), image->size());
-  s.bytes = std::move(image);
-  s.stuck.resize(r.count(6));
-  for (Memory::Stuck& st : s.stuck) {
-    st.offset = r.u32();
-    st.bit = r.u8();
-    st.value = r.b();
-  }
-  return s;
-}
-
-void put_dma(Writer& w, const DmaEngine::Snapshot& s) {
-  w.u32(s.src);
-  w.u32(s.dst);
-  w.u32(s.len);
-  w.u32(s.ctrl);
-  w.u32(s.cursor);
-  w.b(s.busy);
-  w.b(s.done);
-  w.b(s.irq);
-  w.b(s.error);
-}
-DmaEngine::Snapshot get_dma(Reader& r) {
-  DmaEngine::Snapshot s;
-  s.src = r.u32();
-  s.dst = r.u32();
-  s.len = r.u32();
-  s.ctrl = r.u32();
-  s.cursor = r.u32();
-  s.busy = r.b();
-  s.done = r.b();
-  s.irq = r.b();
-  s.error = r.b();
-  return s;
-}
-
-void put_mesh(Writer& w, const mesh::PhysicalMesh::Snapshot& s) {
-  put_f64_vec(w, s.phases);
-  w.f64(s.drift_time_s);
-  w.f64(s.detuning_nm);
-}
-mesh::PhysicalMesh::Snapshot get_mesh(Reader& r) {
-  mesh::PhysicalMesh::Snapshot s;
-  s.phases = get_f64_vec(r);
-  s.drift_time_s = r.f64();
-  s.detuning_nm = r.f64();
-  return s;
-}
-
-void put_engine(Writer& w, const core::MvmEngine::Snapshot& s) {
-  put_mesh(w, s.mesh_u);
-  put_mesh(w, s.mesh_v);
-  put_cmat(w, s.weight);
-  put_cmat(w, s.svd.u);
-  put_f64_vec(w, s.svd.sigma);
-  put_cmat(w, s.svd.v);
-  put_f64_vec(w, s.attenuation);
-  w.f64(s.sigma_max);
-  put_cmat(w, s.t_phys);
-  w.f64(s.gain.real());
-  w.f64(s.gain.imag());
-  w.f64(s.fidelity);
-  w.f64(s.pcm_drift_time_s);
-  put_rng(w, s.rng);
-  w.u64(s.counters.mvm_ops);
-  w.u64(s.counters.program_ops);
-  w.f64(s.counters.busy_time_s);
-  w.f64(s.counters.weight_write_energy_j);
-  w.b(s.weights_clean);
-}
-core::MvmEngine::Snapshot get_engine(Reader& r) {
-  core::MvmEngine::Snapshot s;
-  s.mesh_u = get_mesh(r);
-  s.mesh_v = get_mesh(r);
-  s.weight = get_cmat(r);
-  s.svd.u = get_cmat(r);
-  s.svd.sigma = get_f64_vec(r);
-  s.svd.v = get_cmat(r);
-  s.attenuation = get_f64_vec(r);
-  s.sigma_max = r.f64();
-  s.t_phys = get_cmat(r);
-  const double gr = r.f64();
-  const double gi = r.f64();
-  s.gain = {gr, gi};
-  s.fidelity = r.f64();
-  s.pcm_drift_time_s = r.f64();
-  s.rng = get_rng(r);
-  s.counters.mvm_ops = r.u64();
-  s.counters.program_ops = r.u64();
-  s.counters.busy_time_s = r.f64();
-  s.counters.weight_write_energy_j = r.f64();
-  s.weights_clean = r.b();
-  return s;
-}
-
-void put_gemm(Writer& w, const core::GemmCore::Snapshot& s) {
-  put_engine(w, s.engine);
-  w.u64(s.stats.symbols);
-  w.f64(s.stats.wall_time_s);
-  w.u64(s.stats.macs);
-  w.f64(s.stats.modulator_energy_j);
-  w.f64(s.stats.adc_energy_j);
-  w.f64(s.stats.laser_energy_j);
-  w.f64(s.stats.weight_write_energy_j);
-  w.u64(s.channel_transfer.size());
-  for (const lina::CMat& m : s.channel_transfer) put_cmat(w, m);
-  w.u64(s.abft.columns_checked);
-  w.u64(s.abft.detected);
-  w.u64(s.abft.corrected);
-  w.u64(s.abft.uncorrectable);
-}
-core::GemmCore::Snapshot get_gemm(Reader& r) {
-  core::GemmCore::Snapshot s;
-  s.engine = get_engine(r);
-  s.stats.symbols = r.u64();
-  s.stats.wall_time_s = r.f64();
-  s.stats.macs = r.u64();
-  s.stats.modulator_energy_j = r.f64();
-  s.stats.adc_energy_j = r.f64();
-  s.stats.laser_energy_j = r.f64();
-  s.stats.weight_write_energy_j = r.f64();
-  s.channel_transfer.resize(r.count(16));
-  for (lina::CMat& m : s.channel_transfer) m = get_cmat(r);
-  s.abft.columns_checked = r.u64();
-  s.abft.detected = r.u64();
-  s.abft.corrected = r.u64();
-  s.abft.uncorrectable = r.u64();
-  return s;
-}
-
-void put_pe(Writer& w, const PhotonicAccelerator::Snapshot& s) {
-  put_gemm(w, s.gemm);
-  put_memory(w, s.spm_w);
-  put_memory(w, s.spm_x);
-  put_memory(w, s.spm_y);
-  w.u32(s.ctrl);
-  w.u32(s.cols);
-  w.b(s.done);
-  w.b(s.irq);
-  w.u64(s.busy_cycles);
-  w.u64(s.total_busy_cycles);
-  w.u32(s.last_op_cycles);
-  w.u32(s.pending_op);
-  w.b(s.error);
-  w.u32(s.err_cause);
-  w.u32(s.crc_w_expect);
-  w.u32(s.crc_x_expect);
-  w.u64(s.watchdog_cycles);
-}
-PhotonicAccelerator::Snapshot get_pe(Reader& r) {
-  PhotonicAccelerator::Snapshot s;
-  s.gemm = get_gemm(r);
-  s.spm_w = get_memory(r);
-  s.spm_x = get_memory(r);
-  s.spm_y = get_memory(r);
-  s.ctrl = r.u32();
-  s.cols = r.u32();
-  s.done = r.b();
-  s.irq = r.b();
-  s.busy_cycles = r.u64();
-  s.total_busy_cycles = r.u64();
-  s.last_op_cycles = r.u32();
-  s.pending_op = r.u32();
-  s.error = r.b();
-  s.err_cause = r.u32();
-  s.crc_w_expect = r.u32();
-  s.crc_x_expect = r.u32();
-  s.watchdog_cycles = r.u64();
-  return s;
-}
-
-void put_cpu(Writer& w, const rv::Cpu::Snapshot& s) {
-  for (const std::uint32_t v : s.regs) w.u32(v);
-  for (const std::uint32_t v : s.stuck_or) w.u32(v);
-  for (const std::uint32_t v : s.stuck_and) w.u32(v);
-  w.b(s.reg_faults_armed);
-  w.u32(s.pc);
-  w.u64(s.cycles);
-  w.u64(s.instret);
-  w.u32(s.stall);
-  w.b(s.irq);
-  w.b(s.wfi);
-  w.u8(static_cast<std::uint8_t>(s.halt));
-  w.u32(s.mstatus);
-  w.u32(s.mie);
-  w.u32(s.mip);
-  w.u32(s.mtvec);
-  w.u32(s.mscratch);
-  w.u32(s.mepc);
-  w.u32(s.mcause);
-  w.u32(s.mtval);
-}
-rv::Cpu::Snapshot get_cpu(Reader& r) {
-  rv::Cpu::Snapshot s;
-  for (std::uint32_t& v : s.regs) v = r.u32();
-  for (std::uint32_t& v : s.stuck_or) v = r.u32();
-  for (std::uint32_t& v : s.stuck_and) v = r.u32();
-  s.reg_faults_armed = r.b();
-  s.pc = r.u32();
-  s.cycles = r.u64();
-  s.instret = r.u64();
-  s.stall = r.u32();
-  s.irq = r.b();
-  s.wfi = r.b();
-  s.halt = static_cast<rv::Halt>(r.u8_enum(
-      static_cast<std::uint8_t>(rv::Halt::kIllegal), "halt reason"));
-  s.mstatus = r.u32();
-  s.mie = r.u32();
-  s.mip = r.u32();
-  s.mtvec = r.u32();
-  s.mscratch = r.u32();
-  s.mepc = r.u32();
-  s.mcause = r.u32();
-  s.mtval = r.u32();
-  return s;
-}
-
-void put_system(Writer& w, const System::SystemSnapshot& s) {
-  w.u64(s.cycle);
-  put_memory(w, s.dram);
-  put_dma(w, s.dma);
-  w.u64(s.pes.size());
-  for (const PhotonicAccelerator::Snapshot& pe : s.pes) put_pe(w, pe);
-  put_cpu(w, s.cpu);
-}
-System::SystemSnapshot get_system(Reader& r) {
-  System::SystemSnapshot s;
-  s.cycle = r.u64();
-  s.dram = get_memory(r);
-  s.dma = get_dma(r);
-  s.pes.resize(r.count(64));
-  for (PhotonicAccelerator::Snapshot& pe : s.pes) pe = get_pe(r);
-  s.cpu = get_cpu(r);
-  return s;
-}
 
 void put_spec(Writer& w, const FaultSpec& s) {
   w.u8(static_cast<std::uint8_t>(s.target));
@@ -566,27 +256,37 @@ void put_histogram(Writer& w, const CampaignResult& res) {
   w.u64(static_cast<std::uint64_t>(res.total));
 }
 CampaignResult get_histogram(Reader& r) {
+  // Canonical form only: outcomes strictly increasing (no duplicate
+  // whose later count would overwrite the earlier), every count and the
+  // total within int, and the total equal to the sum of the counts.
   CampaignResult res;
+  std::uint64_t sum = 0;
   const std::size_t n = r.count(9);
   for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t at = r.pos();
     const auto outcome = static_cast<Outcome>(r.u8_enum(
         static_cast<std::uint8_t>(Outcome::kDetectedRecovered), "outcome"));
-    res.counts[outcome] = static_cast<int>(r.u64());
+    if (!res.counts.empty() && outcome <= res.counts.rbegin()->first)
+      throw r.fail("outcome " + std::to_string(static_cast<int>(outcome)) +
+                       " repeated or out of order",
+                   at);
+    const int count = r.int_count("outcome count");
+    res.counts.emplace(outcome, count);
+    sum += static_cast<std::uint64_t>(count);
   }
-  res.total = static_cast<int>(r.u64());
+  const std::size_t at = r.pos();
+  res.total = r.int_count("histogram total");
+  if (static_cast<std::uint64_t>(res.total) != sum)
+    throw r.fail("histogram total " + std::to_string(res.total) +
+                     " differs from the sum of its counts " +
+                     std::to_string(sum),
+                 at);
   return res;
 }
 
 }  // namespace
 
 // ----------------------------------------------------------- public API
-
-std::vector<std::uint8_t> serialize_snapshot(const System::SystemSnapshot& s) {
-  Writer w;
-  put_header(w, PayloadKind::kSnapshot);
-  put_system(w, s);
-  return w.take();
-}
 
 std::vector<std::uint8_t> serialize_specs(const std::vector<FaultSpec>& specs) {
   Writer w;
@@ -607,7 +307,6 @@ std::vector<std::uint8_t> serialize_shard(const CampaignShard& shard) {
   put_header(w, PayloadKind::kShard);
   w.u64(shard.seq);
   put_point(w, shard.point);
-  put_system(w, shard.staged);
   w.u64(shard.golden.size());
   w.bytes(shard.golden.data(), shard.golden.size());
   w.u64(shard.fallback_golden.size());
@@ -617,15 +316,6 @@ std::vector<std::uint8_t> serialize_shard(const CampaignShard& shard) {
   w.u32(shard.ladder_rungs);
   put_spec_vec(w, shard.specs);
   return w.take();
-}
-
-System::SystemSnapshot deserialize_snapshot(const std::uint8_t* data,
-                                            std::size_t size) {
-  Reader r(data, size);
-  check_header(r, PayloadKind::kSnapshot);
-  System::SystemSnapshot s = get_system(r);
-  r.expect_end();
-  return s;
 }
 
 std::vector<FaultSpec> deserialize_specs(const std::uint8_t* data,
@@ -652,7 +342,6 @@ CampaignShard deserialize_shard(const std::uint8_t* data, std::size_t size) {
   CampaignShard shard;
   shard.seq = r.u64();
   shard.point = get_point(r);
-  shard.staged = get_system(r);
   shard.golden.resize(r.count(1));
   r.bytes(shard.golden.data(), shard.golden.size());
   shard.fallback_golden.resize(r.count(1));
@@ -761,7 +450,6 @@ std::vector<CampaignShard> plan_shards(FaultCampaign& campaign,
     CampaignShard shard;
     shard.seq = first_seq + k;
     shard.point = point;
-    shard.staged = campaign.staged_snapshot();
     shard.golden = campaign.golden();
     shard.fallback_golden = campaign.fallback_golden();
     shard.golden_cycles = campaign.golden_cycles();

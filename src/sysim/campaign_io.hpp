@@ -4,26 +4,28 @@
 /// robustness sweeps (fault type x PCM drift x temperature x ENOB at
 /// millions of trials) outgrow one process: a coordinator stages the
 /// workload once, then fans pre-drawn spec shards out to worker
-/// processes/machines which classify trials against the coordinator's
-/// golden reference and stream verdict histograms back. Everything that
-/// crosses the process boundary is serialized here:
+/// processes which rebuild the same platform, check it against the
+/// coordinator's golden reference and stream verdict histograms back.
+/// Everything that crosses the process boundary is serialized here:
 ///
-///   System::SystemSnapshot  — the fully staged platform image
 ///   std::vector<FaultSpec>  — a pre-drawn spec shard
 ///   CampaignResult          — a verdict histogram
-///   CampaignShard           — one worker's complete input (snapshot +
+///   CampaignShard           — one worker's complete input (sweep point +
 ///                             golden reference + specs + budget)
 ///   CampaignProgress        — a worker heartbeat (trials completed)
 ///   JournalEntry            — a completed-shard record (resume marker)
 ///
+/// No platform image crosses the wire; a worker rebuilds and checks its
+/// own (see CampaignShard).
+///
 /// Every payload starts with an 8-byte header (magic, format version,
-/// payload kind); deserialization validates all three and every enum in
-/// the body, throwing std::runtime_error whose message carries the byte
-/// offset and the expected-vs-actual sizes rather than constructing
-/// half-formed state — a short pipe read and a malformed enum are
-/// distinguishable from the message alone. Scalars are little-endian,
-/// doubles are IEEE-754 bit patterns and the RNG engine is captured via
-/// its standard stream representation, so round-trips are bit-exact and
+/// payload kind); deserialization validates all three, every enum and
+/// bool in the body and the consistency of histograms, throwing
+/// std::runtime_error whose message carries the byte offset and the
+/// expected-vs-actual sizes rather than constructing half-formed state —
+/// a short pipe read and a malformed enum are distinguishable from the
+/// message alone. Scalars are little-endian and doubles are IEEE-754 bit
+/// patterns, so a payload that parses re-serializes to its own bytes and
 /// merged multi-process histograms match the serial run bit-for-bit.
 ///
 /// Payloads that travel over a byte *stream* (worker stdout, journal
@@ -36,7 +38,6 @@
 #include <vector>
 
 #include "sysim/fault.hpp"
-#include "sysim/system.hpp"
 
 namespace aspen::sys {
 
@@ -49,11 +50,15 @@ namespace aspen::sys {
 /// software-fallback golden, and histograms carry the recovery verdicts.
 /// v4: the CPU snapshot gained the mtval CSR (trap value register,
 /// introduced with the RV32C / misaligned-fetch work).
-inline constexpr std::uint16_t kCampaignWireVersion = 4;
+/// v5: CampaignShard no longer carries the staged platform image (about
+/// 90% of a shard's bytes), and the platform-image payload kind (1) is
+/// retired: workers rebuild the platform from factory(point) and check
+/// its golden against the shard's instead of restoring a shipped copy.
+inline constexpr std::uint16_t kCampaignWireVersion = 5;
 
-/// Payload discriminator carried in the header.
+/// Payload discriminator carried in the header (1, the platform image
+/// up to v4, is retired).
 enum class PayloadKind : std::uint16_t {
-  kSnapshot = 1,
   kSpecBatch = 2,
   kHistogram = 3,
   kShard = 4,
@@ -63,10 +68,10 @@ enum class PayloadKind : std::uint16_t {
 
 /// One cell of the multi-axis NEUROPULS sweep (fault target/model x PCM
 /// drift x temperature x ENOB). Shipped inside every shard so the worker
-/// process can rebuild the *configuration* of the coordinator's platform
-/// — the snapshot restores state, but detector temperature, ADC
-/// resolution and weight technology live in the config and must match on
-/// both sides for the trials to be bit-identical.
+/// process can rebuild the coordinator's platform, configuration and
+/// staged state alike, from its own factory: detector temperature, ADC
+/// resolution and weight technology must match on both sides for the
+/// trials to be bit-identical.
 struct SweepPoint {
   std::uint32_t cell = 0;  ///< grid cell index (journal/report key)
   FaultTarget target = FaultTarget::kCpuRegfile;
@@ -78,18 +83,18 @@ struct SweepPoint {
   bool abft = false;              ///< ABFT-protected offload (v3 axis)
 };
 
-/// One worker's complete campaign input: the coordinator's staged
-/// snapshot and golden reference plus the spec shard to execute. The
-/// worker rebuilds the platform from its own (identical) factory,
-/// adopts the snapshot, and classifies against the shipped golden bytes
-/// so all processes share one reference.
+/// One worker's complete campaign input: the coordinator's golden
+/// reference plus the spec shard to execute. The worker rebuilds the
+/// platform from its own factory for `point`, runs its own golden, and
+/// executes the specs only if that golden's output equals `golden` and
+/// its cycle count equals `golden_cycles` — a worker built on another
+/// platform refuses the shard instead of grading it on its own timing.
 struct CampaignShard {
   /// Orchestrator sequence number: unique per shard across a campaign,
   /// stable across resume (it keys the journal).
   std::uint64_t seq = 0;
-  /// Sweep-cell parameters the worker rebuilds its config from.
+  /// Sweep-cell parameters the worker rebuilds its platform from.
   SweepPoint point;
-  System::SystemSnapshot staged;
   std::vector<std::uint8_t> golden;
   /// Software-fallback reference output for recovery-aware campaigns
   /// (empty otherwise): a worker running a checked workload classifies
@@ -120,8 +125,6 @@ struct JournalEntry {
 };
 
 // -- Serialization (header + body) ----------------------------------------
-[[nodiscard]] std::vector<std::uint8_t> serialize_snapshot(
-    const System::SystemSnapshot& s);
 [[nodiscard]] std::vector<std::uint8_t> serialize_specs(
     const std::vector<FaultSpec>& specs);
 [[nodiscard]] std::vector<std::uint8_t> serialize_histogram(
@@ -134,8 +137,6 @@ struct JournalEntry {
     const JournalEntry& e);
 
 // -- Deserialization (throws std::runtime_error on malformed payloads) ----
-[[nodiscard]] System::SystemSnapshot deserialize_snapshot(
-    const std::uint8_t* data, std::size_t size);
 [[nodiscard]] std::vector<FaultSpec> deserialize_specs(
     const std::uint8_t* data, std::size_t size);
 [[nodiscard]] CampaignResult deserialize_histogram(const std::uint8_t* data,
@@ -147,10 +148,6 @@ struct JournalEntry {
 [[nodiscard]] JournalEntry deserialize_journal_entry(const std::uint8_t* data,
                                                      std::size_t size);
 
-[[nodiscard]] inline System::SystemSnapshot deserialize_snapshot(
-    const std::vector<std::uint8_t>& b) {
-  return deserialize_snapshot(b.data(), b.size());
-}
 [[nodiscard]] inline std::vector<FaultSpec> deserialize_specs(
     const std::vector<std::uint8_t>& b) {
   return deserialize_specs(b.data(), b.size());
@@ -218,8 +215,8 @@ class FrameBuffer {
     const std::vector<CampaignResult>& shards);
 
 /// Shard planning: partition a serially drawn spec list into
-/// `shard_count` contiguous shards, each carrying the campaign's staged
-/// snapshot, golden reference and cycle budget plus the sweep-cell
+/// `shard_count` contiguous shards, each carrying the campaign's golden
+/// reference and cycle budget plus the sweep-cell
 /// parameters and a stable sequence number starting at `first_seq`.
 /// Contiguous partitioning is what makes the merged histogram
 /// bit-identical to the serial run — trials are independent and every

@@ -518,7 +518,18 @@ int campaign_worker_main(int in_fd, int out_fd, const PointFactory& factory,
     const CampaignShard shard = deserialize_shard(io::read_all(in_fd));
     FaultCampaign campaign(factory(shard.point), read_output,
                            shard.max_cycles);
-    campaign.adopt_staged(shard.staged, shard.golden, shard.golden_cycles);
+    // A worker whose factory builds another platform (config or staged
+    // data) must not grade the shard: no frame, a nonzero exit, and the
+    // orchestrator retries and then runs the shard in-process.
+    const bool same_output = campaign.golden() == shard.golden;
+    if (!same_output || campaign.golden_cycles() != shard.golden_cycles)
+      throw std::runtime_error(
+          "shard " + std::to_string(shard.seq) +
+          ": the rebuilt platform's golden run (" +
+          (same_output ? "same" : "other") + " output, " +
+          std::to_string(campaign.golden_cycles()) +
+          " cycles) differs from the shard's (" +
+          std::to_string(shard.golden_cycles) + " cycles)");
     if (recovery && !shard.fallback_golden.empty())
       campaign.set_recovery(recovery, shard.fallback_golden);
     if (shard.ladder_rungs > 1) campaign.build_ladder(shard.ladder_rungs);
@@ -527,7 +538,7 @@ int campaign_worker_main(int in_fd, int out_fd, const PointFactory& factory,
     const std::size_t total = shard.specs.size();
     std::size_t done = 0;
     CampaignResult hist;
-    // First heartbeat before the first chunk: "platform adopted, alive".
+    // First heartbeat before the first chunk: "platform checked, alive".
     if (!io::write_frame(out_fd,
                          serialize_progress({shard.seq, done, total})))
       return 1;

@@ -154,17 +154,21 @@ class CampaignOrchestrator {
 // -- Worker side -----------------------------------------------------------
 
 /// Worker-process body: read one CampaignShard from `in_fd` (to EOF),
-/// rebuild the platform from `factory(shard.point)`, adopt the
-/// coordinator's staged snapshot + golden reference, execute the specs in
-/// chunks of `progress_every` trials with a progress frame after each
-/// chunk (and one before the first — the "platform built" heartbeat),
-/// then write the final histogram frame. When the shard carries a
-/// software-fallback golden and a `recovery` reader is supplied, the
-/// worker classifies with the recovery-aware six-outcome taxonomy —
-/// exactly what the coordinator's serial oracle does, keeping merged
-/// histograms bit-identical. Returns the process exit code; diagnostics
-/// go to stderr so the frame stream stays clean. SIGPIPE is ignored: a
-/// vanished orchestrator surfaces as a write error, not a signal death.
+/// rebuild the platform, configuration and staged state alike, from
+/// `factory(shard.point)` and run its golden. Unless that golden's output
+/// equals `shard.golden` and its cycle count `shard.golden_cycles`, the
+/// worker writes no frame, reports the mismatch on stderr and returns 1,
+/// so the orchestrator retries the shard and finally runs it in-process.
+/// Otherwise it executes the specs in chunks of `progress_every` trials
+/// with a progress frame after each chunk (and one before the first —
+/// the "platform checked" heartbeat), then writes the final histogram
+/// frame. When the shard carries a software-fallback golden and a
+/// `recovery` reader is supplied, the worker classifies with the
+/// recovery-aware six-outcome taxonomy — exactly what the coordinator's
+/// serial oracle does, keeping merged histograms bit-identical. Returns
+/// the process exit code; diagnostics go to stderr so the frame stream
+/// stays clean. SIGPIPE is ignored: a vanished orchestrator surfaces as a
+/// write error, not a signal death.
 int campaign_worker_main(int in_fd, int out_fd, const PointFactory& factory,
                          const FaultCampaign::OutputReader& read_output,
                          int progress_every = 16,

@@ -128,17 +128,6 @@ void FaultCampaign::set_recovery(RecoveryReader reader,
   fallback_golden_ = std::move(fallback_golden);
 }
 
-void FaultCampaign::adopt_staged(System::SystemSnapshot staged,
-                                 std::vector<std::uint8_t> golden,
-                                 std::uint64_t golden_cycles) {
-  ensure_staged();  // the factory-built template executes the trials
-  staged_ = std::move(staged);
-  golden_ = std::move(golden);
-  golden_cycles_ = golden_cycles;
-  have_golden_ = true;
-  ladder_.clear();
-}
-
 void FaultCampaign::inject(System& system, const FaultSpec& spec) {
   switch (spec.target) {
     case FaultTarget::kCpuRegfile: {

@@ -118,8 +118,9 @@ class FaultCampaign {
   const std::vector<std::uint8_t>& golden();
   /// Cycle count of the golden run (for sampling injection times).
   [[nodiscard]] std::uint64_t golden_cycles();
-  /// The staged snapshot every trial restores from (stages lazily) — the
-  /// image shard planners ship to worker processes.
+  /// The staged snapshot every trial restores from (stages lazily). It
+  /// never leaves the process: a worker process builds its own from the
+  /// same factory and checks its golden against the coordinator's.
   [[nodiscard]] const System::SystemSnapshot& staged_snapshot();
   /// The per-trial cycle budget this campaign classifies against.
   [[nodiscard]] std::uint64_t max_cycles() const { return max_cycles_; }
@@ -159,17 +160,6 @@ class FaultCampaign {
   [[nodiscard]] bool recovery_enabled() const {
     return static_cast<bool>(recovery_reader_);
   }
-
-  /// Adopt an externally produced staged snapshot + golden reference —
-  /// the worker-process entry point: a coordinator serializes its staged
-  /// snapshot, spec shard and golden output (see campaign_io.hpp), and
-  /// each worker adopts them instead of re-running its own golden, so
-  /// every process classifies against byte-identical references. The
-  /// snapshot must come from a System built by an identical factory
-  /// (shape-checked on the first restore). Clears any existing ladder.
-  void adopt_staged(System::SystemSnapshot staged,
-                    std::vector<std::uint8_t> golden,
-                    std::uint64_t golden_cycles);
 
   /// Execute one faulted run (snapshot-restore under the hood).
   Outcome run_one(const FaultSpec& spec);

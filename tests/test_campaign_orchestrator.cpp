@@ -2,12 +2,12 @@
 // harness that injects faults into the simulated system must itself
 // survive faults in the host processes running it. Workers here are
 // sabotaged on purpose — SIGKILLed mid-shard, hung past the heartbeat
-// deadline, made to emit truncated histograms, or crashed on every
-// attempt — and in every case the campaign must complete with a merged
-// histogram bit-identical to the serial oracle. The resumable journal is
-// exercised with a kill-and-resume round trip: an orchestrator abandoned
-// mid-campaign must, on resume, re-run only the shards without a journal
-// record.
+// deadline, made to emit corrupt histograms, crashed on every attempt,
+// or built on a platform other than the coordinator's — and in every
+// case the campaign must complete with a merged histogram bit-identical
+// to the serial oracle. The resumable journal is exercised with a
+// kill-and-resume round trip: an orchestrator abandoned mid-campaign
+// must, on resume, re-run only the shards without a journal record.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -288,53 +288,98 @@ TEST(CampaignOrchestratorTest, HungWorkerIsKilledAndRetried) {
 
 TEST(CampaignOrchestratorTest, CorruptHistogramIsRetried) {
   Drill d(614);
-  OrchestratorConfig oc;
-  oc.max_workers = 2;
-  oc.backoff_initial_ms = 1;
-  const auto healthy = d.healthy(614);
-  oc.child_entry = [healthy](std::uint64_t seq, unsigned attempt) {
-    if (seq == 2 && attempt == 0) {
-      // A truncated histogram: the frame arrives whole, the payload does
-      // not survive deserialization — a short disk write shipped onward.
-      (void)io::read_all(0);
-      std::vector<std::uint8_t> bad = serialize_histogram({});
-      bad.resize(bad.size() / 2);
-      (void)io::write_frame(1, bad);
-      return 0;
-    }
+  // Two histogram frames that arrive whole but must not be merged: a
+  // truncated payload (a short disk write shipped onward), and a complete
+  // payload whose total disagrees with its counts.
+  std::vector<std::uint8_t> truncated = serialize_histogram({});
+  truncated.resize(truncated.size() / 2);
+  const std::vector<std::uint8_t> bad_total =
+      serialize_histogram({{{Outcome::kMasked, 4}}, 5});
+  for (const std::vector<std::uint8_t>& bad : {truncated, bad_total}) {
+    OrchestratorConfig oc;
+    oc.max_workers = 2;
+    oc.backoff_initial_ms = 1;
+    const auto healthy = d.healthy(614);
+    oc.child_entry = [healthy, bad](std::uint64_t seq, unsigned attempt) {
+      if (seq == 2 && attempt == 0) {
+        (void)io::read_all(0);
+        (void)io::write_frame(1, bad);
+        return 0;
+      }
+      return healthy(seq, attempt);
+    };
+    CampaignOrchestrator orch(oc, d.serial_exec());
+    const std::vector<ShardOutcome> outs = orch.run(d.tasks);
+
+    const CampaignResult merged = merge_completed(outs);
+    EXPECT_EQ(merged.counts, d.serial.counts);
+    EXPECT_EQ(merged.total, d.serial.total);
+    EXPECT_GE(orch.stats().retries, 1u);
+    EXPECT_EQ(outs[2].attempts, 2u);
+  }
+}
+
+/// A worker for `seq` 0 that runs campaign_worker_main on a platform
+/// other than the coordinator's.
+WorkerBody mismatched_worker_for_shard0(WorkerBody healthy,
+                                        PointFactory other) {
+  return [healthy, other](std::uint64_t seq, unsigned attempt) {
+    if (seq == 0) return campaign_worker_main(0, 1, other, make_reader(), 4);
     return healthy(seq, attempt);
   };
-  CampaignOrchestrator orch(oc, d.serial_exec());
-  const std::vector<ShardOutcome> outs = orch.run(d.tasks);
-
-  const CampaignResult merged = merge_completed(outs);
-  EXPECT_EQ(merged.counts, d.serial.counts);
-  EXPECT_EQ(merged.total, d.serial.total);
-  EXPECT_GE(orch.stats().retries, 1u);
-  EXPECT_EQ(outs[2].attempts, 2u);
 }
 
 TEST(CampaignOrchestratorTest, ExhaustedRetriesDegradeToSerialFallback) {
   Drill d(615);
-  OrchestratorConfig oc;
-  oc.max_workers = 2;
-  oc.max_attempts = 2;
-  oc.backoff_initial_ms = 1;
   const auto healthy = d.healthy(615);
-  oc.child_entry = [healthy](std::uint64_t seq, unsigned attempt) {
-    if (seq == 0) return 3;  // every attempt dies before any output
-    return healthy(seq, attempt);
-  };
-  CampaignOrchestrator orch(oc, d.serial_exec());
-  const std::vector<ShardOutcome> outs = orch.run(d.tasks);
 
-  const CampaignResult merged = merge_completed(outs);
-  EXPECT_EQ(merged.counts, d.serial.counts);
-  EXPECT_EQ(merged.total, d.serial.total);
-  EXPECT_EQ(orch.stats().serial_fallbacks, 1u);
-  EXPECT_TRUE(outs[0].serial_fallback);
-  EXPECT_EQ(outs[0].attempts, 2u);  // both worker attempts were consumed
-  EXPECT_FALSE(outs[1].serial_fallback);
+  // Two platforms a worker might rebuild by mistake. Another DRAM latency
+  // yields the same golden output in a different cycle count; other
+  // staged data yields another golden output.
+  SystemConfig slow_dram = small_config();
+  slow_dram.dram_latency += 7;
+  const FaultCampaign::SystemFactory slow = make_factory(615, slow_dram);
+  const FaultCampaign::SystemFactory other_data = make_factory(715);
+  {
+    FaultCampaign probe(slow, make_reader(), kMaxCycles);
+    ASSERT_EQ(probe.golden(), d.coordinator.golden());
+    ASSERT_NE(probe.golden_cycles(), d.coordinator.golden_cycles());
+    FaultCampaign other(other_data, make_reader(), kMaxCycles);
+    ASSERT_NE(other.golden(), d.coordinator.golden());
+  }
+
+  const std::vector<std::pair<const char*, WorkerBody>> bodies = {
+      // Every attempt dies before any output.
+      {"crash",
+       [healthy](std::uint64_t seq, unsigned attempt) {
+         if (seq == 0) return 3;
+         return healthy(seq, attempt);
+       }},
+      {"dram_latency", mismatched_worker_for_shard0(
+                           healthy, [slow](const SweepPoint&) { return slow; })},
+      {"other_data",
+       mismatched_worker_for_shard0(
+           healthy, [other_data](const SweepPoint&) { return other_data; })},
+  };
+  for (const auto& [name, body] : bodies) {
+    SCOPED_TRACE(name);
+    OrchestratorConfig oc;
+    oc.max_workers = 2;
+    oc.max_attempts = 2;
+    oc.backoff_initial_ms = 1;
+    oc.child_entry = body;
+    CampaignOrchestrator orch(oc, d.serial_exec());
+    const std::vector<ShardOutcome> outs = orch.run(d.tasks);
+
+    const CampaignResult merged = merge_completed(outs);
+    EXPECT_EQ(merged.counts, d.serial.counts);
+    EXPECT_EQ(merged.total, d.serial.total);
+    EXPECT_EQ(orch.stats().failures, 2u);
+    EXPECT_EQ(orch.stats().serial_fallbacks, 1u);
+    EXPECT_TRUE(outs[0].serial_fallback);
+    EXPECT_EQ(outs[0].attempts, 2u);  // both worker attempts were consumed
+    EXPECT_FALSE(outs[1].serial_fallback);
+  }
 }
 
 // ------------------------------------------------------- resumable journal
