@@ -266,67 +266,38 @@ void MvmEngine::refresh_transfer() {
   }
 }
 
-CVec MvmEngine::encode(const CVec& x) const {
-  if (x.size() != cfg_.ports)
-    throw std::invalid_argument("MvmEngine::encode: size mismatch");
-  const double launch =
-      std::sqrt(cfg_.laser.power_w / static_cast<double>(cfg_.ports));
-  CVec fields(cfg_.ports);
-  for (std::size_t i = 0; i < cfg_.ports; ++i) {
-    // IQ Mach-Zehnder modulator: each quadrature is DAC-quantized and
-    // carries the modulator insertion loss.
-    const cplx enc = modulator_.encode(x[i].real()) +
-                     cplx{0.0, 1.0} * modulator_.encode(x[i].imag());
-    fields[i] = launch * enc;
-  }
-  return fields;
+double MvmEngine::launch_amplitude() const {
+  return std::sqrt(cfg_.laser.power_w / static_cast<double>(cfg_.ports));
 }
 
-CVec MvmEngine::propagate_fields(const CVec& fields) const {
-  return t_phys_ * fields;
-}
-
-CVec MvmEngine::detect(const CVec& fields) {
-  CVec out(fields.size());
-  for (std::size_t i = 0; i < fields.size(); ++i)
-    out[i] = receiver_.measure(fields[i], rng_);
-  return out;
-}
-
-CVec MvmEngine::rescale(const CVec& detected) const {
-  // Zero weight matrix: the reference scale sigma_max is 0, the optical
-  // path is fully attenuated, and the rescaled output is identically 0
-  // (avoids 0 * inf under finite-math complex division).
-  if (sigma_max_ <= 0.0) return CVec(detected.size());
-  const double launch =
-      std::sqrt(cfg_.laser.power_w / static_cast<double>(cfg_.ports));
-  const cplx scale =
-      gain_ * launch * modulator_.amplitude_scale() / sigma_max_;
-  CVec out(detected.size());
-  for (std::size_t i = 0; i < detected.size(); ++i)
-    out[i] = detected[i] / scale;
-  return out;
+cplx MvmEngine::output_scale() const {
+  return gain_ * launch_amplitude() * modulator_.amplitude_scale() /
+         sigma_max_;
 }
 
 CVec MvmEngine::multiply(const CVec& x) {
-  CVec fields = encode(x);
+  CMat in(x.size(), 1);
+  in.raw() = x.raw();
+  CMat fields;
+  encode_batch(in, 0, 1, fields);
   // Laser RIN: common-mode launch-power fluctuation per symbol.
   const double p = laser_.sample_power(rng_);
   const double rin_scale = std::sqrt(p / cfg_.laser.power_w);
-  fields.scale(cplx{rin_scale, 0.0});
-  const CVec out_fields = propagate_fields(fields);
-  const CVec detected = detect(out_fields);
+  for (cplx& f : fields.raw()) f *= cplx{rin_scale, 0.0};
+  CMat out;
+  lina::mul_into(out, t_phys_, fields);
+  detect_batch(out);
+  rescale_batch(out);
   ++counters_.mvm_ops;
   counters_.busy_time_s += symbol_time_s();
-  return rescale(detected);
+  return out.col(0);
 }
 
 void MvmEngine::encode_batch(const CMat& x, std::size_t first,
                              std::size_t count, CMat& fields) const {
   if (x.rows() != cfg_.ports || first + count > x.cols())
     throw std::invalid_argument("MvmEngine::encode_batch: shape mismatch");
-  const double launch =
-      std::sqrt(cfg_.laser.power_w / static_cast<double>(cfg_.ports));
+  const double launch = launch_amplitude();
   fields.resize(cfg_.ports, count);
   for (std::size_t i = 0; i < cfg_.ports; ++i) {
     for (std::size_t c = 0; c < count; ++c) {
@@ -347,32 +318,30 @@ void MvmEngine::detect_batch(CMat& fields) {
 }
 
 void MvmEngine::rescale_batch(CMat& detected) const {
-  if (sigma_max_ <= 0.0) {  // zero weights -> zero output; see rescale()
+  // Zero weight matrix: the reference scale sigma_max is 0, the optical
+  // path is fully attenuated, and the rescaled output is identically 0
+  // (avoids 0 * inf under finite-math complex division).
+  if (sigma_max_ <= 0.0) {
     for (auto& v : detected.raw()) v = cplx{0.0, 0.0};
     return;
   }
-  const double launch =
-      std::sqrt(cfg_.laser.power_w / static_cast<double>(cfg_.ports));
-  const cplx scale =
-      gain_ * launch * modulator_.amplitude_scale() / sigma_max_;
+  const cplx scale = output_scale();
   for (auto& v : detected.raw()) v /= scale;
 }
 
 CVec MvmEngine::multiply_noiseless(const CVec& x) const {
   // Device (systematic) errors only: exact encoding, no RIN/shot/ADC.
-  const double launch =
-      std::sqrt(cfg_.laser.power_w / static_cast<double>(cfg_.ports));
+  const double launch = launch_amplitude();
   CVec fields(x.size());
   for (std::size_t i = 0; i < x.size(); ++i)
     fields[i] = launch * modulator_.amplitude_scale() * x[i];
   CVec out;
   lina::mul_vec_into(out, t_phys_, fields);
-  if (sigma_max_ <= 0.0) {  // zero weights -> zero output; see rescale()
+  if (sigma_max_ <= 0.0) {  // zero weights -> zero output; see rescale_batch()
     for (std::size_t i = 0; i < out.size(); ++i) out[i] = cplx{0.0, 0.0};
     return out;
   }
-  const cplx scale =
-      gain_ * launch * modulator_.amplitude_scale() / sigma_max_;
+  const cplx scale = output_scale();
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = out[i] / scale;
   return out;
 }
@@ -422,22 +391,19 @@ void MvmEngine::multiply_noiseless_batch_into(const std::vector<double>& x,
         "MvmEngine::multiply_noiseless_batch_into: shape mismatch");
   re.resize(x.size());
   im.resize(x.size());
-  if (sigma_max_ <= 0.0) {  // zero weights -> zero output; see rescale()
+  if (sigma_max_ <= 0.0) {  // zero weights -> zero output; see rescale_batch()
     std::fill(re.begin(), re.end(), 0.0);
     std::fill(im.begin(), im.end(), 0.0);
     return;
   }
-  const double launch =
-      std::sqrt(cfg_.laser.power_w / static_cast<double>(cfg_.ports));
+  const double launch = launch_amplitude();
   scratch_fields_.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i)
     scratch_fields_[i] = launch * modulator_.amplitude_scale() * x[i];
   // One reciprocal instead of a division per element (the whole tile
   // shares the scale; agrees with the per-column path to ~1 ulp, well
   // inside the Q3.12 conversion at the SPM boundary).
-  const cplx inv_scale =
-      cplx{1.0, 0.0} /
-      (gain_ * launch * modulator_.amplitude_scale() / sigma_max_);
+  const cplx inv_scale = cplx{1.0, 0.0} / output_scale();
   constexpr std::size_t kBlock = 8;
   for (std::size_t i = 0; i < n; ++i) {
     const cplx* row = t_phys_.raw().data() + i * n;

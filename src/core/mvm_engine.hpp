@@ -88,9 +88,10 @@ class MvmEngine {
   void set_matrix(const lina::CMat& w);
   [[nodiscard]] const lina::CMat& matrix() const { return weight_; }
 
-  /// End-to-end photonic multiply: encode -> propagate -> detect ->
-  /// rescale. Input entries must satisfy |x_i| <= 1 (the modulator range);
-  /// the engine does not rescale inputs implicitly.
+  /// End-to-end photonic multiply of one vector: the batched stages on a
+  /// one-column block (encode -> laser RIN -> propagate -> detect ->
+  /// rescale). Input entries must satisfy |x_i| <= 1 (the modulator
+  /// range); the engine does not rescale inputs implicitly.
   [[nodiscard]] lina::CVec multiply(const lina::CVec& x);
 
   /// Deterministic device-error-only result (no shot/RIN/ADC noise):
@@ -112,31 +113,24 @@ class MvmEngine {
                                      std::vector<double>& re,
                                      std::vector<double>& im) const;
 
-  // -- Lower-level stages (used by the WDM GeMM scheduler) --------------
-  /// DAC + modulator encoding into field amplitudes (per-port).
-  [[nodiscard]] lina::CVec encode(const lina::CVec& x) const;
-  /// Propagate encoded fields through the programmed optical path.
-  [[nodiscard]] lina::CVec propagate_fields(const lina::CVec& fields) const;
-  /// Coherent detection + ADC of output fields, in field units.
-  [[nodiscard]] lina::CVec detect(const lina::CVec& fields);
-  /// Undo the calibrated system gain: measured field -> W-units output.
-  [[nodiscard]] lina::CVec rescale(const lina::CVec& detected) const;
-
-  // -- Batched stages (used by the WDM GeMM core) ------------------------
-  /// Encode `count` columns of `x` starting at `first` into field
-  /// amplitudes; writes a ports x count block into `fields` (storage
-  /// reused, no allocation once warm).
+  // -- Pipeline stages (multiply() and the WDM GeMM core drive them) -----
+  // A block holds one symbol per column; propagation between encode and
+  // detect is lina::mul_into with physical_transfer().
+  /// DAC + IQ modulator encoding of `count` columns of `x` starting at
+  /// `first` into field amplitudes; writes a ports x count block into
+  /// `fields` (storage reused, no allocation once warm).
   void encode_batch(const lina::CMat& x, std::size_t first,
                     std::size_t count, lina::CMat& fields) const;
-  /// Coherent detection + ADC of a block of output fields, in place
-  /// (column-major draw order: one symbol after another, matching the
-  /// per-vector detect()).
+  /// Coherent detection + ADC of a block of output fields, in place, in
+  /// field units. The engine's only detector-noise draws, in column-major
+  /// order: one symbol after another.
   void detect_batch(lina::CMat& fields);
-  /// Undo the calibrated system gain on a detected block, in place.
+  /// Undo the calibrated system gain on a detected block, in place:
+  /// measured field -> W-units output.
   void rescale_batch(lina::CMat& detected) const;
 
   /// Physical (lossy, imperfect) transfer of the whole optical path in
-  /// field units, including the sqrt(P_laser / N) launch scale.
+  /// field units; the sqrt(P_laser / N) launch scale is encode_batch's.
   [[nodiscard]] const lina::CMat& physical_transfer() const { return t_phys_; }
   /// Calibrated complex system gain c: T_phys ~= c * W.
   [[nodiscard]] lina::cplx system_gain() const { return gain_; }
@@ -219,6 +213,11 @@ class MvmEngine {
  private:
   void refresh_transfer();
   void rebuild_physical_transfer();
+  /// Per-port launch field amplitude sqrt(P_laser / N).
+  [[nodiscard]] double launch_amplitude() const;
+  /// Calibrated output scale gain * launch * modulator amplitude /
+  /// sigma_max: a detected field divided by it is in W-units.
+  [[nodiscard]] lina::cplx output_scale() const;
   /// Move both PCM meshes to cfg_.pcm_drift_time_s and rebuild the
   /// transfer and fidelity, keeping the gain calibrated at write time.
   void age_pcm_weights();

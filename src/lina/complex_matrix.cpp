@@ -54,30 +54,14 @@ CMat CMat::diag(const std::vector<cplx>& d) {
 }
 
 CMat CMat::operator*(const CMat& rhs) const {
-  if (cols_ != rhs.rows_) throw std::invalid_argument("matmul: shape mismatch");
-  CMat out(rows_, rhs.cols_);
-  // ikj loop order keeps the inner loop contiguous in both operands.
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const cplx aik = (*this)(i, k);
-      if (aik == cplx{0.0, 0.0}) continue;
-      const cplx* rhs_row = &rhs.data_[k * rhs.cols_];
-      cplx* out_row = &out.data_[i * rhs.cols_];
-      for (std::size_t j = 0; j < rhs.cols_; ++j) out_row[j] += aik * rhs_row[j];
-    }
-  }
+  CMat out;
+  mul_into(out, *this, rhs);
   return out;
 }
 
 CVec CMat::operator*(const CVec& v) const {
-  if (cols_ != v.size()) throw std::invalid_argument("matvec: shape mismatch");
-  CVec out(rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    cplx s{0.0, 0.0};
-    const cplx* row = &data_[i * cols_];
-    for (std::size_t j = 0; j < cols_; ++j) s += row[j] * v[j];
-    out[i] = s;
-  }
+  CVec out;
+  mul_vec_into(out, *this, v);
   return out;
 }
 

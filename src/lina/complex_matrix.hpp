@@ -140,10 +140,13 @@ void apply_two_mode_right(CMat& m, std::size_t i, std::size_t j, cplx a,
 // tight loops; `out` is resized in place (no allocation once warm) and must
 // not alias an input.
 
-/// out = a * b (same ikj kernel and summation order as operator*).
+/// out = a * b, in ikj order so the inner loop runs contiguously through
+/// `b` and `out` (zero entries of `a` skipped): the one matrix product
+/// kernel; operator* calls it.
 void mul_into(CMat& out, const CMat& a, const CMat& b);
 
-/// out = a * x (same summation order as operator*).
+/// out = a * x, each row summed in increasing column order: the one
+/// matrix-vector kernel; operator* calls it.
 void mul_vec_into(CVec& out, const CMat& a, const CVec& x);
 
 /// out = conj(transpose(a)).

@@ -10,7 +10,6 @@
 namespace aspen::mesh {
 
 using lina::CMat;
-using lina::CVec;
 using lina::cplx;
 
 namespace {
@@ -405,8 +404,6 @@ CMat PhysicalMesh::transfer_at(double detuning_nm) const {
 CMat PhysicalMesh::ideal_transfer() const {
   return evaluate(false, detuning_nm_);
 }
-
-CVec PhysicalMesh::propagate(const CVec& in) const { return transfer() * in; }
 
 double PhysicalMesh::nominal_insertion_loss_db() const {
   double total = 0.0;

@@ -108,8 +108,6 @@ class PhysicalMesh {
   [[nodiscard]] lina::CMat transfer_at(double detuning_nm) const;
   /// Transfer of the same phases on a perfect, lossless die.
   [[nodiscard]] lina::CMat ideal_transfer() const;
-  /// Propagate one input field vector.
-  [[nodiscard]] lina::CVec propagate(const lina::CVec& in) const;
 
   /// Worst-path nominal insertion loss from the deterministic per-device
   /// losses (excludes PCM state-dependent absorption).

@@ -31,6 +31,9 @@
 ///   0x1000  SPM_W  N x N   int16 Q3.12 weights, row-major
 ///   0x2000  SPM_X  N x M   int16 Q3.12 inputs, column-major
 ///   0x3000  SPM_Y  N x M   int16 Q3.12 outputs, column-major
+/// Each SPM must fit its 4 KiB window: the constructor throws unless
+/// N * N and N * max_cols are at most 2048 (so N <= 45). Window bytes past
+/// an SPM's populated size read as 0 and drop writes.
 ///
 /// Fault detection: CHECK_CRC_W / CHECK_CRC_X verify the marshalled SPM
 /// tile against the CRC_W / CRC_X registers as the operation starts; a

@@ -100,9 +100,7 @@ struct Slot {
   Clock::time_point last_frame{};
 };
 
-std::map<std::uint64_t, CampaignResult> load_journal(
-    const std::string& path,
-    const std::function<void(const std::string&)>& log) {
+std::map<std::uint64_t, CampaignResult> load_journal(const std::string& path) {
   std::map<std::uint64_t, CampaignResult> entries;
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return entries;
@@ -124,8 +122,8 @@ std::map<std::uint64_t, CampaignResult> load_journal(
     }
     // A partial frame at the tail (orchestrator killed mid-append) is
     // expected on resume; anything before it replays fine.
-  } catch (const std::exception& e) {
-    if (log) log(std::string("journal: ignoring corrupt tail: ") + e.what());
+  } catch (const std::exception&) {
+    // A corrupt tail is ignored: its shards run again.
   }
   return entries;
 }
@@ -146,10 +144,6 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
     const std::vector<ShardTask>& tasks) {
   std::signal(SIGPIPE, SIG_IGN);  // a dead worker is an error code, not death
 
-  const auto log = [&](const std::string& m) {
-    if (cfg_.log) cfg_.log(m);
-  };
-
   std::vector<ShardOutcome> out(tasks.size());
   std::map<std::uint64_t, std::size_t> by_seq;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
@@ -163,7 +157,7 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
   // worker spawns.
   std::FILE* journal = nullptr;
   if (!cfg_.journal_path.empty()) {
-    for (const auto& [seq, hist] : load_journal(cfg_.journal_path, cfg_.log)) {
+    for (const auto& [seq, hist] : load_journal(cfg_.journal_path)) {
       const auto it = by_seq.find(seq);
       if (it == by_seq.end()) continue;
       ShardOutcome& o = out[it->second];
@@ -183,8 +177,8 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
     if (journal == nullptr) return;
     const std::vector<std::uint8_t> framed =
         frame(serialize_journal_entry({seq, hist}));
-    if (std::fwrite(framed.data(), 1, framed.size(), journal) != framed.size())
-      log("journal: short write (resume will re-run this shard)");
+    // A short write leaves a partial tail frame: a resume re-runs the shard.
+    std::fwrite(framed.data(), 1, framed.size(), journal);
     std::fflush(journal);
     ::fsync(fileno(journal));
   };
@@ -249,9 +243,6 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
 
   const auto fallback_serial = [&](std::size_t task) {
     ShardOutcome& o = out[task];
-    log("shard " + std::to_string(o.seq) + ": exhausted " +
-        std::to_string(o.attempts) +
-        " worker attempts, degrading to in-process execution");
     o.hist = serial_(deserialize_shard(tasks[task].payload));
     o.completed = true;
     o.serial_fallback = true;
@@ -264,11 +255,9 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
       abandoned = true;
   };
 
-  const auto fail_attempt = [&](Slot& s, const char* why) {
+  const auto fail_attempt = [&](Slot& s) {
     const std::size_t task = s.task;
     ShardOutcome& o = out[task];
-    log("shard " + std::to_string(o.seq) + " attempt " +
-        std::to_string(o.attempts) + ": " + why);
     terminate(s);
     ++stats_.failures;
     if (o.attempts >= cfg_.max_attempts) {
@@ -336,9 +325,6 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
     s.active = true;
     ++o.attempts;
     ++stats_.launches;
-    log("shard " + std::to_string(t.seq) + ": worker pid " +
-        std::to_string(pid) + " (attempt " + std::to_string(o.attempts) +
-        "/" + std::to_string(cfg_.max_attempts) + ")");
     return true;
   };
 
@@ -428,7 +414,7 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
           }
           if (w < 0 && errno == EINTR) continue;
           if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          fail_attempt(s, "shard write failed (worker gone?)");
+          fail_attempt(s);  // the shard write failed: worker gone
           break;
         }
         if (s.active && s.wr_off >= payload.size()) {
@@ -463,14 +449,10 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
           if (!payload) break;
           s.last_frame = Clock::now();
           switch (payload_kind(*payload)) {
-            case PayloadKind::kProgress: {
-              const CampaignProgress p = deserialize_progress(*payload);
+            case PayloadKind::kProgress:
+              (void)deserialize_progress(*payload);  // throws if corrupt
               ++stats_.progress_frames;
-              log("shard " + std::to_string(p.shard_seq) + ": " +
-                  std::to_string(p.trials_done) + "/" +
-                  std::to_string(p.trials_total) + " trials");
               break;
-            }
             case PayloadKind::kHistogram:
               complete(s, deserialize_histogram(*payload));
               done = true;
@@ -480,12 +462,9 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
                   "unexpected frame kind from worker");
           }
         }
-        if (s.active && eof)
-          fail_attempt(s, "worker EOF before final histogram");
-      } catch (const std::exception& e) {
-        if (s.active)
-          fail_attempt(s, (std::string("corrupt frame stream: ") + e.what())
-                              .c_str());
+        if (s.active && eof) fail_attempt(s);  // EOF before the histogram
+      } catch (const std::exception&) {
+        if (s.active) fail_attempt(s);  // corrupt frame stream
       }
     }
 
@@ -496,7 +475,7 @@ std::vector<ShardOutcome> CampaignOrchestrator::run(
           after - s.last_frame >=
               std::chrono::milliseconds(cfg_.heartbeat_timeout_ms)) {
         ++stats_.kills;
-        fail_attempt(s, "heartbeat deadline exceeded (hung worker)");
+        fail_attempt(s);
       }
     }
   }

@@ -90,9 +90,6 @@ struct OrchestratorConfig {
   /// code. Lets the self-fault-injection suite sabotage workers without
   /// a separate binary.
   std::function<int(std::uint64_t seq, unsigned attempt)> child_entry;
-  /// Diagnostics sink for supervision events (launches, kills, retries,
-  /// fallbacks). Default: silent.
-  std::function<void(const std::string&)> log;
   /// Test hook: abandon the event loop (as if the orchestrator process
   /// died) after this many shard completions in this run; 0 = run to
   /// completion. In-flight workers are killed; the journal keeps what
@@ -134,6 +131,8 @@ class CampaignOrchestrator {
   [[nodiscard]] std::vector<ShardOutcome> run(
       const std::vector<ShardTask>& tasks);
 
+  /// Supervision counters: the orchestrator's only diagnostics (it
+  /// prints nothing and takes no log sink).
   struct Stats {
     unsigned launches = 0;          ///< worker processes spawned
     unsigned kills = 0;             ///< deadline SIGKILLs issued

@@ -370,13 +370,7 @@ CampaignResult FaultCampaign::run_campaign(FaultTarget target,
                                            unsigned threads) {
   const std::vector<FaultSpec> specs =
       sample_specs(target, model, trials, rng, index_lo, index_hi);
-  const std::vector<Outcome> outcomes = run_trials(specs, threads);
-  CampaignResult result;
-  for (const Outcome o : outcomes) {
-    ++result.counts[o];
-    ++result.total;
-  }
-  return result;
+  return histogram_of(run_trials(specs, threads));
 }
 
 }  // namespace aspen::sys

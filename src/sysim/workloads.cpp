@@ -47,14 +47,17 @@ void emit_copy_words(Assembler& as, int src_reg, int dst_reg,
   }
 }
 
-/// Wait for STATUS bit1 (DONE) on the device whose base is in `base_reg`,
-/// at STATUS offset `status_off`; optionally sleeps with WFI between
-/// polls. Clears DONE/IRQ afterwards. Clobbers t0.
+/// Wait for STATUS bit1 (DONE), or any bit of `wake_mask`, on the device
+/// whose base is in `base_reg`, at STATUS offset `status_off`; optionally
+/// sleeps with WFI between polls. Clears DONE/IRQ afterwards and leaves
+/// any other latch (the accelerator's ERROR) for the caller to inspect.
+/// Clobbers t0.
 void emit_wait_done(Assembler& as, int base_reg, std::int32_t status_off,
-                    bool use_wfi, const std::string& tag) {
+                    bool use_wfi, const std::string& tag,
+                    std::uint32_t wake_mask = 2) {
   as.label(tag);
   as.lw(t0, base_reg, status_off);
-  as.andi(t0, t0, 2);
+  as.andi(t0, t0, static_cast<std::int32_t>(wake_mask));
   as.bne(t0, zero, tag + "_done");
   if (use_wfi) as.wfi();
   as.j(tag);
@@ -63,22 +66,21 @@ void emit_wait_done(Assembler& as, int base_reg, std::int32_t status_off,
   as.sw(t0, base_reg, status_off);
 }
 
-/// Fault-aware accelerator wait: sleeps until DONE *or* ERROR is up (the
-/// watchdog guarantees the line eventually rises even if the operation
-/// wedges), then clears DONE/IRQ and leaves the ERROR latch for the
-/// caller to inspect. Clobbers t0.
-void emit_wait_done_or_error(Assembler& as, int base_reg,
-                             const std::string& tag) {
-  as.label(tag);
-  as.lw(t0, base_reg, PhotonicAccelerator::kRegStatus);
-  as.andi(t0, t0,
-          PhotonicAccelerator::kStatusDone | PhotonicAccelerator::kStatusError);
-  as.bne(t0, zero, tag + "_done");
-  as.wfi();
-  as.j(tag);
-  as.label(tag + "_done");
-  as.li(t0, PhotonicAccelerator::kStatusDone);
-  as.sw(t0, base_reg, PhotonicAccelerator::kRegStatus);
+/// PE prologue shared by the offload programs: s0 = the base of PE
+/// `pe_index`, a0-a2 = the DRAM A/X/Y addresses, s4-s6 = the PE's
+/// SPM_W/X/Y windows. Returns the PE base.
+std::uint32_t emit_pe_prologue(Assembler& as, const GemmWorkload& wl,
+                               const SystemConfig& sys, std::size_t pe_index) {
+  const std::uint32_t pe_base =
+      sys.accel_base + static_cast<std::uint32_t>(pe_index) * sys.accel_stride;
+  as.li(s0, pe_base);
+  as.li(a0, sys.dram_base + wl.a_offset);
+  as.li(a1, sys.dram_base + wl.x_offset);
+  as.li(a2, sys.dram_base + wl.y_offset);
+  as.li(s4, pe_base + PhotonicAccelerator::kSpmWBase);
+  as.li(s5, pe_base + PhotonicAccelerator::kSpmXBase);
+  as.li(s6, pe_base + PhotonicAccelerator::kSpmYBase);
+  return pe_base;
 }
 
 /// Scalar triple-loop GEMM body reading A/X from DRAM and writing Y —
@@ -143,74 +145,7 @@ std::vector<std::uint32_t> build_gemm_offload(const GemmWorkload& wl,
                                               const SystemConfig& sys,
                                               OffloadPath path,
                                               std::size_t pe_index) {
-  Assembler as(sys.dram_base);
-  const auto n = static_cast<std::uint32_t>(wl.n);
-  const auto m = static_cast<std::uint32_t>(wl.m);
-  const std::uint32_t pe_base =
-      sys.accel_base + static_cast<std::uint32_t>(pe_index) * sys.accel_stride;
-  const std::uint32_t bytes_w = n * n * 2;
-  const std::uint32_t bytes_xy = n * m * 2;
-  const bool irq = path != OffloadPath::kMmrPolling;
-
-  as.li(s0, pe_base);
-  as.li(a0, sys.dram_base + wl.a_offset);
-  as.li(a1, sys.dram_base + wl.x_offset);
-  as.li(a2, sys.dram_base + wl.y_offset);
-  as.li(s4, pe_base + PhotonicAccelerator::kSpmWBase);
-  as.li(s5, pe_base + PhotonicAccelerator::kSpmXBase);
-  as.li(s6, pe_base + PhotonicAccelerator::kSpmYBase);
-
-  // COLS = m.
-  as.li(t0, m);
-  as.sw(t0, s0, PhotonicAccelerator::kRegCols);
-
-  // Two-phase protocol: load the (reused) weights first, then stream the
-  // inputs and start the compute — the deployment pattern non-volatile
-  // weights enable.
-  const std::uint32_t irq_bit =
-      irq ? PhotonicAccelerator::kCtrlIrqEn : 0u;
-  if (path == OffloadPath::kDmaInterrupt) {
-    as.li(s7, sys.dma_base);
-    const auto dma_move = [&](int src, int dst, std::uint32_t bytes,
-                              const std::string& tag) {
-      as.sw(src, s7, DmaEngine::kRegSrc);
-      as.sw(dst, s7, DmaEngine::kRegDst);
-      as.li(t0, bytes);
-      as.sw(t0, s7, DmaEngine::kRegLen);
-      as.li(t0, DmaEngine::kCtrlStart | DmaEngine::kCtrlIrqEn);
-      as.sw(t0, s7, DmaEngine::kRegCtrl);
-      emit_wait_done(as, s7, DmaEngine::kRegStatus, /*use_wfi=*/true, tag);
-    };
-    dma_move(a0, s4, bytes_w, "dma_a");
-    as.li(t0, PhotonicAccelerator::kCtrlLoadWeights | irq_bit);
-    as.sw(t0, s0, PhotonicAccelerator::kRegCtrl);
-    emit_wait_done(as, s0, PhotonicAccelerator::kRegStatus, irq, "load_wait");
-    dma_move(a1, s5, bytes_xy, "dma_x");
-  } else {
-    emit_copy_words(as, a0, s4, bytes_w, "copy_a");
-    as.li(t0, PhotonicAccelerator::kCtrlLoadWeights | irq_bit);
-    as.sw(t0, s0, PhotonicAccelerator::kRegCtrl);
-    emit_wait_done(as, s0, PhotonicAccelerator::kRegStatus, irq, "load_wait");
-    emit_copy_words(as, a1, s5, bytes_xy, "copy_x");
-  }
-
-  as.li(t0, PhotonicAccelerator::kCtrlStart | irq_bit);
-  as.sw(t0, s0, PhotonicAccelerator::kRegCtrl);
-  emit_wait_done(as, s0, PhotonicAccelerator::kRegStatus, irq, "accel_wait");
-
-  if (path == OffloadPath::kDmaInterrupt) {
-    as.sw(s6, s7, DmaEngine::kRegSrc);
-    as.sw(a2, s7, DmaEngine::kRegDst);
-    as.li(t0, bytes_xy);
-    as.sw(t0, s7, DmaEngine::kRegLen);
-    as.li(t0, DmaEngine::kCtrlStart | DmaEngine::kCtrlIrqEn);
-    as.sw(t0, s7, DmaEngine::kRegCtrl);
-    emit_wait_done(as, s7, DmaEngine::kRegStatus, /*use_wfi=*/true, "dma_y");
-  } else {
-    emit_copy_words(as, s6, a2, bytes_xy, "copy_y");
-  }
-  emit_exit(as);
-  return as.assemble();
+  return build_gemm_offload_stream(wl, sys, path, 1, pe_index);
 }
 
 std::vector<std::uint32_t> build_gemm_offload_checked(const GemmWorkload& wl,
@@ -219,18 +154,14 @@ std::vector<std::uint32_t> build_gemm_offload_checked(const GemmWorkload& wl,
   Assembler as(sys.dram_base);
   const auto n = static_cast<std::uint32_t>(wl.n);
   const auto m = static_cast<std::uint32_t>(wl.m);
-  const std::uint32_t pe_base =
-      sys.accel_base + static_cast<std::uint32_t>(pe_index) * sys.accel_stride;
   const std::uint32_t bytes_w = n * n * 2;
   const std::uint32_t bytes_xy = n * m * 2;
+  // Wake on DONE or ERROR: the watchdog guarantees the line eventually
+  // rises even if the operation wedges.
+  const std::uint32_t wake =
+      PhotonicAccelerator::kStatusDone | PhotonicAccelerator::kStatusError;
 
-  as.li(s0, pe_base);
-  as.li(a0, sys.dram_base + wl.a_offset);
-  as.li(a1, sys.dram_base + wl.x_offset);
-  as.li(a2, sys.dram_base + wl.y_offset);
-  as.li(s4, pe_base + PhotonicAccelerator::kSpmWBase);
-  as.li(s5, pe_base + PhotonicAccelerator::kSpmXBase);
-  as.li(s6, pe_base + PhotonicAccelerator::kSpmYBase);
+  const std::uint32_t pe_base = emit_pe_prologue(as, wl, sys, pe_index);
 
   // Host-precomputed tile CRCs.
   as.li(t0, sys.dram_base + wl.crc_offset);
@@ -254,7 +185,8 @@ std::vector<std::uint32_t> build_gemm_offload_checked(const GemmWorkload& wl,
                 PhotonicAccelerator::kCtrlIrqEn |
                 PhotonicAccelerator::kCtrlCrcW);
   as.sw(t0, s0, PhotonicAccelerator::kRegCtrl);
-  emit_wait_done_or_error(as, s0, "ldw");
+  emit_wait_done(as, s0, PhotonicAccelerator::kRegStatus, /*use_wfi=*/true,
+                 "ldw", wake);
   as.sw(zero, s0, PhotonicAccelerator::kRegWdog);
   as.lw(t0, s0, PhotonicAccelerator::kRegStatus);
   as.andi(t0, t0, PhotonicAccelerator::kStatusError);
@@ -268,7 +200,8 @@ std::vector<std::uint32_t> build_gemm_offload_checked(const GemmWorkload& wl,
                 PhotonicAccelerator::kCtrlIrqEn |
                 PhotonicAccelerator::kCtrlCrcX);
   as.sw(t0, s0, PhotonicAccelerator::kRegCtrl);
-  emit_wait_done_or_error(as, s0, "go");
+  emit_wait_done(as, s0, PhotonicAccelerator::kRegStatus, /*use_wfi=*/true,
+                 "go", wake);
   as.sw(zero, s0, PhotonicAccelerator::kRegWdog);
   as.lw(t0, s0, PhotonicAccelerator::kRegStatus);
   as.andi(t0, t0, PhotonicAccelerator::kStatusError);
@@ -326,23 +259,16 @@ std::vector<std::uint32_t> build_gemm_offload_stream(const GemmWorkload& wl,
   Assembler as(sys.dram_base);
   const auto n = static_cast<std::uint32_t>(wl.n);
   const auto m = static_cast<std::uint32_t>(wl.m);
-  const std::uint32_t pe_base =
-      sys.accel_base + static_cast<std::uint32_t>(pe_index) * sys.accel_stride;
   const std::uint32_t bytes_w = n * n * 2;
   const std::uint32_t chunk = n * m * 2;
-  if (chunk >= 0x800)
+  const bool loop = batches > 1;
+  if (loop && chunk >= 0x800)
     throw std::invalid_argument(
         "build_gemm_offload_stream: tile too large for addi cursor bump");
   const bool irq = path != OffloadPath::kMmrPolling;
   const std::uint32_t irq_bit = irq ? PhotonicAccelerator::kCtrlIrqEn : 0u;
 
-  as.li(s0, pe_base);
-  as.li(a0, sys.dram_base + wl.a_offset);
-  as.li(a1, sys.dram_base + wl.x_offset);  // X tile cursor
-  as.li(a2, sys.dram_base + wl.y_offset);  // Y tile cursor
-  as.li(s4, pe_base + PhotonicAccelerator::kSpmWBase);
-  as.li(s5, pe_base + PhotonicAccelerator::kSpmXBase);
-  as.li(s6, pe_base + PhotonicAccelerator::kSpmYBase);
+  emit_pe_prologue(as, wl, sys, pe_index);  // a1/a2: the X/Y tile cursors
   as.li(t0, m);
   as.sw(t0, s0, PhotonicAccelerator::kRegCols);
   if (path == OffloadPath::kDmaInterrupt) as.li(s7, sys.dma_base);
@@ -368,10 +294,13 @@ std::vector<std::uint32_t> build_gemm_offload_stream(const GemmWorkload& wl,
   emit_wait_done(as, s0, PhotonicAccelerator::kRegStatus, irq, "load_wait");
 
   // Stream the input tiles (the copy/wait bodies are emitted once; the
-  // batch loop runs them with advancing cursors).
-  as.li(s8, 0);
-  as.li(s9, static_cast<std::uint32_t>(batches));
-  as.label("batch");
+  // batch loop runs them with advancing cursors). A single tile needs no
+  // loop.
+  if (loop) {
+    as.li(s8, 0);
+    as.li(s9, static_cast<std::uint32_t>(batches));
+    as.label("batch");
+  }
   if (path == OffloadPath::kDmaInterrupt)
     dma_move(a1, s5, chunk, "dma_x");
   else
@@ -383,10 +312,12 @@ std::vector<std::uint32_t> build_gemm_offload_stream(const GemmWorkload& wl,
     dma_move(s6, a2, chunk, "dma_y");
   else
     emit_copy_words(as, s6, a2, chunk, "copy_y");
-  as.addi(a1, a1, static_cast<std::int32_t>(chunk));
-  as.addi(a2, a2, static_cast<std::int32_t>(chunk));
-  as.addi(s8, s8, 1);
-  as.blt(s8, s9, "batch");
+  if (loop) {
+    as.addi(a1, a1, static_cast<std::int32_t>(chunk));
+    as.addi(a2, a2, static_cast<std::int32_t>(chunk));
+    as.addi(s8, s8, 1);
+    as.blt(s8, s9, "batch");
+  }
   emit_exit(as);
   return as.assemble();
 }

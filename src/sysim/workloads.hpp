@@ -55,7 +55,8 @@ enum class OffloadPath {
   kDmaInterrupt, ///< DMA bulk transfers + WFI
 };
 
-/// Offload the same GEMM to photonic PE `pe_index`.
+/// Offload the same GEMM to photonic PE `pe_index`: the one-batch
+/// stream, build_gemm_offload_stream(wl, sys, path, 1, pe_index).
 [[nodiscard]] std::vector<std::uint32_t> build_gemm_offload(
     const GemmWorkload& wl, const SystemConfig& sys, OffloadPath path,
     std::size_t pe_index = 0);
@@ -80,7 +81,9 @@ enum class OffloadPath {
 /// the steady-state inference-serving pattern non-volatile photonic
 /// weights enable (weights persist, only activations move). Tile b reads
 /// X from `x_offset + b * n*m*2` and writes Y to `y_offset + b * n*m*2`;
-/// stage data with a GemmWorkload whose m is `wl.m * batches`.
+/// stage data with a GemmWorkload whose m is `wl.m * batches`. More than
+/// one batch needs a tile under 2 KiB (the cursors advance by addi);
+/// throws std::invalid_argument otherwise, or for zero batches.
 [[nodiscard]] std::vector<std::uint32_t> build_gemm_offload_stream(
     const GemmWorkload& wl, const SystemConfig& sys, OffloadPath path,
     std::size_t batches, std::size_t pe_index = 0);

@@ -824,15 +824,19 @@ TEST(GemmCoreTest, BatchedPipelineMatchesStagedPerColumnLoop) {
 
   const CMat got = gemm.multiply(x);
 
-  // Reference: the pre-batching algorithm on the staged per-vector API.
+  // Reference: the pre-batching algorithm, one column at a time through
+  // the engine's stages.
   const double leak = std::pow(10.0, -gc.channel_isolation_db / 20.0);
   MvmEngine& eng = ref.engine();
   CMat expected(6, m);
+  CMat f;
   for (std::size_t first = 0; first < m; first += 3) {
     const std::size_t count = std::min<std::size_t>(3, m - first);
     std::vector<CVec> outputs(count);
-    for (std::size_t c = 0; c < count; ++c)
-      outputs[c] = eng.propagate_fields(eng.encode(x.col(first + c)));
+    for (std::size_t c = 0; c < count; ++c) {
+      eng.encode_batch(x, first + c, 1, f);
+      outputs[c] = eng.physical_transfer() * f.col(0);
+    }
     std::vector<CVec> mixed = outputs;
     if (count > 1) {
       for (std::size_t c = 0; c < count; ++c)
@@ -844,8 +848,11 @@ TEST(GemmCoreTest, BatchedPipelineMatchesStagedPerColumnLoop) {
         }
     }
     for (std::size_t c = 0; c < count; ++c) {
-      const CVec y = eng.rescale(eng.detect(mixed[c]));
-      for (std::size_t r = 0; r < 6; ++r) expected(r, first + c) = y[r];
+      f.resize(6, 1);
+      f.set_col(0, mixed[c]);
+      eng.detect_batch(f);
+      eng.rescale_batch(f);
+      for (std::size_t r = 0; r < 6; ++r) expected(r, first + c) = f(r, 0);
     }
   }
   EXPECT_LT(got.max_abs_diff(expected), 1e-9);

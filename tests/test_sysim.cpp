@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -936,6 +937,71 @@ TEST(AcceleratorTest, ThermoSlowerProgrammingThanPcm) {
   };
   EXPECT_GT(kick(at), kick(ap))
       << "thermo-optic settling (~10 us) >> PCM write (~110 ns)";
+}
+
+TEST(AcceleratorTest, SpmWeightTileMustFitItsWindow) {
+  // SPM_W holds ports^2 int16 weights behind a 4 KiB bus window: 45 ports
+  // (4 050 bytes) fit; 46 ports (4 232 bytes) would leave the tile's last
+  // weights outside the window the bus maps.
+  AcceleratorConfig cfg;
+  cfg.max_cols = 8;  // SPM_X/Y stay inside their windows at these sizes
+  const auto window_error = [](const auto& build) {
+    try {
+      build();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what()).find("exceeds its 4 KiB window") !=
+             std::string::npos;
+    }
+    return false;
+  };
+
+  cfg.gemm.mvm.ports = 45;
+  const PhotonicAccelerator fits(cfg);
+  EXPECT_EQ(fits.config().gemm.mvm.ports, 45u);
+
+  cfg.gemm.mvm.ports = 46;
+  EXPECT_TRUE(window_error([&] { PhotonicAccelerator pe(cfg); }));
+  SystemConfig sc;
+  sc.accel = cfg;
+  EXPECT_TRUE(window_error([&] { System system(sc); }));
+}
+
+TEST(AcceleratorTest, SpmWindowsDecodeLeniently) {
+  // A standalone PE driven through read()/write(), as a replay drives it:
+  // window bytes past an SPM's populated size read as 0 and drop writes,
+  // and an access straddling the last populated byte is dropped whole.
+  PhotonicAccelerator accel(small_accel());
+  struct Window {
+    std::uint32_t base;
+    Memory& spm;
+  };
+  for (const Window& w :
+       {Window{PhotonicAccelerator::kSpmWBase, accel.spm_w()},
+        Window{PhotonicAccelerator::kSpmXBase, accel.spm_x()},
+        Window{PhotonicAccelerator::kSpmYBase, accel.spm_y()}}) {
+    SCOPED_TRACE(w.spm.name());
+    w.spm.fill(0xA5);
+    const std::uint32_t end = w.base + w.spm.size();
+    ASSERT_LT(w.spm.size(), 0x1000u);
+    EXPECT_EQ(accel.read(end - 4, 4), 0xA5A5A5A5u);
+
+    for (const unsigned size : {1u, 2u, 4u}) {
+      EXPECT_EQ(accel.read(end, size), 0u);
+      EXPECT_EQ(accel.read(w.base + 0x1000 - size, size), 0u);
+      accel.write(end, 0xFFFFFFFFu, size);
+      accel.write(w.base + 0x1000 - size, 0xFFFFFFFFu, size);
+    }
+    for (const unsigned size : {2u, 4u}) {
+      EXPECT_EQ(accel.read(end - 1, size), 0u) << size << "-byte straddle";
+      accel.write(end - 1, 0u, size);
+    }
+
+    std::vector<std::uint8_t> image(w.spm.size());
+    w.spm.read_block(0, image.data(), image.size());
+    EXPECT_EQ(image, std::vector<std::uint8_t>(w.spm.size(), 0xA5))
+        << "dropped writes changed nothing";
+    EXPECT_EQ(accel.read(end, 4), 0u);
+  }
 }
 
 // ----------------------------------------------------------- full system
