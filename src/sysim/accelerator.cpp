@@ -177,6 +177,7 @@ void PhotonicAccelerator::start_operation(std::uint32_t ctrl) {
     if (check && (crc ^ kCrc32FinalXor) != crc_x_expect_) {
       latch_error(kErrCrcX);
     } else {
+      if (trace_ != nullptr) trace_->phases_read(this);
       gemm_.multiply_noiseless(tile_x_, m, tile_re_, tile_im_);
       if (cfg_.gemm.abft.enabled) {
         if (gemm_.last_abft().counts.uncorrectable > 0) latch_error(kErrAbft);
@@ -245,6 +246,13 @@ void PhotonicAccelerator::skip_cycles(std::uint64_t n) {
 void PhotonicAccelerator::inject_phase_fault(std::size_t phase_index,
                                              double delta_rad) {
   gemm_.engine().perturb_phase(phase_index, delta_rad);
+}
+
+void PhotonicAccelerator::set_read_trace(ReadTrace* trace) {
+  trace_ = trace;
+  spm_w_.set_read_trace(trace);
+  spm_x_.set_read_trace(trace);
+  spm_y_.set_read_trace(trace);
 }
 
 PhotonicAccelerator::Snapshot PhotonicAccelerator::snapshot() {

@@ -116,6 +116,10 @@ class PhotonicAccelerator final : public BusDevice {
   [[nodiscard]] Memory& spm_y() { return spm_y_; }
   /// Perturb one programmed mesh phase (photonic-domain fault).
   void inject_phase_fault(std::size_t phase_index, double delta_rad);
+  /// Attach a read trace to the three SPMs and to the phases (nullptr
+  /// detaches): every START that computes reports a phase read, the
+  /// only way programmed phases reach architectural state.
+  void set_read_trace(ReadTrace* trace);
   /// Number of programmable phases (the photonic fault surface).
   [[nodiscard]] std::size_t phase_state_size() const {
     return gemm_.engine().phase_state_size();
@@ -211,6 +215,7 @@ class PhotonicAccelerator final : public BusDevice {
   std::uint32_t crc_w_expect_ = 0;
   std::uint32_t crc_x_expect_ = 0;
   std::uint64_t watchdog_cycles_ = 0;  ///< 0 = disarmed
+  ReadTrace* trace_ = nullptr;
   // START tiles, real and stored port by port (entry (r, c) at
   // [r * cols + c]): SPM_X in, the output's real and imaginary parts out.
   std::vector<double> tile_x_;

@@ -67,6 +67,30 @@ class BusWriteObserver {
                                   std::uint32_t bytes) = 0;
 };
 
+/// Sink for the architectural reads of a run (System::set_read_trace):
+/// memory bytes, general-purpose registers and a PE's programmed phases.
+/// Each read is reported with the stamp held in `now`: System::tick sets
+/// it to the cycle it executes before the CPU and the devices act, and
+/// back to kEndOfRun when the cycle ends, so reads outside a tick (the
+/// output readers after the run) stamp end-of-run. A read may be stamped
+/// late, never early: fault campaigns treat a location with no read
+/// stamped at or after an injection cycle as dead from that cycle on.
+class ReadTrace {
+ public:
+  static constexpr std::uint64_t kEndOfRun = ~std::uint64_t{0};
+  std::uint64_t now = kEndOfRun;
+  /// Bytes [offset, offset + bytes) of `memory` were read.
+  virtual void memory_read(const BusDevice* memory, std::uint32_t offset,
+                           std::uint32_t bytes) = 0;
+  /// Register x`reg` was read.
+  virtual void register_read(int reg) = 0;
+  /// PE `pe` computed a START on its programmed phases.
+  virtual void phases_read(const BusDevice* pe) = 0;
+
+ protected:
+  ~ReadTrace() = default;
+};
+
 /// Anything addressable on the bus.
 class BusDevice {
  public:

@@ -7,6 +7,96 @@
 
 namespace aspen::sys {
 
+namespace {
+
+using Last = std::optional<std::uint64_t>;
+using ByteTable = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+
+/// Fold a read stamped `stamp` into a location's last read.
+void note_read(Last& last, std::uint64_t stamp) {
+  last = std::max(last.value_or(0), stamp);
+}
+
+/// Latest read stamp per byte of one memory, in pages allocated on first
+/// touch: a golden run reads a few hundred bytes of a memory that may
+/// span megabytes.
+class ByteReads {
+ public:
+  explicit ByteReads(std::uint32_t size) : pages_(size / kPage + 1) {}
+  void read(std::uint32_t offset, std::uint32_t bytes, std::uint64_t stamp) {
+    for (std::uint32_t b = offset; b - offset < bytes; ++b) {
+      std::unique_ptr<Page>& page = pages_[b / kPage];
+      if (page == nullptr) page = std::make_unique<Page>();
+      note_read((*page)[b % kPage], stamp);
+    }
+  }
+  /// (offset, last read) of every byte read, ascending by offset.
+  [[nodiscard]] ByteTable table() const {
+    ByteTable t;
+    for (std::size_t p = 0; p < pages_.size(); ++p) {
+      if (pages_[p] == nullptr) continue;
+      for (std::uint32_t i = 0; i < kPage; ++i)
+        if (const Last& last = (*pages_[p])[i])
+          t.emplace_back(static_cast<std::uint32_t>(p) * kPage + i, *last);
+    }
+    return t;
+  }
+
+ private:
+  static constexpr std::uint32_t kPage = 256;
+  using Page = std::array<Last, kPage>;
+  std::vector<std::unique_ptr<Page>> pages_;
+};
+
+/// Collects a traced golden run's reads of the fault locations: the
+/// latest stamp per register, per byte of DRAM and of PE 0's SPM_W and
+/// SPM_X, and of PE 0's phases (its STARTs).
+class GoldenReadRecorder final : public ReadTrace {
+ public:
+  explicit GoldenReadRecorder(System& system)
+      : dram(system.dram().size()),
+        spm_w(system.pe(0).spm_w().size()),
+        spm_x(system.pe(0).spm_x().size()),
+        dram_(&system.dram()),
+        spm_w_(&system.pe(0).spm_w()),
+        spm_x_(&system.pe(0).spm_x()),
+        pe_(&system.pe(0)) {}
+
+  void memory_read(const BusDevice* memory, std::uint32_t offset,
+                   std::uint32_t bytes) override {
+    if (memory == dram_) dram.read(offset, bytes, now);
+    if (memory == spm_w_) spm_w.read(offset, bytes, now);
+    if (memory == spm_x_) spm_x.read(offset, bytes, now);
+  }
+  void register_read(int r) override {
+    note_read(reg[static_cast<std::size_t>(r)], now);
+  }
+  void phases_read(const BusDevice* pe) override {
+    if (pe == pe_) note_read(start, now);
+  }
+
+  std::array<Last, 32> reg{};
+  ByteReads dram, spm_w, spm_x;
+  Last start;
+
+ private:
+  const BusDevice* dram_;
+  const BusDevice* spm_w_;
+  const BusDevice* spm_x_;
+  const BusDevice* pe_;
+};
+
+/// Last read of byte `offset` in a table.
+Last last_read(const ByteTable& reads, std::uint32_t offset) {
+  const auto it = std::lower_bound(
+      reads.begin(), reads.end(), offset,
+      [](const auto& e, std::uint32_t off) { return e.first < off; });
+  if (it == reads.end() || it->first != offset) return std::nullopt;
+  return it->second;
+}
+
+}  // namespace
+
 std::string to_string(FaultTarget t) {
   switch (t) {
     case FaultTarget::kCpuRegfile: return "cpu-regfile";
@@ -86,6 +176,7 @@ const std::vector<std::uint8_t>& FaultCampaign::golden() {
       throw std::runtime_error("FaultCampaign: golden run failed");
     golden_ = read_output_(*scratch_);
     golden_cycles_ = result.cycles;
+    golden_instret_ = result.instret;
     have_golden_ = true;
   }
   return golden_;
@@ -104,15 +195,15 @@ const System::SystemSnapshot& FaultCampaign::staged_snapshot() {
 void FaultCampaign::build_ladder(unsigned rungs) {
   (void)golden();
   ladder_.clear();
+  reads_.reset();
   if (rungs <= 1) return;
   ladder_.push_back(staged_);
-  if (golden_cycles_ == 0) return;
   // One sequential pass of the golden run, snapshotting at each rung
   // cycle. run_until guarantees now() == target unless the CPU halts
   // first (then the remaining rungs would sit past the window and never
   // be preferred over completion anyway).
   scratch_->restore(staged_);
-  for (unsigned k = 1; k < rungs; ++k) {
+  for (unsigned k = 1; k < rungs && golden_cycles_ > 0; ++k) {
     const std::uint64_t c =
         staged_.cycle + (golden_cycles_ * k) / rungs;
     if (c <= ladder_.back().cycle) continue;
@@ -120,12 +211,79 @@ void FaultCampaign::build_ladder(unsigned rungs) {
     if (scratch_->cpu().halted()) break;
     ladder_.push_back(scratch_->snapshot());
   }
+  record_golden_reads();
+}
+
+void FaultCampaign::record_golden_reads() {
+  System& s = *scratch_;
+  s.restore(staged_);
+  GoldenReadRecorder trace(s);
+  Outcome verdict = Outcome::kMasked;
+  {
+    // Detached on every exit: the recorder dies with this scope.
+    struct Detach {
+      System& s;
+      ~Detach() { s.set_read_trace(nullptr); }
+    } detach{s};
+    s.set_read_trace(&trace);
+    s.run_until(max_cycles_);
+    verdict = classify_trial(s);
+  }
+  if (s.cpu().cycles() != golden_cycles_ ||
+      s.cpu().instret() != golden_instret_ || read_output_(s) != golden_)
+    throw std::logic_error(
+        "FaultCampaign: the traced golden run differs from the golden run");
+
+  GoldenReads g;
+  g.reg = trace.reg;
+  g.dram = trace.dram.table();
+  g.spm_w = trace.spm_w.table();
+  g.spm_x = trace.spm_x.table();
+  g.start = trace.start;
+  g.dram_size = s.dram().size();
+  g.spm_w_size = s.pe(0).spm_w().size();
+  g.spm_x_size = s.pe(0).spm_x().size();
+  g.phases = s.pe(0).phase_state_size();
+  g.verdict = verdict;
+  reads_ = std::move(g);
 }
 
 void FaultCampaign::set_recovery(RecoveryReader reader,
                                  std::vector<std::uint8_t> fallback_golden) {
   recovery_reader_ = std::move(reader);
   fallback_golden_ = std::move(fallback_golden);
+  if (reads_) record_golden_reads();
+}
+
+bool FaultCampaign::masked_without_simulation(const FaultSpec& spec) const {
+  if (!reads_ || spec.model != FaultModel::kTransientFlip) return false;
+  const GoldenReads& g = *reads_;
+  GoldenReads::Last last;
+  // Specs inject() rejects (out-of-range bit, DRAM offset or phase) run,
+  // so they still throw.
+  switch (spec.target) {
+    case FaultTarget::kCpuRegfile:
+      if (spec.bit > 31) return false;
+      last = g.reg[spec.index % 31 + 1];
+      break;
+    case FaultTarget::kDramData:
+      if (spec.bit > 7 || spec.index >= g.dram_size) return false;
+      last = last_read(g.dram, spec.index);
+      break;
+    case FaultTarget::kAccelSpmW:
+      if (spec.bit > 7) return false;
+      last = last_read(g.spm_w, spec.index % g.spm_w_size);
+      break;
+    case FaultTarget::kAccelSpmX:
+      if (spec.bit > 7) return false;
+      last = last_read(g.spm_x, spec.index % g.spm_x_size);
+      break;
+    case FaultTarget::kAccelPhase:
+      if (spec.index >= g.phases) return false;
+      last = g.start;
+      break;
+  }
+  return !last || *last < spec.cycle;
 }
 
 void FaultCampaign::inject(System& system, const FaultSpec& spec) {
@@ -224,6 +382,7 @@ Outcome FaultCampaign::run_trial(System& system, const FaultSpec& spec) {
         "FaultCampaign: injection cycle " + std::to_string(spec.cycle) +
         " beyond the cycle budget " + std::to_string(max_cycles_) +
         " — the fault could never be injected");
+  if (masked_without_simulation(spec)) return reads_->verdict;
 
   // Restore the latest checkpoint at or before the injection cycle.
   system.restore(ladder_.empty() ? staged_ : ladder_[rung_index(spec.cycle)]);

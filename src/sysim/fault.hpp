@@ -32,11 +32,25 @@
 /// snapshot per trial. Fault specs are pre-drawn serially from the
 /// caller's Rng, so serial and parallel campaigns produce bit-identical
 /// per-trial verdicts (not merely equal distributions).
+///
+/// Dead-fault pruning (ACE / pre-injection analysis, Mukherjee et al.,
+/// MICRO 2003): a laddered campaign traces the golden run's reads once
+/// and grades a transient flip whose location the golden run never
+/// reads at or after the injection cycle with the golden run's own
+/// verdict, without restoring or simulating (masked_without_simulation).
+/// An unread bit cannot change anything, so verdicts stay bit-identical;
+/// the campaign without a ladder stays the differential oracle. Output
+/// and recovery readers must observe the system through its memories
+/// (System::read_dram, Memory reads) and Cpu::read_reg, as every reader
+/// in the repo does, so the trace sees what they read.
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lina/random.hpp"
@@ -132,8 +146,20 @@ class FaultCampaign {
   /// cycle c re-simulates at most window/rungs golden-prefix cycles
   /// rather than c. Verdicts are bit-identical to the rung-0 path (the
   /// prefix is fault-free, and snapshots capture complete architectural
-  /// state). `rungs` <= 1 tears the ladder down, restoring the plain
-  /// restore-from-cycle-0 behavior — kept as the differential oracle.
+  /// state).
+  ///
+  /// After the rung pass it records the dead-fault index that turns on
+  /// masked_without_simulation: the golden run replays once on the
+  /// template system under a System read trace (legacy interpreter, no
+  /// direct spans), both readers run on its end state and yield the
+  /// golden verdict, and the last read cycle of every register, of each
+  /// DRAM, SPM_W and SPM_X byte of PE 0 that was read (held sparsely)
+  /// and of PE 0's last START is kept. Throws std::logic_error unless
+  /// the traced run's cycles, instret and output equal the golden run's.
+  ///
+  /// `rungs` <= 1 tears the ladder and the index down, restoring the
+  /// plain restore-from-cycle-0, simulate-every-trial behavior — kept as
+  /// the differential oracle.
   void build_ladder(unsigned rungs);
   /// Number of ladder rungs currently held (0 = ladder disabled).
   [[nodiscard]] std::size_t ladder_rungs() const { return ladder_.size(); }
@@ -149,7 +175,8 @@ class FaultCampaign {
   /// Detected+corrected. Without it classification is exactly the
   /// four-outcome legacy behavior. `reader` must be safe to call
   /// concurrently on distinct Systems (a pure read of the passed system
-  /// is).
+  /// is). With a ladder built, the dead-fault index is recorded again,
+  /// so its golden verdict and end-of-run reads are the new readers'.
   void set_recovery(RecoveryReader reader,
                     std::vector<std::uint8_t> fallback_golden);
   /// The software-fallback reference (empty when recovery is off) —
@@ -163,6 +190,21 @@ class FaultCampaign {
 
   /// Execute one faulted run (snapshot-restore under the hood).
   Outcome run_one(const FaultSpec& spec);
+
+  /// True when run_trial grades `spec` with the golden verdict without
+  /// simulating it: a dead-fault index is held (build_ladder with 2 or
+  /// more rungs), `spec` is a kTransientFlip that inject() accepts, and
+  /// the golden run has no read stamped at or after `spec.cycle` of its
+  /// location:
+  ///  - register x(index % 31 + 1);
+  ///  - DRAM byte `index`;
+  ///  - SPM_W / SPM_X byte `index % size` of PE 0;
+  ///  - any START of PE 0 for a phase, the phases' only reader.
+  /// A golden read in the tick of cycle c follows an injection at cycle
+  /// c, so c = last read + 1 is the first prunable cycle. Stuck-at specs
+  /// always run. The index is read-only while run_trials shards across
+  /// threads.
+  [[nodiscard]] bool masked_without_simulation(const FaultSpec& spec) const;
 
   /// Draw `trials` random fault specs for a target/model pair: injection
   /// cycles uniform over the closed window [0, golden_cycles()] (a fault
@@ -211,16 +253,36 @@ class FaultCampaign {
   /// Build the template system and capture the staged snapshot.
   void ensure_staged();
   /// Restore `system` from the best checkpoint at or before the
-  /// injection cycle and execute one trial. Throws std::invalid_argument
-  /// for a spec whose injection cycle lies beyond the cycle budget —
-  /// such a fault can never be injected, so it is rejected loudly
-  /// instead of being silently applied after completion.
+  /// injection cycle and execute one trial, or return the golden verdict
+  /// when masked_without_simulation(spec) holds. Throws
+  /// std::invalid_argument for a spec whose injection cycle lies beyond
+  /// the cycle budget — such a fault can never be injected, so it is
+  /// rejected loudly instead of being silently applied after completion.
   Outcome run_trial(System& system, const FaultSpec& spec);
   /// Classification used by run_trial: the legacy static classify when
   /// recovery is off, the six-outcome recovery-aware split otherwise.
   [[nodiscard]] Outcome classify_trial(System& system) const;
   /// Ladder index for an injection cycle (latest rung.cycle <= cycle).
   [[nodiscard]] std::size_t rung_index(std::uint64_t cycle) const;
+  /// Replay the golden run traced on the template system and fold the
+  /// trace into reads_ (see build_ladder).
+  void record_golden_reads();
+
+  /// The dead-fault index: the golden run's last read of each fault
+  /// location (std::nullopt: never read) and its verdict.
+  struct GoldenReads {
+    using Last = std::optional<std::uint64_t>;
+    /// (byte offset, last read), ascending by offset; unread bytes are
+    /// absent.
+    using Bytes = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+    std::array<Last, 32> reg{};
+    Bytes dram, spm_w, spm_x;
+    Last start;  ///< PE 0's last START
+    /// Structure sizes, so a spec inject() would reject still runs.
+    std::uint32_t dram_size = 0, spm_w_size = 0, spm_x_size = 0;
+    std::size_t phases = 0;
+    Outcome verdict = Outcome::kMasked;
+  };
 
   SystemFactory factory_;
   OutputReader read_output_;
@@ -237,6 +299,7 @@ class FaultCampaign {
   bool staged_ready_ = false;
   std::vector<std::uint8_t> golden_;
   std::uint64_t golden_cycles_ = 0;
+  std::uint64_t golden_instret_ = 0;
   bool have_golden_ = false;
   /// Recovery-aware classification (set_recovery): guest record reader +
   /// the software-fallback reference output.
@@ -247,6 +310,9 @@ class FaultCampaign {
   /// ladder_[0] is the staged snapshot). Read-only while run_trials
   /// shards across threads.
   std::vector<System::SystemSnapshot> ladder_;
+  /// Held with the ladder, like it read-only while run_trials shards
+  /// across threads.
+  std::optional<GoldenReads> reads_;
 };
 
 }  // namespace aspen::sys

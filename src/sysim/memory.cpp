@@ -28,6 +28,7 @@ std::uint32_t Memory::read(std::uint32_t offset, unsigned size) {
   // under injected faults) reads as zero rather than killing the
   // simulation; host-side load/read_block stay strict.
   if (offset > bytes_.size() || size > bytes_.size() - offset) return 0;
+  if (trace_ != nullptr) trace_->memory_read(this, offset, size);
   // Little-endian block copy instead of the per-byte assembly loop.
   if (stuck_.empty()) return load_le(bytes_.data() + offset, size);
   std::uint32_t v = 0;
@@ -55,6 +56,8 @@ void Memory::load(std::uint32_t offset, const void* src, std::size_t n) {
 void Memory::read_block(std::uint32_t offset, void* dst, std::size_t n) const {
   if (offset + n > bytes_.size())
     throw std::out_of_range(name_ + ": read_block past end");
+  if (trace_ != nullptr)
+    trace_->memory_read(this, offset, static_cast<std::uint32_t>(n));
   std::memcpy(dst, bytes_.data() + offset, n);
 }
 

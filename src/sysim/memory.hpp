@@ -5,12 +5,13 @@
 /// part of the area of many accelerators", paper Section 5). Supports the
 /// permanent stuck-at fault hooks used by the reliability campaigns.
 ///
-/// Fast path: while no stuck-at faults are armed the raw byte store is
-/// exported through `direct_span()`, letting bus masters (the CPU's DRAM
-/// fast path) bypass the virtual read/write calls. Every out-of-band
-/// mutation — bus writes, host loads, bit flips, stuck-bit changes — is
-/// reported to the registered BusWriteObserver so derived caches
-/// (predecoded instructions) stay coherent.
+/// Fast path: while no stuck-at faults are armed and no read trace is
+/// attached, the raw byte store is exported through `direct_span()`,
+/// letting bus masters (the CPU's DRAM fast path) bypass the virtual
+/// read/write calls. Every out-of-band mutation — bus writes, host loads,
+/// bit flips, stuck-bit changes — is reported to the registered
+/// BusWriteObserver so derived caches (predecoded instructions) stay
+/// coherent.
 
 #include <algorithm>
 #include <array>
@@ -44,10 +45,11 @@ class Memory final : public BusDevice {
   [[nodiscard]] std::string name() const override { return name_; }
 
   /// Raw store, exported only while reads are transform-free (no stuck
-  /// bits): a revoked span forces masters back onto read(), which applies
-  /// the fault masks.
+  /// bits) and untraced: a revoked span forces masters back onto read(),
+  /// which applies the fault masks and reports to the trace. Masters
+  /// fall back cycle-exactly, as stuck-at trials rely on.
   [[nodiscard]] DirectSpan direct_span() override {
-    if (!stuck_.empty()) return {};
+    if (!stuck_.empty() || trace_ != nullptr) return {};
     return {bytes_.data(), size()};
   }
   void set_write_observer(BusWriteObserver* observer) override {
@@ -78,6 +80,16 @@ class Memory final : public BusDevice {
   void load(std::uint32_t offset, const void* src, std::size_t n);
   void read_block(std::uint32_t offset, void* dst, std::size_t n) const;
   void fill(std::uint8_t value);
+
+  /// Attach a read trace (nullptr detaches): while attached the direct
+  /// span is revoked and every read() and read_block() is reported to
+  /// it. Attaching and detaching notify the observer about the whole
+  /// span, as stuck-bit changes do, so masters drop or re-resolve their
+  /// windows.
+  void set_read_trace(ReadTrace* trace) {
+    trace_ = trace;
+    notify(0, size());
+  }
 
   // -- Fault hooks --------------------------------------------------------
   /// Transient: flip one bit now.
@@ -167,6 +179,7 @@ class Memory final : public BusDevice {
   };
   std::array<PairSpan, 32> pairs_{};
   std::uint64_t pair_clock_ = 0;
+  ReadTrace* trace_ = nullptr;
 };
 
 }  // namespace aspen::sys

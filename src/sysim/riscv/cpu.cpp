@@ -23,7 +23,7 @@ std::int32_t sign_extend(std::uint32_t v, unsigned bits) {
 }  // namespace
 
 Cpu::Cpu(Bus& bus, CpuConfig cfg)
-    : bus_(bus), cfg_(cfg), pc_(cfg.reset_pc) {
+    : bus_(bus), cfg_(cfg), pc_(cfg.reset_pc), legacy_(cfg.legacy_decode) {
   // Every tier adds `latency - 1` to the unsigned stall counter for a
   // multiply/divide; a zero latency would wrap it.
   if (cfg.mul_latency == 0 || cfg.div_latency == 0)
@@ -67,6 +67,7 @@ void Cpu::restore(const Snapshot& s) {
   stuck_or_ = s.stuck_or;
   stuck_and_ = s.stuck_and;
   reg_faults_armed_ = s.reg_faults_armed;
+  reg_read_slow_ = reg_faults_armed_ || trace_ != nullptr;
   pc_ = s.pc;
   cycles_ = s.cycles;
   instret_ = s.instret;
@@ -86,9 +87,20 @@ void Cpu::restore(const Snapshot& s) {
 }
 
 std::uint32_t Cpu::read_reg(int i) const {
-  // x0 stays 0 in regs_ (write_reg guards it), so the fault-free fast
-  // path is a single load.
-  if (!reg_faults_armed_) return regs_[static_cast<std::size_t>(i)];
+  // x0 stays 0 in regs_ (write_reg guards it), so the fault-free,
+  // untraced fast path is a single load.
+  if (!reg_read_slow_) return regs_[static_cast<std::size_t>(i)];
+  return read_reg_slow(i);
+}
+
+// Out of line: exec_block flattens every read_reg into its dispatch
+// loop, where an inlined trace call at each site grows the loop by a
+// third and slows e6_sw_gemm.
+#if defined(__GNUC__)
+__attribute__((noinline))
+#endif
+std::uint32_t Cpu::read_reg_slow(int i) const {
+  if (trace_ != nullptr) trace_->register_read(i);
   if (i == 0) return 0;
   return (regs_[static_cast<std::size_t>(i)] |
           stuck_or_[static_cast<std::size_t>(i)]) &
@@ -113,12 +125,20 @@ void Cpu::set_reg_stuck_bit(int reg, unsigned bit, bool value) {
   else
     stuck_and_[static_cast<std::size_t>(reg)] &= ~(1u << bit);
   reg_faults_armed_ = true;
+  reg_read_slow_ = true;
 }
 
 void Cpu::clear_faults() {
   stuck_or_.fill(0);
   stuck_and_.fill(0xFFFFFFFFu);
   reg_faults_armed_ = false;
+  reg_read_slow_ = trace_ != nullptr;
+}
+
+void Cpu::set_read_trace(ReadTrace* trace) {
+  trace_ = trace;
+  legacy_ = cfg_.legacy_decode || trace != nullptr;
+  reg_read_slow_ = reg_faults_armed_ || trace != nullptr;
 }
 
 std::uint32_t Cpu::read_csr(std::uint32_t addr) const {
@@ -207,7 +227,7 @@ void Cpu::tick() {
     return;
   }
 
-  if (cfg_.legacy_decode) {
+  if (legacy_) {
     if (pc_ & 1u) {
       // 2-byte alignment is the fetch granule with RV32C: bit 0 set is
       // the only misaligned case, reported with the faulting pc in

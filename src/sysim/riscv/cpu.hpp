@@ -102,12 +102,12 @@ class Cpu final : public BusWriteObserver {
   /// Execute instructions back-to-back for up to `budget` (>= 1) cycles
   /// while the devices lag behind (temporal decoupling); returns the
   /// cycles consumed. Caller guarantees: not halted, not in WFI, no
-  /// pending stall, legacy_decode off, the interrupt line level loaded
-  /// with set_irq(), and no device event (PE completion, watchdog
-  /// expiry, DMA completion) before the device phase of the window's
-  /// last cycle, so the line holds its level unless the CPU itself
-  /// writes a device. `dma` is the in-flight bulk DMA transfer,
-  /// or nullptr when the engine is idle.
+  /// pending stall, legacy_decode off, no read trace attached, the
+  /// interrupt line level loaded with set_irq(), and no device event
+  /// (PE completion, watchdog expiry, DMA completion) before the device
+  /// phase of the window's last cycle, so the line holds its level
+  /// unless the CPU itself writes a device. `dma` is the in-flight bulk
+  /// DMA transfer, or nullptr when the engine is idle.
   ///
   /// The devices stay at the cycle the burst started in until the CPU
   /// needs them: every bus-routed access (MMIO load or store, slow
@@ -136,6 +136,7 @@ class Cpu final : public BusWriteObserver {
   void set_irq(bool level) { irq_ = level; }
 
   [[nodiscard]] std::uint32_t pc() const { return pc_; }
+  /// Register read; reports x`i` to the attached read trace.
   [[nodiscard]] std::uint32_t read_reg(int i) const;
   void write_reg(int i, std::uint32_t v);
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
@@ -184,6 +185,13 @@ class Cpu final : public BusWriteObserver {
   void flip_reg_bit(int reg, unsigned bit);
   void set_reg_stuck_bit(int reg, unsigned bit, bool value);
   void clear_faults();
+
+  /// Attach a read trace (nullptr detaches). While attached, tick()
+  /// runs the legacy interpreter, which fetches and loads through the
+  /// bus and reads the rs1/rs2 fields of every instruction, and
+  /// read_reg() takes its masked branch and reports each read. The
+  /// caller must not run bursts meanwhile (System::set_read_trace).
+  void set_read_trace(ReadTrace* trace);
 
   /// BusWriteObserver: DRAM mutated behind the CPU's back (DMA, host
   /// load, injected fault) — drop derived state covering the range.
@@ -256,6 +264,8 @@ class Cpu final : public BusWriteObserver {
   /// burn). Caller guarantees budget >= 1. Returns false when the
   /// block/burst must stop after this op.
   bool retire_op(const MicroOp& u, std::uint64_t& budget);
+  /// read_reg()'s branch for armed stuck bits or an attached trace.
+  [[nodiscard]] std::uint32_t read_reg_slow(int i) const;
   /// Compute-only register-op core (LUI/AUIPC, OP-IMM, OP, M, fence):
   /// no cycle/stall/pc bookkeeping — callers account for those. Called
   /// by exec_op and by exec_block's static runs.
@@ -338,6 +348,9 @@ class Cpu final : public BusWriteObserver {
   /// down in the destructor).
   std::array<BusDevice*, 2> observed_devs_{};
   bool reg_faults_armed_ = false;  ///< any stuck bits on the register file
+  /// read_reg() takes its masked branch: stuck bits armed or a trace
+  /// attached.
+  bool reg_read_slow_ = false;
   BlockCache blocks_;  ///< basic-block translation tier
   /// Set only inside run_burst: the lagging devices and, while a DMA
   /// transfer is in flight, its remaining spans. `dma_` doubles as the
@@ -354,6 +367,9 @@ class Cpu final : public BusWriteObserver {
   std::uint32_t mepc_ = 0;
   std::uint32_t mcause_ = 0;
   std::uint32_t mtval_ = 0;
+  /// tick() runs the legacy interpreter: legacy_decode or a trace.
+  bool legacy_ = false;
+  ReadTrace* trace_ = nullptr;
 };
 
 }  // namespace aspen::sys::rv

@@ -57,6 +57,7 @@ void System::read_dram(std::uint32_t offset, void* dst, std::size_t n) const {
 }
 
 void System::tick() {
+  if (trace_ != nullptr) trace_->now = cycle_;
   bool irq = dma_->irq_pending();
   for (const auto& pe : pes_) irq = irq || pe->irq_pending();
   cpu_->set_irq(irq);
@@ -65,6 +66,14 @@ void System::tick() {
   for (const auto& pe : pes_) pe->tick();
   ++cycle_;
   ++stats_.ticks;
+  if (trace_ != nullptr) trace_->now = ReadTrace::kEndOfRun;
+}
+
+void System::set_read_trace(ReadTrace* trace) {
+  trace_ = trace;
+  cpu_->set_read_trace(trace);
+  dram_->set_read_trace(trace);
+  for (const auto& pe : pes_) pe->set_read_trace(trace);
 }
 
 std::uint64_t System::scan_devices(bool& line) const {
@@ -108,7 +117,7 @@ void System::catch_up(std::uint64_t issue_cycle) {
 }
 
 bool System::burst(std::uint64_t window, bool line) {
-  if (cfg_.cpu.legacy_decode) return false;
+  if (cfg_.cpu.legacy_decode || trace_ != nullptr) return false;
   // The scan only lets a busy DMA through when its transfer is
   // bulk-movable, so its remaining spans are plain memory.
   rv::DmaInFlight spans;

@@ -107,6 +107,21 @@ class System final : private rv::BurstDevices {
   /// Run until the CPU halts or max_cycles elapse.
   RunResult run();
 
+  /// Attach a read trace to the CPU, the DRAM, every PE and its SPMs
+  /// (nullptr detaches). While it is attached:
+  ///  - run_until() drives the CPU through the legacy interpreter, as
+  ///    CpuConfig::legacy_decode does, and runs no bursts, so a fetch
+  ///    reads once per retired instruction;
+  ///  - every memory revokes its direct span, so CPU fetches and loads,
+  ///    DMA beats and the PEs' SPM loads all reach Memory::read(), one
+  ///    bus beat per cycle (revoked spans are cycle-exact);
+  ///  - tick() stamps the trace with the cycle it executes before the
+  ///    CPU and the devices act, and with ReadTrace::kEndOfRun when the
+  ///    cycle ends, so reads outside a tick stamp end-of-run.
+  /// Cycle counts and architectural results are those of an untraced
+  /// run.
+  void set_read_trace(ReadTrace* trace);
+
   /// Complete captured platform state, restorable into any System built
   /// from the same SystemConfig. Component snapshots hold architectural
   /// state only; derived caches (translated blocks, bus windows, mesh
@@ -176,6 +191,7 @@ class System final : private rv::BurstDevices {
   std::uint64_t devices_at_ = 0;
   std::uint64_t cpu_offset_ = 0;
   SystemStats stats_;
+  ReadTrace* trace_ = nullptr;
 };
 
 }  // namespace aspen::sys

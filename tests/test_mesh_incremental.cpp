@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "lina/random.hpp"
 #include "mesh/analysis.hpp"
@@ -168,6 +169,72 @@ TEST(IncrementalTransferTest, TransferAtDoesNotDisturbState) {
   // And it must agree with the mutate-and-restore equivalent.
   mesh.set_wavelength_detuning_nm(4.0);
   EXPECT_LT(mesh.transfer().max_abs_diff(detuned), kTol);
+}
+
+/// Bitwise equality of two transfers (memcmp), not a tolerance.
+bool bitwise_equal(const CMat& a, const CMat& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.raw().data(), b.raw().data(),
+                     a.raw().size() * sizeof(a.raw()[0])) == 0;
+}
+
+TEST(IncrementalTransferTest, RebuildAfterRestoreEqualsFreshMesh) {
+  // A fault campaign's phase upsets: build, perturb one phase, restore,
+  // perturb another. The rebuild after the restore copies the last full
+  // rebuild; the transfer must be bitwise that of a freshly built mesh
+  // given the same phases and the same perturbation.
+  const aspen::phot::PcmCellConfig pcm =
+      aspen::phot::pcm_config_for_two_pi(aspen::phot::make_gese());
+  for (const bool use_pcm : {false, true}) {
+    Rng rng(108);
+    PhysicalMesh mesh(clements_layout(8), dirty_model(21));
+    if (use_pcm) {
+      mesh.enable_pcm(pcm);
+      mesh.set_drift_time(1e4);
+    }
+    std::vector<double> phases(mesh.phase_count());
+    for (auto& p : phases) p = rng.uniform(0.0, kTwoPi);
+    mesh.program(phases);
+    (void)mesh.transfer();
+    const PhysicalMesh::Snapshot programmed = mesh.snapshot();
+    for (int trial = 0; trial < 6; ++trial) {
+      const auto k =
+          static_cast<std::size_t>(rng.uniform_int(0, phases.size() - 1));
+      const double delta = rng.uniform(-1.5, 1.5);
+      mesh.restore(programmed);
+      (void)mesh.transfer();
+      mesh.set_phase(k, mesh.phase(k) + delta);
+
+      PhysicalMesh fresh(clements_layout(8), dirty_model(21));
+      if (use_pcm) {
+        fresh.enable_pcm(pcm);
+        fresh.set_drift_time(1e4);
+      }
+      fresh.program(phases);
+      (void)fresh.transfer();
+      fresh.set_phase(k, fresh.phase(k) + delta);
+      EXPECT_TRUE(bitwise_equal(mesh.transfer(), fresh.transfer()))
+          << (use_pcm ? "pcm" : "thermo-optic") << " trial " << trial;
+    }
+  }
+}
+
+TEST(IncrementalTransferTest, PcmToggleDropsTheLastRebuild) {
+  // The PCM map is a rebuild input the memo does not compare: enabling
+  // or disabling it must drop the kept rebuild.
+  const aspen::phot::PcmCellConfig pcm =
+      aspen::phot::pcm_config_for_two_pi(aspen::phot::make_gese());
+  Rng rng(109);
+  PhysicalMesh mesh(clements_layout(6), dirty_model(22));
+  std::vector<double> phases(mesh.phase_count());
+  for (auto& p : phases) p = rng.uniform(0.0, kTwoPi);
+  mesh.program(phases);
+  const CMat thermo = mesh.transfer();
+  mesh.enable_pcm(pcm);
+  EXPECT_TRUE(bitwise_equal(mesh.transfer(), mesh.transfer_uncached()));
+  EXPECT_FALSE(bitwise_equal(mesh.transfer(), thermo));
+  mesh.disable_pcm();
+  EXPECT_TRUE(bitwise_equal(mesh.transfer(), thermo));
 }
 
 TEST(IncrementalTransferTest, ColumnOfPhaseIsConsistent) {

@@ -1439,6 +1439,358 @@ TEST(FaultTest, LadderVerdictsMatchRung0Oracle) {
   EXPECT_EQ(oracle, campaign.run_trials(specs, 1));
 }
 
+// ------------------------------------------------------ dead-fault pruning
+
+FaultCampaign::OutputReader gemm_reader(const GemmWorkload& wl) {
+  return [wl](System& s) {
+    const auto y = read_gemm_result(s, wl);
+    std::vector<std::uint8_t> bytes(y.size() * 2);
+    memcpy(bytes.data(), y.data(), bytes.size());
+    return bytes;
+  };
+}
+
+/// Checks the verdicts of `specs` on `laddered` (built with a ladder, so
+/// pruning), at 1 and 4 threads, against the oracle (no ladder, nothing
+/// pruned), and that the ladder prunes at least one spec.
+void expect_pruned_match_oracle(FaultCampaign& laddered, FaultCampaign& oracle,
+                                const std::vector<FaultSpec>& specs,
+                                const std::string& tag) {
+  std::size_t pruned = 0;
+  for (const FaultSpec& spec : specs) {
+    pruned += laddered.masked_without_simulation(spec) ? 1 : 0;
+    EXPECT_FALSE(oracle.masked_without_simulation(spec)) << tag;
+  }
+  EXPECT_GT(pruned, 0u) << tag;
+  const std::vector<Outcome> truth = oracle.run_trials(specs, 1);
+  for (const unsigned threads : {1u, 4u}) {
+    const std::vector<Outcome> got = laddered.run_trials(specs, threads);
+    EXPECT_EQ(got.size(), truth.size());
+    int wrong = 0;
+    for (std::size_t i = 0; i < got.size() && i < truth.size(); ++i) {
+      if (got[i] == truth[i]) continue;
+      if (++wrong <= 5)
+        ADD_FAILURE() << tag << ", " << threads << " threads: spec " << i
+                      << " (" << to_string(specs[i].target) << " @"
+                      << specs[i].cycle << " index " << specs[i].index
+                      << " bit " << specs[i].bit << ") reads "
+                      << to_string(got[i]) << ", the oracle "
+                      << to_string(truth[i]);
+    }
+    EXPECT_EQ(wrong, 0) << tag << ", " << threads << " threads";
+  }
+}
+
+/// perfbench's seed mixer (perfbench/src/harness.hpp), so the tests draw
+/// its e7_campaign operands and specs.
+std::uint64_t perfbench_stream_seed(std::uint64_t seed, std::uint64_t tag) {
+  std::uint64_t z = seed * 0x9e3779b97f4a7c15ULL + tag;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// perfbench's e7_campaign platform: an 8x8 MMR-interrupt offload on
+/// thermo-optic weights over 256 KiB of DRAM, with a 16-rung ladder.
+struct E7Platform {
+  static constexpr std::uint64_t kMaxCycles = 25000;
+  static constexpr unsigned kRungs = 16;
+  SystemConfig sc;
+  GemmWorkload wl;
+  std::vector<std::int16_t> a, x;
+  std::uint64_t seed;
+
+  explicit E7Platform(std::uint64_t s) : seed(s) {
+    sc.accel.gemm.mvm.ports = 8;
+    sc.accel.max_cols = 64;
+    sc.dram_size = 1u << 18;
+    sc.accel.gemm.mvm.weights = aspen::core::WeightTechnology::kThermoOptic;
+    wl.n = 8;
+    wl.m = 8;
+    aspen::lina::Rng rng(perfbench_stream_seed(seed, 0xe7));
+    for (auto* v : {&a, &x}) {
+      v->resize(64);
+      for (auto& e : *v) e = PhotonicAccelerator::to_fixed(rng.uniform(-0.9, 0.9));
+    }
+  }
+  [[nodiscard]] FaultCampaign campaign() const {
+    return FaultCampaign(make_factory(sc, wl, a, x, OffloadPath::kMmrInterrupt),
+                         gemm_reader(wl), kMaxCycles);
+  }
+  /// perfbench's spec stream: `per_target` transient flips of the CPU
+  /// regfile, then of DRAM, SPM_W and the phases.
+  [[nodiscard]] std::vector<std::vector<FaultSpec>> specs(
+      FaultCampaign& c, int per_target) const {
+    aspen::lina::Rng rng(perfbench_stream_seed(seed, 0xe75));
+    std::vector<std::vector<FaultSpec>> parts;
+    for (const FaultTarget t :
+         {FaultTarget::kCpuRegfile, FaultTarget::kDramData,
+          FaultTarget::kAccelSpmW, FaultTarget::kAccelPhase})
+      parts.push_back(
+          c.sample_specs(t, FaultModel::kTransientFlip, per_target, rng));
+    return parts;
+  }
+};
+
+TEST(FaultPruningTest, PerfbenchE7PrunedVerdictsMatchOracle) {
+  for (const std::uint64_t seed : {1u, 7u}) {
+    const E7Platform p(seed);
+    FaultCampaign laddered = p.campaign();
+    FaultCampaign oracle = p.campaign();
+    laddered.build_ladder(E7Platform::kRungs);
+    std::vector<FaultSpec> specs;
+    for (const auto& part : p.specs(laddered, 256))
+      specs.insert(specs.end(), part.begin(), part.end());
+    expect_pruned_match_oracle(laddered, oracle, specs,
+                               "seed " + std::to_string(seed));
+  }
+}
+
+TEST(FaultPruningTest, PerfbenchE7Seed1PrunedCounts) {
+  // perfbench's 4 096 seed-1 specs, 1 024 per target: how many the
+  // golden run's read trace grades without simulation.
+  const E7Platform p(1);
+  FaultCampaign c = p.campaign();
+  c.build_ladder(E7Platform::kRungs);
+  const auto parts = p.specs(c, 1024);
+  std::vector<std::size_t> pruned;
+  for (const auto& part : parts) {
+    std::size_t n = 0;
+    for (const FaultSpec& spec : part) n += c.masked_without_simulation(spec);
+    pruned.push_back(n);
+  }
+  EXPECT_EQ(pruned, (std::vector<std::size_t>{455, 1022, 972, 45}))
+      << "regfile, DRAM, SPM_W, phase";
+
+  // The golden run reads 19 of its 31 registers; a flip of any other is
+  // dead from cycle 0. Its last START is at cycle 11 110.
+  FaultSpec spec;
+  spec.cycle = 0;
+  int unread = 0;
+  for (std::uint32_t i = 0; i < 31; ++i) {
+    spec.index = i;
+    unread += c.masked_without_simulation(spec) ? 1 : 0;
+  }
+  EXPECT_EQ(unread, 12);
+  spec.target = FaultTarget::kAccelPhase;
+  spec.index = 0;
+  spec.cycle = 11110;
+  EXPECT_FALSE(c.masked_without_simulation(spec));
+  spec.cycle = 11111;
+  EXPECT_TRUE(c.masked_without_simulation(spec));
+}
+
+/// bench_e7_faults' platform: an 8x8 MMR-polling offload on 8-bit PCM
+/// weights.
+struct BenchE7Platform {
+  SystemConfig sc;
+  GemmWorkload wl;
+  std::vector<std::int16_t> a, x;
+
+  BenchE7Platform() {
+    sc.accel.gemm.mvm.ports = 8;
+    sc.accel.gemm.mvm.weights = aspen::core::WeightTechnology::kPcm;
+    sc.accel.gemm.mvm.pcm.level_bits = 8;
+    wl.n = 8;
+    wl.m = 8;
+    aspen::lina::Rng rng(99);
+    for (auto* v : {&a, &x}) {
+      v->resize(64);
+      for (auto& e : *v) e = PhotonicAccelerator::to_fixed(rng.uniform(-0.9, 0.9));
+    }
+  }
+  [[nodiscard]] FaultCampaign campaign() const {
+    return FaultCampaign(make_factory(sc, wl, a, x, OffloadPath::kMmrPolling),
+                         gemm_reader(wl), 400000);
+  }
+  /// The checked offload on thermo-optic weights with ABFT (recovery
+  /// left to the caller).
+  [[nodiscard]] FaultCampaign checked_campaign() const {
+    SystemConfig csc = sc;
+    csc.accel.gemm.mvm.weights = aspen::core::WeightTechnology::kThermoOptic;
+    csc.accel.gemm.abft.enabled = true;
+    auto factory = [this, csc]() {
+      auto system = std::make_unique<System>(csc);
+      stage_gemm_data_checked(*system, wl, a, x);
+      system->load_program(build_gemm_offload_checked(wl, csc));
+      return system;
+    };
+    return FaultCampaign(factory, gemm_reader(wl), 800000);
+  }
+  void set_recovery(FaultCampaign& c) const {
+    const auto fb = golden_gemm(wl, a, x);
+    std::vector<std::uint8_t> fb_bytes(fb.size() * 2);
+    memcpy(fb_bytes.data(), fb.data(), fb_bytes.size());
+    c.set_recovery([wl = wl](System& s) { return read_gemm_recovery(s, wl); },
+                   fb_bytes);
+  }
+  /// Transient flips on every target; DRAM over A, SPM_X over the staged
+  /// tile, as bench_e7_faults restricts them, plus DRAM over `extra`.
+  [[nodiscard]] std::vector<FaultSpec> rows(
+      FaultCampaign& c, int per_row, std::uint64_t seed,
+      std::pair<std::uint32_t, std::uint32_t> extra = {0, 0}) const {
+    aspen::lina::Rng rng(seed);
+    const auto a_lo = wl.a_offset;
+    const auto a_hi = a_lo + static_cast<std::uint32_t>(wl.n * wl.n * 2) - 1;
+    const auto x_hi = static_cast<std::uint32_t>(wl.n * wl.m * 2) - 1;
+    struct Row {
+      FaultTarget target;
+      std::uint32_t lo, hi;
+    };
+    std::vector<Row> rows = {{FaultTarget::kCpuRegfile, 0, 0},
+                             {FaultTarget::kDramData, a_lo, a_hi},
+                             {FaultTarget::kAccelSpmW, 0, 0},
+                             {FaultTarget::kAccelSpmX, 0, x_hi},
+                             {FaultTarget::kAccelPhase, 0, 0}};
+    if (extra.second != 0)
+      rows.push_back({FaultTarget::kDramData, extra.first, extra.second});
+    std::vector<FaultSpec> specs;
+    for (const Row& r : rows) {
+      const auto part = c.sample_specs(r.target, FaultModel::kTransientFlip,
+                                       per_row, rng, r.lo, r.hi);
+      specs.insert(specs.end(), part.begin(), part.end());
+    }
+    return specs;
+  }
+};
+
+TEST(FaultPruningTest, BenchE7RowsPrunedVerdictsMatchOracle) {
+  const BenchE7Platform p;
+  FaultCampaign laddered = p.campaign();
+  FaultCampaign oracle = p.campaign();
+  laddered.build_ladder(8);
+  const std::vector<FaultSpec> specs = p.rows(laddered, 48, 1);
+  expect_pruned_match_oracle(laddered, oracle, specs, "PCM polling");
+}
+
+TEST(FaultPruningTest, CheckedCampaignPrunedVerdictsMatchOracle) {
+  // The recovery reader reads the guest's record at the end of the run,
+  // so the index must be recorded with the readers in force: set_recovery
+  // before build_ladder, or after it (which records the index again).
+  // The extra DRAM row flips the record itself.
+  const BenchE7Platform p;
+  FaultCampaign oracle = p.checked_campaign();
+  p.set_recovery(oracle);
+  const std::uint32_t rec = p.wl.rec_offset;
+  const std::vector<FaultSpec> specs =
+      p.rows(oracle, 24, 4, {rec, rec + sizeof(GemmRecoveryRecord) - 1});
+  for (const bool recovery_first : {true, false}) {
+    FaultCampaign laddered = p.checked_campaign();
+    if (recovery_first) p.set_recovery(laddered);
+    laddered.build_ladder(8);
+    if (!recovery_first) p.set_recovery(laddered);
+    expect_pruned_match_oracle(laddered, oracle, specs,
+                               recovery_first ? "recovery, then ladder"
+                                              : "ladder, then recovery");
+  }
+}
+
+TEST(FaultPruningTest, DmaOffloadPrunedVerdictsMatchOracle) {
+  // DMA beats read DRAM and write the SPMs: the trace must see them.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  GemmWorkload wl;
+  wl.n = 8;
+  wl.m = 4;
+  const auto make = [&] {
+    return FaultCampaign(make_factory(sc, wl, random_fixed(64, 0.9, 41),
+                                      random_fixed(32, 0.9, 42),
+                                      OffloadPath::kDmaInterrupt),
+                         gemm_reader(wl), 500000);
+  };
+  FaultCampaign laddered = make();
+  FaultCampaign oracle = make();
+  laddered.build_ladder(8);
+  aspen::lina::Rng rng(43);
+  std::vector<FaultSpec> specs;
+  const auto add = [&](FaultTarget t, std::uint32_t lo, std::uint32_t hi) {
+    const auto part = laddered.sample_specs(t, FaultModel::kTransientFlip, 64,
+                                            rng, lo, hi);
+    specs.insert(specs.end(), part.begin(), part.end());
+  };
+  add(FaultTarget::kDramData, wl.a_offset, wl.a_offset + 127);
+  add(FaultTarget::kDramData, wl.x_offset, wl.x_offset + 63);
+  add(FaultTarget::kAccelSpmX, 0, 63);
+  expect_pruned_match_oracle(laddered, oracle, specs, "DMA offload");
+}
+
+TEST(FaultPruningTest, FirstPrunableCycleIsOnePastTheLastRead) {
+  // At the first cycle c* the index prunes, the spec must really be dead
+  // (the oracle simulates it to the golden verdict); one cycle earlier it
+  // must be simulated and must not be dead. Shifting the rule by one
+  // cycle either way breaks one of the two.
+  const E7Platform p(1);
+  FaultCampaign laddered = p.campaign();
+  FaultCampaign oracle = p.campaign();
+  laddered.build_ladder(E7Platform::kRungs);
+  const std::uint64_t window = laddered.golden_cycles();
+
+  FaultSpec spm_w;  // high bit of weight (0, 0): read once, at LOAD_WEIGHTS
+  spm_w.target = FaultTarget::kAccelSpmW;
+  spm_w.index = 1;
+  spm_w.bit = 6;
+  FaultSpec loop_bound;  // t2 = x7, the copy loops' end pointer
+  loop_bound.target = FaultTarget::kCpuRegfile;
+  loop_bound.index = 6;
+  loop_bound.bit = 24;
+
+  for (FaultSpec spec : {spm_w, loop_bound}) {
+    const std::string tag = to_string(spec.target);
+    std::uint64_t first = 0;
+    for (; first <= window; ++first) {
+      spec.cycle = first;
+      if (laddered.masked_without_simulation(spec)) break;
+    }
+    ASSERT_GT(first, 0u) << tag << ": the location is read";
+    ASSERT_LE(first, window) << tag << ": and dead before the run ends";
+
+    spec.cycle = first - 1;
+    EXPECT_FALSE(laddered.masked_without_simulation(spec)) << tag;
+    EXPECT_NE(laddered.run_one(spec), Outcome::kMasked)
+        << tag << ": a flip just before the last read must show";
+    EXPECT_EQ(oracle.run_one(spec), laddered.run_one(spec)) << tag;
+
+    spec.cycle = first;
+    EXPECT_EQ(oracle.run_one(spec), Outcome::kMasked)
+        << tag << ": a flip after the last read is dead";
+    EXPECT_EQ(laddered.run_one(spec), Outcome::kMasked) << tag;
+
+    // Stuck-at faults always run; so does everything without a ladder.
+    spec.model = FaultModel::kStuckAt1;
+    EXPECT_FALSE(laddered.masked_without_simulation(spec)) << tag;
+  }
+  laddered.build_ladder(1);
+  spm_w.cycle = window;
+  EXPECT_FALSE(laddered.masked_without_simulation(spm_w));
+}
+
+TEST(FaultPruningTest, SpecsInjectRejectsStillThrow) {
+  const E7Platform p(1);
+  FaultCampaign c = p.campaign();
+  c.build_ladder(E7Platform::kRungs);
+  FaultSpec spec;  // idle DRAM late in the run: prunable when valid
+  spec.target = FaultTarget::kDramData;
+  spec.cycle = c.golden_cycles();
+  spec.index = p.sc.dram_size - 1;
+  ASSERT_TRUE(c.masked_without_simulation(spec));
+  spec.index = p.sc.dram_size;
+  EXPECT_THROW((void)c.run_one(spec), std::out_of_range);
+  spec.index = 0x100;
+  spec.bit = 8;
+  EXPECT_THROW((void)c.run_one(spec), std::out_of_range);
+  spec.target = FaultTarget::kAccelPhase;
+  spec.bit = 0;
+  spec.index = 1u << 20;
+  EXPECT_THROW((void)c.run_one(spec), std::out_of_range);
+  spec.target = FaultTarget::kCpuRegfile;
+  spec.index = 0;
+  spec.bit = 32;
+  EXPECT_THROW((void)c.run_one(spec), std::out_of_range);
+  spec.bit = 0;
+  spec.cycle = E7Platform::kMaxCycles + 1;  // the budget check comes first
+  EXPECT_THROW((void)c.run_one(spec), std::invalid_argument);
+}
+
 // --------------------------------------- cached-code extent arithmetic
 
 TEST(ByteExtentTest, ExactEdgesNoSlack) {
