@@ -27,7 +27,6 @@ class Writer {
     u32(static_cast<std::uint32_t>(v));
     u32(static_cast<std::uint32_t>(v >> 32));
   }
-  void b(bool v) { u8(v ? 1 : 0); }
   void f64(double d) {
     std::uint64_t bits;
     std::memcpy(&bits, &d, 8);
@@ -65,9 +64,6 @@ class Reader {
     const std::uint64_t lo = u32();
     return lo | (static_cast<std::uint64_t>(u32()) << 32);
   }
-  /// A bool is byte 0 or 1; any other byte would not re-serialize to
-  /// itself.
-  bool b() { return u8_enum(1, "bool") != 0; }
   double f64() {
     const std::uint64_t bits = u64();
     double d;
@@ -160,8 +156,8 @@ PayloadKind read_header(Reader& r) {
                      std::to_string(kCampaignWireVersion),
                  4);
   const std::uint16_t got = r.u16();
-  if (got < static_cast<std::uint16_t>(PayloadKind::kSpecBatch) ||
-      got > static_cast<std::uint16_t>(PayloadKind::kJournal))
+  if (got < static_cast<std::uint16_t>(PayloadKind::kHistogram) ||
+      got > static_cast<std::uint16_t>(PayloadKind::kProgress))
     throw r.fail("unknown payload kind " + std::to_string(got), 6);
   return static_cast<PayloadKind>(got);
 }
@@ -197,31 +193,6 @@ FaultSpec get_spec(Reader& r) {
   s.bit = r.u32();
   s.phase_delta_rad = r.f64();
   return s;
-}
-
-void put_point(Writer& w, const SweepPoint& p) {
-  w.u32(p.cell);
-  w.u8(static_cast<std::uint8_t>(p.target));
-  w.u8(static_cast<std::uint8_t>(p.model));
-  w.b(p.pcm_weights);
-  w.f64(p.pcm_drift_time_s);
-  w.f64(p.temperature_k);
-  w.u32(static_cast<std::uint32_t>(p.adc_bits));
-  w.b(p.abft);
-}
-SweepPoint get_point(Reader& r) {
-  SweepPoint p;
-  p.cell = r.u32();
-  p.target = static_cast<FaultTarget>(r.u8_enum(
-      static_cast<std::uint8_t>(FaultTarget::kAccelPhase), "fault target"));
-  p.model = static_cast<FaultModel>(r.u8_enum(
-      static_cast<std::uint8_t>(FaultModel::kStuckAt1), "fault model"));
-  p.pcm_weights = r.b();
-  p.pcm_drift_time_s = r.f64();
-  p.temperature_k = r.f64();
-  p.adc_bits = static_cast<int>(r.u32());
-  p.abft = r.b();
-  return p;
 }
 
 void put_progress(Writer& w, const CampaignProgress& p) {
@@ -288,13 +259,6 @@ CampaignResult get_histogram(Reader& r) {
 
 // ----------------------------------------------------------- public API
 
-std::vector<std::uint8_t> serialize_specs(const std::vector<FaultSpec>& specs) {
-  Writer w;
-  put_header(w, PayloadKind::kSpecBatch);
-  put_spec_vec(w, specs);
-  return w.take();
-}
-
 std::vector<std::uint8_t> serialize_histogram(const CampaignResult& r) {
   Writer w;
   put_header(w, PayloadKind::kHistogram);
@@ -306,25 +270,13 @@ std::vector<std::uint8_t> serialize_shard(const CampaignShard& shard) {
   Writer w;
   put_header(w, PayloadKind::kShard);
   w.u64(shard.seq);
-  put_point(w, shard.point);
   w.u64(shard.golden.size());
   w.bytes(shard.golden.data(), shard.golden.size());
-  w.u64(shard.fallback_golden.size());
-  w.bytes(shard.fallback_golden.data(), shard.fallback_golden.size());
   w.u64(shard.golden_cycles);
   w.u64(shard.max_cycles);
   w.u32(shard.ladder_rungs);
   put_spec_vec(w, shard.specs);
   return w.take();
-}
-
-std::vector<FaultSpec> deserialize_specs(const std::uint8_t* data,
-                                         std::size_t size) {
-  Reader r(data, size);
-  check_header(r, PayloadKind::kSpecBatch);
-  std::vector<FaultSpec> specs = get_spec_vec(r);
-  r.expect_end();
-  return specs;
 }
 
 CampaignResult deserialize_histogram(const std::uint8_t* data,
@@ -341,11 +293,8 @@ CampaignShard deserialize_shard(const std::uint8_t* data, std::size_t size) {
   check_header(r, PayloadKind::kShard);
   CampaignShard shard;
   shard.seq = r.u64();
-  shard.point = get_point(r);
   shard.golden.resize(r.count(1));
   r.bytes(shard.golden.data(), shard.golden.size());
-  shard.fallback_golden.resize(r.count(1));
-  r.bytes(shard.fallback_golden.data(), shard.fallback_golden.size());
   shard.golden_cycles = r.u64();
   shard.max_cycles = r.u64();
   shard.ladder_rungs = r.u32();
@@ -368,25 +317,6 @@ CampaignProgress deserialize_progress(const std::uint8_t* data,
   CampaignProgress p = get_progress(r);
   r.expect_end();
   return p;
-}
-
-std::vector<std::uint8_t> serialize_journal_entry(const JournalEntry& e) {
-  Writer w;
-  put_header(w, PayloadKind::kJournal);
-  w.u64(e.shard_seq);
-  put_histogram(w, e.hist);
-  return w.take();
-}
-
-JournalEntry deserialize_journal_entry(const std::uint8_t* data,
-                                       std::size_t size) {
-  Reader r(data, size);
-  check_header(r, PayloadKind::kJournal);
-  JournalEntry e;
-  e.shard_seq = r.u64();
-  e.hist = get_histogram(r);
-  r.expect_end();
-  return e;
 }
 
 PayloadKind payload_kind(const std::uint8_t* data, std::size_t size) {
@@ -437,9 +367,11 @@ CampaignResult merge_histograms(const std::vector<CampaignResult>& shards) {
 std::vector<CampaignShard> plan_shards(FaultCampaign& campaign,
                                        const std::vector<FaultSpec>& specs,
                                        std::size_t shard_count,
-                                       std::uint32_t ladder_rungs,
-                                       const SweepPoint& point,
-                                       std::uint64_t first_seq) {
+                                       std::uint32_t ladder_rungs) {
+  if (campaign.recovery_enabled())
+    throw std::invalid_argument(
+        "plan_shards: a campaign with recovery enabled runs in-process "
+        "only (workers grade without the recovery reader)");
   if (shard_count == 0) shard_count = 1;
   if (shard_count > specs.size() && !specs.empty())
     shard_count = specs.size();
@@ -448,10 +380,8 @@ std::vector<CampaignShard> plan_shards(FaultCampaign& campaign,
   const std::size_t per = specs.empty() ? 0 : specs.size() / shard_count;
   for (std::size_t k = 0; k < shard_count; ++k) {
     CampaignShard shard;
-    shard.seq = first_seq + k;
-    shard.point = point;
+    shard.seq = k;
     shard.golden = campaign.golden();
-    shard.fallback_golden = campaign.fallback_golden();
     shard.golden_cycles = campaign.golden_cycles();
     shard.max_cycles = campaign.max_cycles();
     shard.ladder_rungs = ladder_rungs;

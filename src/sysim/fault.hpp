@@ -110,7 +110,7 @@ struct CampaignResult {
 };
 
 /// Histogram of a verdict list — the one reduction every campaign
-/// consumer (bench, orchestrator, sweep harness, tests) performs.
+/// consumer (bench, orchestrator, tests) performs.
 [[nodiscard]] CampaignResult histogram_of(const std::vector<Outcome>& outcomes);
 
 class FaultCampaign {
@@ -179,11 +179,6 @@ class FaultCampaign {
   /// so its golden verdict and end-of-run reads are the new readers'.
   void set_recovery(RecoveryReader reader,
                     std::vector<std::uint8_t> fallback_golden);
-  /// The software-fallback reference (empty when recovery is off) —
-  /// shipped to worker processes alongside the photonic golden.
-  [[nodiscard]] const std::vector<std::uint8_t>& fallback_golden() const {
-    return fallback_golden_;
-  }
   [[nodiscard]] bool recovery_enabled() const {
     return static_cast<bool>(recovery_reader_);
   }

@@ -86,6 +86,24 @@ std::vector<FaultSpec> mixed_specs(FaultCampaign& campaign,
   return specs;
 }
 
+/// A shard whose golden is 3 bytes lays out as: header 8, seq u64 at 8,
+/// golden count u64 at 16, golden bytes at 24, golden_cycles u64 at 27,
+/// max_cycles u64 at 35, ladder_rungs u32 at 43, spec count u64 at 47,
+/// then 26-byte specs (target u8, model u8, cycle u64, index u32, bit
+/// u32, phase f64) from 55.
+constexpr std::size_t kSpecCountAt = 47;
+constexpr std::size_t kFirstSpecAt = 55;
+
+std::vector<std::uint8_t> three_byte_golden_shard(
+    const std::vector<FaultSpec>& specs) {
+  CampaignShard shard;
+  shard.golden = {1, 2, 3};
+  shard.specs = specs;
+  std::vector<std::uint8_t> wire = serialize_shard(shard);
+  EXPECT_EQ(wire.size(), kFirstSpecAt + 26 * specs.size());
+  return wire;
+}
+
 CampaignResult to_histogram(const std::vector<Outcome>& outcomes) {
   CampaignResult r;
   for (const Outcome o : outcomes) {
@@ -96,31 +114,6 @@ CampaignResult to_histogram(const std::vector<Outcome>& outcomes) {
 }
 
 // ------------------------------------------------------------ round trips
-
-TEST(CampaignIoTest, SpecBatchRoundTrip) {
-  FaultCampaign campaign(make_factory(502), make_reader(), kMaxCycles);
-  const std::vector<FaultSpec> specs = mixed_specs(campaign, 503, 6);
-  ASSERT_FALSE(specs.empty());
-
-  const std::vector<std::uint8_t> wire = serialize_specs(specs);
-  const std::vector<FaultSpec> back = deserialize_specs(wire);
-  EXPECT_EQ(serialize_specs(back), wire);
-  ASSERT_EQ(back.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(back[i].target, specs[i].target);
-    EXPECT_EQ(back[i].model, specs[i].model);
-    EXPECT_EQ(back[i].cycle, specs[i].cycle);
-    EXPECT_EQ(back[i].index, specs[i].index);
-    EXPECT_EQ(back[i].bit, specs[i].bit);
-    // Bit-pattern equality, not approximate: the wire format ships the
-    // IEEE-754 image.
-    std::uint64_t pa, pb;
-    std::memcpy(&pa, &specs[i].phase_delta_rad, 8);
-    std::memcpy(&pb, &back[i].phase_delta_rad, 8);
-    EXPECT_EQ(pa, pb);
-  }
-  EXPECT_TRUE(deserialize_specs(serialize_specs({})).empty());
-}
 
 TEST(CampaignIoTest, HistogramRoundTripAndMerge) {
   CampaignResult r;
@@ -150,6 +143,21 @@ TEST(CampaignIoTest, HistogramRoundTripAndMerge) {
   const CampaignResult swapped = merge_histograms({b, a});
   EXPECT_EQ(swapped.counts, merged.counts);
   EXPECT_EQ(swapped.total, merged.total);
+
+  // All six outcomes, the recovery verdicts included, survive the wire.
+  CampaignResult six;
+  six.counts[Outcome::kMasked] = 9;
+  six.counts[Outcome::kSdc] = 2;
+  six.counts[Outcome::kDueTrap] = 1;
+  six.counts[Outcome::kDueHang] = 3;
+  six.counts[Outcome::kDetectedCorrected] = 6;
+  six.counts[Outcome::kDetectedRecovered] = 4;
+  six.total = 25;
+  const std::vector<std::uint8_t> six_wire = serialize_histogram(six);
+  const CampaignResult six_back = deserialize_histogram(six_wire);
+  EXPECT_EQ(six_back.counts, six.counts);
+  EXPECT_EQ(six_back.total, six.total);
+  EXPECT_EQ(serialize_histogram(six_back), six_wire);
 }
 
 TEST(CampaignIoTest, ShardRoundTrip) {
@@ -157,36 +165,45 @@ TEST(CampaignIoTest, ShardRoundTrip) {
 
   CampaignShard shard;
   shard.seq = 42;
-  shard.point.cell = 7;
-  shard.point.target = FaultTarget::kAccelPhase;
-  shard.point.pcm_weights = true;
-  shard.point.pcm_drift_time_s = 3600.0;
-  shard.point.temperature_k = 340.0;
-  shard.point.adc_bits = 6;
   shard.golden = campaign.golden();
   shard.golden_cycles = campaign.golden_cycles();
   shard.max_cycles = kMaxCycles;
   shard.ladder_rungs = 8;
-  shard.specs = mixed_specs(campaign, 505, 4);
+  shard.specs = mixed_specs(campaign, 505, 6);
+  ASSERT_FALSE(shard.specs.empty());
 
   const std::vector<std::uint8_t> wire = serialize_shard(shard);
   const CampaignShard back = deserialize_shard(wire);
   EXPECT_EQ(serialize_shard(back), wire);
   EXPECT_EQ(back.seq, shard.seq);
-  EXPECT_EQ(back.point.cell, shard.point.cell);
-  EXPECT_EQ(back.point.target, shard.point.target);
-  EXPECT_EQ(back.point.pcm_weights, shard.point.pcm_weights);
-  EXPECT_EQ(back.point.pcm_drift_time_s, shard.point.pcm_drift_time_s);
-  EXPECT_EQ(back.point.temperature_k, shard.point.temperature_k);
-  EXPECT_EQ(back.point.adc_bits, shard.point.adc_bits);
   EXPECT_EQ(back.golden, shard.golden);
   EXPECT_EQ(back.golden_cycles, shard.golden_cycles);
   EXPECT_EQ(back.max_cycles, shard.max_cycles);
   EXPECT_EQ(back.ladder_rungs, shard.ladder_rungs);
-  EXPECT_EQ(back.specs.size(), shard.specs.size());
+  ASSERT_EQ(back.specs.size(), shard.specs.size());
+  for (std::size_t i = 0; i < shard.specs.size(); ++i) {
+    const FaultSpec& want = shard.specs[i];
+    const FaultSpec& got = back.specs[i];
+    EXPECT_EQ(got.target, want.target);
+    EXPECT_EQ(got.model, want.model);
+    EXPECT_EQ(got.cycle, want.cycle);
+    EXPECT_EQ(got.index, want.index);
+    EXPECT_EQ(got.bit, want.bit);
+    // Bit-pattern equality, not approximate: the wire format ships the
+    // IEEE-754 image.
+    std::uint64_t pa, pb;
+    std::memcpy(&pa, &want.phase_delta_rad, 8);
+    std::memcpy(&pb, &got.phase_delta_rad, 8);
+    EXPECT_EQ(pa, pb);
+  }
+
+  // A shard without specs or golden bytes round-trips too.
+  const CampaignShard empty = deserialize_shard(serialize_shard({}));
+  EXPECT_TRUE(empty.golden.empty());
+  EXPECT_TRUE(empty.specs.empty());
 }
 
-TEST(CampaignIoTest, ProgressAndJournalRoundTrip) {
+TEST(CampaignIoTest, ProgressRoundTrip) {
   const CampaignProgress p{911, 64, 256};
   const std::vector<std::uint8_t> pw = serialize_progress(p);
   EXPECT_EQ(payload_kind(pw), PayloadKind::kProgress);
@@ -196,22 +213,11 @@ TEST(CampaignIoTest, ProgressAndJournalRoundTrip) {
   EXPECT_EQ(pb.trials_total, p.trials_total);
   EXPECT_EQ(serialize_progress(pb), pw);
 
-  JournalEntry e;
-  e.shard_seq = 911;
-  e.hist.counts[Outcome::kMasked] = 60;
-  e.hist.counts[Outcome::kSdc] = 4;
-  e.hist.total = 64;
-  const std::vector<std::uint8_t> ew = serialize_journal_entry(e);
-  EXPECT_EQ(payload_kind(ew), PayloadKind::kJournal);
-  const JournalEntry eb = deserialize_journal_entry(ew);
-  EXPECT_EQ(eb.shard_seq, e.shard_seq);
-  EXPECT_EQ(eb.hist.counts, e.hist.counts);
-  EXPECT_EQ(eb.hist.total, e.hist.total);
-  EXPECT_EQ(serialize_journal_entry(eb), ew);
-
-  // Kind mismatch across the new payloads is rejected like any other.
-  EXPECT_THROW((void)deserialize_progress(ew), std::runtime_error);
-  EXPECT_THROW((void)deserialize_journal_entry(pw), std::runtime_error);
+  // A progress frame is not a histogram, nor the other way round.
+  const std::vector<std::uint8_t> hw =
+      serialize_histogram({{{Outcome::kMasked, 64}}, 64});
+  EXPECT_THROW((void)deserialize_progress(hw), std::runtime_error);
+  EXPECT_THROW((void)deserialize_histogram(pw), std::runtime_error);
 }
 
 TEST(CampaignIoTest, FrameBufferReassemblesByteDribbledStreams) {
@@ -262,43 +268,46 @@ TEST(CampaignIoTest, MalformedPayloadsRejected) {
   aspen::lina::Rng rng(507);
   const auto specs = campaign.sample_specs(FaultTarget::kCpuRegfile,
                                            FaultModel::kStuckAt0, 3, rng);
-  const std::vector<std::uint8_t> good = serialize_specs(specs);
+  const std::vector<std::uint8_t> good = three_byte_golden_shard(specs);
+  ASSERT_NO_THROW((void)deserialize_shard(good));
 
   // Empty / truncated-below-header payloads.
-  EXPECT_THROW((void)deserialize_specs(good.data(), 0), std::runtime_error);
-  EXPECT_THROW((void)deserialize_specs(good.data(), 7), std::runtime_error);
+  EXPECT_THROW((void)deserialize_shard(good.data(), 0), std::runtime_error);
+  EXPECT_THROW((void)deserialize_shard(good.data(), 7), std::runtime_error);
 
   // Corrupt magic (byte 0), unknown version (byte 4).
   std::vector<std::uint8_t> bad = good;
   bad[0] ^= 0xFF;
-  EXPECT_THROW((void)deserialize_specs(bad), std::runtime_error);
+  EXPECT_THROW((void)deserialize_shard(bad), std::runtime_error);
   bad = good;
   bad[4] ^= 0xFF;
-  EXPECT_THROW((void)deserialize_specs(bad), std::runtime_error);
+  EXPECT_THROW((void)deserialize_shard(bad), std::runtime_error);
 
-  // Kind mismatch: a histogram payload is not a spec batch (and vice
-  // versa) even though both parse as valid headers.
+  // Kind mismatch: a histogram payload is not a shard (and vice versa)
+  // even though both parse as valid headers.
   CampaignResult hist;
   hist.counts[Outcome::kMasked] = 1;
   hist.total = 1;
-  EXPECT_THROW((void)deserialize_specs(serialize_histogram(hist)),
+  EXPECT_THROW((void)deserialize_shard(serialize_histogram(hist)),
                std::runtime_error);
   EXPECT_THROW((void)deserialize_histogram(good), std::runtime_error);
 
   // Truncation mid-body and trailing garbage.
-  EXPECT_THROW((void)deserialize_specs(good.data(), good.size() - 1),
+  EXPECT_THROW((void)deserialize_shard(good.data(), good.size() - 1),
                std::runtime_error);
-  EXPECT_THROW((void)deserialize_specs(good.data(), good.size() / 2),
+  EXPECT_THROW((void)deserialize_shard(good.data(), good.size() / 2),
                std::runtime_error);
   bad = good;
   bad.push_back(0);
-  EXPECT_THROW((void)deserialize_specs(bad), std::runtime_error);
+  EXPECT_THROW((void)deserialize_shard(bad), std::runtime_error);
 
-  // Invalid enum values: fault target (first spec body byte, offset
-  // header(8) + count(8)), outcome in a histogram.
-  bad = good;
-  bad[16] = 0xFF;
-  EXPECT_THROW((void)deserialize_specs(bad), std::runtime_error);
+  // Invalid enum values: the first spec's fault target and fault model,
+  // and an outcome in a histogram.
+  for (const std::size_t at : {kFirstSpecAt, kFirstSpecAt + 1}) {
+    bad = good;
+    bad[at] = 0xFF;
+    EXPECT_THROW((void)deserialize_shard(bad), std::runtime_error) << at;
+  }
   std::vector<std::uint8_t> hist_wire = serialize_histogram(hist);
   hist_wire[16] = 0x7F;
   EXPECT_THROW((void)deserialize_histogram(hist_wire), std::runtime_error);
@@ -306,9 +315,9 @@ TEST(CampaignIoTest, MalformedPayloadsRejected) {
   // A spec-count field larger than the remaining payload must be
   // rejected before any allocation is sized from it.
   bad = good;
-  bad[8] = 0xFF;
-  bad[9] = 0xFF;
-  EXPECT_THROW((void)deserialize_specs(bad), std::runtime_error);
+  bad[kSpecCountAt] = 0xFF;
+  bad[kSpecCountAt + 1] = 0xFF;
+  EXPECT_THROW((void)deserialize_shard(bad), std::runtime_error);
 
   const auto expect_tagged = [](const std::function<void()>& parse,
                                 const std::string& mutation) {
@@ -359,24 +368,30 @@ TEST(CampaignIoTest, MalformedPayloadsRejected) {
   put_u64(bad, 34, 99);
   expect_tagged(parse_hist(bad), "total 99 over counts 5 + 3");
 
-  // A bool byte is 0 or 1. In a shard, SweepPoint::pcm_weights sits at
-  // offset 22 (header 8, seq 8, cell 4, target 1, model 1) and
-  // SweepPoint::abft at 43 (after two f64 and the u32 adc_bits).
-  CampaignShard shard;
-  shard.golden = {1, 2, 3};
-  shard.specs = specs;
-  const std::vector<std::uint8_t> shard_wire = serialize_shard(shard);
-  ASSERT_NO_THROW((void)deserialize_shard(shard_wire));
-  for (const std::size_t at : {22u, 43u}) {
-    ASSERT_EQ(shard_wire[at], 0u);
-    bad = shard_wire;
-    bad[at] = 2;
-    expect_tagged([&bad] { (void)deserialize_shard(bad); },
-                  "bool byte 2 at " + std::to_string(at));
+  // Retired payload kinds, header-only: 1 (the platform image, up to
+  // v4), 2 (the spec batch) and 6 (the resume journal, both up to v5).
+  for (const std::uint8_t kind : {1, 2, 6}) {
+    std::vector<std::uint8_t> header(good.begin(), good.begin() + 8);
+    header[6] = kind;
+    header[7] = 0;
+    const std::string want = "campaign_io: unknown payload kind " +
+                             std::to_string(kind) + " at byte offset 6";
+    const std::vector<std::pair<const char*, std::function<void()>>> parsers =
+        {{"payload_kind", [&header] { (void)payload_kind(header); }},
+         {"deserialize_shard", [&header] { (void)deserialize_shard(header); }}};
+    for (const auto& [name, parse] : parsers) {
+      try {
+        parse();
+        ADD_FAILURE() << name << " accepted kind " << int{kind};
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << name << ": " << e.what();
+      }
+    }
   }
 }
 
-/// The satellite contract for pipe debugging: a truncated payload and a
+/// The contract for pipe debugging: a truncated payload and a
 /// malformed enum must be distinguishable from the exception message
 /// alone, and the message must locate the damage (byte offset) and
 /// quantify it (expected vs actual sizes).
@@ -385,7 +400,7 @@ TEST(CampaignIoTest, MalformedPayloadErrorsCarryOffsetsAndSizes) {
   aspen::lina::Rng rng(511);
   const auto specs = campaign.sample_specs(FaultTarget::kCpuRegfile,
                                            FaultModel::kTransientFlip, 3, rng);
-  const std::vector<std::uint8_t> good = serialize_specs(specs);
+  const std::vector<std::uint8_t> good = three_byte_golden_shard(specs);
 
   const auto message_of = [](const auto& fn) -> std::string {
     try {
@@ -412,30 +427,35 @@ TEST(CampaignIoTest, MalformedPayloadErrorsCarryOffsetsAndSizes) {
 
   // Malformed enum: offset of the bad byte plus the valid range.
   std::vector<std::uint8_t> bad = good;
-  bad[16] = 0xEE;  // first spec's target (header 8 + count 8)
-  const std::string enum_msg = message_of([&] { (void)deserialize_specs(bad); });
+  bad[kFirstSpecAt] = 0xEE;  // first spec's target
+  const std::string enum_msg =
+      message_of([&] { (void)deserialize_shard(bad); });
   EXPECT_NE(enum_msg.find("invalid"), std::string::npos) << enum_msg;
   EXPECT_NE(enum_msg.find("238"), std::string::npos) << enum_msg;  // 0xEE
-  EXPECT_NE(enum_msg.find("byte offset 16"), std::string::npos) << enum_msg;
+  EXPECT_NE(enum_msg.find("byte offset " + std::to_string(kFirstSpecAt)),
+            std::string::npos)
+      << enum_msg;
   EXPECT_NE(enum_msg.find("valid: 0.."), std::string::npos) << enum_msg;
 
   // Oversized count: the claimed element count vs the remaining bytes.
   bad = good;
-  bad[8] = 0xFF;
-  bad[9] = 0xFF;
+  bad[kSpecCountAt] = 0xFF;
+  bad[kSpecCountAt + 1] = 0xFF;
   const std::string count_msg =
-      message_of([&] { (void)deserialize_specs(bad); });
+      message_of([&] { (void)deserialize_shard(bad); });
   EXPECT_NE(count_msg.find("element count"), std::string::npos) << count_msg;
   EXPECT_NE(count_msg.find("exceeds the remaining payload"),
             std::string::npos)
       << count_msg;
-  EXPECT_NE(count_msg.find("byte offset 8"), std::string::npos) << count_msg;
+  EXPECT_NE(count_msg.find("byte offset " + std::to_string(kSpecCountAt)),
+            std::string::npos)
+      << count_msg;
 
   // Trailing garbage: how many bytes were left over, and where the
   // payload should have ended.
   bad = good;
   bad.insert(bad.end(), {1, 2, 3});
-  const std::string trail = message_of([&] { (void)deserialize_specs(bad); });
+  const std::string trail = message_of([&] { (void)deserialize_shard(bad); });
   EXPECT_NE(trail.find("3 trailing bytes"), std::string::npos) << trail;
   EXPECT_NE(trail.find("byte offset " + std::to_string(good.size())),
             std::string::npos)
@@ -460,16 +480,9 @@ TEST(CampaignIoTest, CorruptFrameTableRejectsEveryMutation) {
   hist.counts[Outcome::kDetectedRecovered] = 2;
   hist.counts[Outcome::kSdc] = 1;
   hist.total = 11;
-  JournalEntry entry;
-  entry.shard_seq = 77;
-  entry.hist = hist;
   CampaignShard shard;
   shard.seq = 5;
-  shard.point.cell = 2;
-  shard.point.abft = true;
   shard.golden = campaign.golden();
-  shard.fallback_golden = campaign.golden();
-  shard.fallback_golden[0] ^= 0x55;
   shard.golden_cycles = campaign.golden_cycles();
   shard.max_cycles = kMaxCycles;
   shard.ladder_rungs = 4;
@@ -482,9 +495,6 @@ TEST(CampaignIoTest, CorruptFrameTableRejectsEveryMutation) {
     bool counted;  ///< body starts with an element count at offset 8
   };
   const std::vector<Case> cases = {
-      {"specs", serialize_specs(specs),
-       [](const std::uint8_t* d, std::size_t n) { (void)deserialize_specs(d, n); },
-       true},
       {"histogram", serialize_histogram(hist),
        [](const std::uint8_t* d, std::size_t n) {
          (void)deserialize_histogram(d, n);
@@ -493,11 +503,6 @@ TEST(CampaignIoTest, CorruptFrameTableRejectsEveryMutation) {
       {"progress", serialize_progress({3, 9, 27}),
        [](const std::uint8_t* d, std::size_t n) {
          (void)deserialize_progress(d, n);
-       },
-       false},
-      {"journal", serialize_journal_entry(entry),
-       [](const std::uint8_t* d, std::size_t n) {
-         (void)deserialize_journal_entry(d, n);
        },
        false},
       {"shard", serialize_shard(shard),
@@ -565,16 +570,12 @@ TEST(CampaignIoTest, CorruptFrameTableRejectsEveryMutation) {
 /// the result again.
 std::vector<std::uint8_t> reserialize(const std::vector<std::uint8_t>& b) {
   switch (payload_kind(b)) {
-    case PayloadKind::kSpecBatch:
-      return serialize_specs(deserialize_specs(b));
     case PayloadKind::kHistogram:
       return serialize_histogram(deserialize_histogram(b));
     case PayloadKind::kShard:
       return serialize_shard(deserialize_shard(b));
     case PayloadKind::kProgress:
       return serialize_progress(deserialize_progress(b));
-    case PayloadKind::kJournal:
-      return serialize_journal_entry(deserialize_journal_entry(b));
   }
   throw std::logic_error("payload_kind returned an unlisted kind");
 }
@@ -598,20 +599,14 @@ TEST(CampaignIoTest, MutationFuzzerParsesCanonicallyOrRejects) {
   hist.total = 12;
   CampaignShard shard;
   shard.seq = 12;
-  shard.point.cell = 4;
-  shard.point.pcm_weights = true;
-  shard.point.pcm_drift_time_s = 3600.0;
   shard.golden = campaign.golden();
-  shard.fallback_golden = {7, 8, 9};
   shard.golden_cycles = campaign.golden_cycles();
   shard.max_cycles = kMaxCycles;
   shard.ladder_rungs = 8;
   shard.specs = specs;
   const std::vector<std::vector<std::uint8_t>> seeds = {
-      serialize_specs(specs),
       serialize_histogram(hist),
       serialize_progress({3, 9, 27}),
-      serialize_journal_entry({77, hist}),
       serialize_shard(shard),
   };
 
@@ -733,42 +728,6 @@ TEST(CampaignIoTest, MutationFuzzerParsesCanonicallyOrRejects) {
           << e.what();
     }
   }
-}
-
-/// The v3 additions that still travel — recovery verdicts in histograms,
-/// the ABFT sweep axis and the software-fallback golden — must all
-/// survive the wire bit-exactly; a worker that dropped any of them would
-/// classify recovery trials against the wrong reference.
-TEST(CampaignIoTest, RecoveryFieldsRoundTripInV3Payloads) {
-  CampaignResult hist;
-  hist.counts[Outcome::kMasked] = 9;
-  hist.counts[Outcome::kDetectedCorrected] = 6;
-  hist.counts[Outcome::kDetectedRecovered] = 4;
-  hist.counts[Outcome::kSdc] = 2;
-  hist.counts[Outcome::kDueTrap] = 1;
-  hist.total = 22;
-  const std::vector<std::uint8_t> hw = serialize_histogram(hist);
-  const CampaignResult hb = deserialize_histogram(hw);
-  EXPECT_EQ(hb.counts, hist.counts);
-  EXPECT_EQ(serialize_histogram(hb), hw);
-
-  FaultCampaign campaign(make_factory(514), make_reader(), kMaxCycles);
-
-  CampaignShard shard;
-  shard.seq = 99;
-  shard.point.cell = 3;
-  shard.point.abft = true;
-  shard.golden = campaign.golden();
-  shard.fallback_golden = campaign.golden();
-  shard.fallback_golden[0] ^= 0x55;  // distinct from the primary golden
-  shard.golden_cycles = campaign.golden_cycles();
-  shard.max_cycles = kMaxCycles;
-
-  const std::vector<std::uint8_t> wire = serialize_shard(shard);
-  const CampaignShard back = deserialize_shard(wire);
-  EXPECT_EQ(serialize_shard(back), wire);
-  EXPECT_TRUE(back.point.abft);
-  EXPECT_EQ(back.fallback_golden, shard.fallback_golden);
 }
 
 // ------------------------------------------- sharded execution end to end

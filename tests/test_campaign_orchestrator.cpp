@@ -2,17 +2,14 @@
 // harness that injects faults into the simulated system must itself
 // survive faults in the host processes running it. Workers here are
 // sabotaged on purpose — SIGKILLed mid-shard, hung past the heartbeat
-// deadline, made to emit corrupt histograms, crashed on every attempt,
-// or built on a platform other than the coordinator's — and in every
-// case the campaign must complete with a merged histogram bit-identical
-// to the serial oracle. The resumable journal is exercised with a
-// kill-and-resume round trip: an orchestrator abandoned mid-campaign
-// must, on resume, re-run only the shards without a journal record.
+// deadline, made to emit corrupt or miscounted histograms, crashed on
+// every attempt, or built on a platform other than the coordinator's —
+// and in every case the campaign must complete with a merged histogram
+// bit-identical to the serial oracle.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
 #include <cstring>
+#include <stdexcept>
 
 #include "sysim/campaign_io.hpp"
 #include "sysim/campaign_orchestrator.hpp"
@@ -77,20 +74,9 @@ FaultCampaign::OutputReader make_reader() {
   };
 }
 
-/// Worker-side factory: every cell in these tests uses the same small
-/// platform (the sweep axes exercised here don't change the config).
+/// Worker-side factory: the coordinator's small platform.
 PointFactory make_point_factory(std::uint64_t seed) {
   return [seed](const SweepPoint&) { return make_factory(seed); };
-}
-
-/// Worker-side factory for an `adc_bits` sweep: the cell's ADC resolution
-/// lives in the config, so both sides of the wire must apply it.
-PointFactory make_adc_point_factory(std::uint64_t seed) {
-  return [seed](const SweepPoint& p) {
-    SystemConfig sc = small_config();
-    sc.accel.gemm.mvm.adc.bits = p.adc_bits;
-    return make_factory(seed, sc);
-  };
 }
 
 std::vector<FaultSpec> mixed_specs(FaultCampaign& campaign,
@@ -134,20 +120,15 @@ TEST(PlanShardsTest, PartitionsSpecsExactlyWithStableSeqs) {
   FaultCampaign campaign(make_factory(601), make_reader(), kMaxCycles);
   const std::vector<FaultSpec> specs = mixed_specs(campaign, 602, 4);  // 12
 
-  SweepPoint point;
-  point.cell = 3;
-  point.adc_bits = 6;
-  const std::vector<CampaignShard> shards =
-      plan_shards(campaign, specs, 5, 4, point, 70);
+  const std::vector<CampaignShard> shards = plan_shards(campaign, specs, 5, 4);
   ASSERT_EQ(shards.size(), 5u);
   std::size_t covered = 0;
   for (std::size_t k = 0; k < shards.size(); ++k) {
-    EXPECT_EQ(shards[k].seq, 70 + k);
-    EXPECT_EQ(shards[k].point.cell, 3u);
-    EXPECT_EQ(shards[k].point.adc_bits, 6);
+    EXPECT_EQ(shards[k].seq, k);
     EXPECT_EQ(shards[k].ladder_rungs, 4u);
     EXPECT_EQ(shards[k].max_cycles, kMaxCycles);
     EXPECT_EQ(shards[k].golden, campaign.golden());
+    EXPECT_EQ(shards[k].golden_cycles, campaign.golden_cycles());
     // Contiguous partition: shard k carries the next run of specs.
     for (const FaultSpec& s : shards[k].specs) {
       EXPECT_EQ(s.cycle, specs[covered].cycle);
@@ -161,8 +142,21 @@ TEST(PlanShardsTest, PartitionsSpecsExactlyWithStableSeqs) {
   const auto uneven = plan_shards(campaign, specs, 5);
   EXPECT_EQ(uneven.back().specs.size(),
             specs.size() - 4 * (specs.size() / 5));
+  EXPECT_EQ(uneven.back().ladder_rungs, 0u);
   EXPECT_EQ(plan_shards(campaign, specs, 100).size(), specs.size());
   EXPECT_EQ(plan_shards(campaign, specs, 0).size(), 1u);
+}
+
+TEST(PlanShardsTest, RecoveryCampaignIsRejected) {
+  // A worker grades with the four-outcome classifier, so a shard of a
+  // recovery-aware campaign would merge other verdicts than the serial
+  // run's without any error. Such a campaign runs in-process only.
+  FaultCampaign campaign(make_factory(603), make_reader(), kMaxCycles);
+  const std::vector<FaultSpec> specs = mixed_specs(campaign, 604, 2);
+  const GemmWorkload wl = small_workload();
+  campaign.set_recovery([wl](System& s) { return read_gemm_recovery(s, wl); },
+                        campaign.golden());
+  EXPECT_THROW((void)plan_shards(campaign, specs, 2), std::invalid_argument);
 }
 
 #if defined(__unix__)
@@ -209,7 +203,7 @@ struct Drill {
   [[nodiscard]] WorkerBody healthy(std::uint64_t seed) const {
     return [seed](std::uint64_t, unsigned) {
       return campaign_worker_main(0, 1, make_point_factory(seed),
-                                  make_reader(), 4);
+                                  make_reader());
     };
   }
 
@@ -238,25 +232,44 @@ TEST(CampaignOrchestratorTest, HealthyPoolMatchesSerialBitForBit) {
   for (const ShardOutcome& o : outs) {
     EXPECT_EQ(o.attempts, 1u);
     EXPECT_FALSE(o.serial_fallback);
-    EXPECT_FALSE(o.from_journal);
   }
 }
 
 TEST(CampaignOrchestratorTest, SigkilledWorkerIsRetriedBitIdentical) {
-  Drill d(612);
+  {
+    Drill d(612);
+    OrchestratorConfig oc;
+    oc.max_workers = 2;
+    oc.child_entry = sigkill_first_attempt_of_shard0(d.healthy(612));
+    CampaignOrchestrator orch(oc, d.serial_exec());
+    const std::vector<ShardOutcome> outs = orch.run(d.tasks);
+
+    const CampaignResult merged = merge_completed(outs);
+    EXPECT_EQ(merged.counts, d.serial.counts);
+    EXPECT_EQ(merged.total, d.serial.total);
+    EXPECT_GE(orch.stats().retries, 1u);
+    EXPECT_EQ(orch.stats().serial_fallbacks, 0u);
+    EXPECT_EQ(outs[0].attempts, 2u);  // the SIGKILLed attempt plus the retry
+  }
+
+  // Four workers over eight shards, all busy when the first attempt at
+  // shard 0 dies: the retry must take the next free slot, and the
+  // counters must show that one loss and nothing else.
+  Drill d(622, /*per_target=*/8, /*shard_count=*/8);
+  ASSERT_EQ(d.tasks.size(), 8u);
   OrchestratorConfig oc;
-  oc.max_workers = 2;
-  oc.backoff_initial_ms = 1;
-  oc.child_entry = sigkill_first_attempt_of_shard0(d.healthy(612));
+  oc.max_workers = 4;
+  oc.child_entry = sigkill_first_attempt_of_shard0(d.healthy(622));
   CampaignOrchestrator orch(oc, d.serial_exec());
   const std::vector<ShardOutcome> outs = orch.run(d.tasks);
 
   const CampaignResult merged = merge_completed(outs);
   EXPECT_EQ(merged.counts, d.serial.counts);
   EXPECT_EQ(merged.total, d.serial.total);
-  EXPECT_GE(orch.stats().retries, 1u);
+  EXPECT_EQ(orch.stats().failures, 1u);
+  EXPECT_EQ(orch.stats().retries, 1u);
+  EXPECT_EQ(orch.stats().launches, 9u);  // 8 shards plus the one retry
   EXPECT_EQ(orch.stats().serial_fallbacks, 0u);
-  EXPECT_EQ(outs[0].attempts, 2u);  // the SIGKILLed attempt plus the retry
 }
 
 TEST(CampaignOrchestratorTest, HungWorkerIsKilledAndRetried) {
@@ -264,7 +277,6 @@ TEST(CampaignOrchestratorTest, HungWorkerIsKilledAndRetried) {
   OrchestratorConfig oc;
   oc.max_workers = 2;
   oc.heartbeat_timeout_ms = 200;  // hang detector, tightened for the test
-  oc.backoff_initial_ms = 1;
   const auto healthy = d.healthy(613);
   oc.child_entry = [healthy](std::uint64_t seq, unsigned attempt) {
     if (seq == 1 && attempt == 0) {
@@ -288,17 +300,21 @@ TEST(CampaignOrchestratorTest, HungWorkerIsKilledAndRetried) {
 
 TEST(CampaignOrchestratorTest, CorruptHistogramIsRetried) {
   Drill d(614);
-  // Two histogram frames that arrive whole but must not be merged: a
-  // truncated payload (a short disk write shipped onward), and a complete
-  // payload whose total disagrees with its counts.
+  // Three histogram frames that arrive whole but must not be merged: a
+  // truncated payload (a short disk write shipped onward), a complete
+  // payload whose total disagrees with its counts, and a well-formed
+  // histogram that totals 1 trial for a shard of 4.
   std::vector<std::uint8_t> truncated = serialize_histogram({});
   truncated.resize(truncated.size() / 2);
   const std::vector<std::uint8_t> bad_total =
       serialize_histogram({{{Outcome::kMasked, 4}}, 5});
-  for (const std::vector<std::uint8_t>& bad : {truncated, bad_total}) {
+  const std::vector<std::uint8_t> short_count =
+      serialize_histogram({{{Outcome::kMasked, 1}}, 1});
+  ASSERT_EQ(d.tasks[2].trials, 4u);
+  for (const std::vector<std::uint8_t>& bad :
+       {truncated, bad_total, short_count}) {
     OrchestratorConfig oc;
     oc.max_workers = 2;
-    oc.backoff_initial_ms = 1;
     const auto healthy = d.healthy(614);
     oc.child_entry = [healthy, bad](std::uint64_t seq, unsigned attempt) {
       if (seq == 2 && attempt == 0) {
@@ -319,12 +335,41 @@ TEST(CampaignOrchestratorTest, CorruptHistogramIsRetried) {
   }
 }
 
+TEST(CampaignOrchestratorTest, MismatchedTasksAreRejectedBeforeLaunch) {
+  // A worker's histogram is held to its task's trial count, so a task
+  // must agree with its payload before any worker starts: otherwise a
+  // correct worker would fail on every attempt.
+  Drill d(623);
+  const auto expect_rejected = [&d](std::vector<ShardTask> tasks,
+                                    const char* what) {
+    SCOPED_TRACE(what);
+    OrchestratorConfig oc;
+    oc.child_entry = d.healthy(623);
+    CampaignOrchestrator orch(oc, d.serial_exec());
+    EXPECT_THROW((void)orch.run(tasks), std::invalid_argument);
+    EXPECT_EQ(orch.stats().launches, 0u);
+    EXPECT_EQ(orch.stats().serial_fallbacks, 0u);
+  };
+  std::vector<ShardTask> tasks = d.tasks;
+  tasks[1].trials += 1;
+  expect_rejected(tasks, "trials one above the spec count");
+  tasks = d.tasks;
+  tasks[2].seq = 7;
+  expect_rejected(tasks, "seq other than the payload's");
+  tasks = d.tasks;
+  tasks[2] = tasks[0];
+  expect_rejected(tasks, "duplicate seq");
+  tasks = d.tasks;
+  tasks[0].payload.pop_back();
+  expect_rejected(tasks, "truncated payload");
+}
+
 /// A worker for `seq` 0 that runs campaign_worker_main on a platform
 /// other than the coordinator's.
 WorkerBody mismatched_worker_for_shard0(WorkerBody healthy,
                                         PointFactory other) {
   return [healthy, other](std::uint64_t seq, unsigned attempt) {
-    if (seq == 0) return campaign_worker_main(0, 1, other, make_reader(), 4);
+    if (seq == 0) return campaign_worker_main(0, 1, other, make_reader());
     return healthy(seq, attempt);
   };
 }
@@ -365,8 +410,6 @@ TEST(CampaignOrchestratorTest, ExhaustedRetriesDegradeToSerialFallback) {
     SCOPED_TRACE(name);
     OrchestratorConfig oc;
     oc.max_workers = 2;
-    oc.max_attempts = 2;
-    oc.backoff_initial_ms = 1;
     oc.child_entry = body;
     CampaignOrchestrator orch(oc, d.serial_exec());
     const std::vector<ShardOutcome> outs = orch.run(d.tasks);
@@ -374,312 +417,12 @@ TEST(CampaignOrchestratorTest, ExhaustedRetriesDegradeToSerialFallback) {
     const CampaignResult merged = merge_completed(outs);
     EXPECT_EQ(merged.counts, d.serial.counts);
     EXPECT_EQ(merged.total, d.serial.total);
-    EXPECT_EQ(orch.stats().failures, 2u);
+    EXPECT_EQ(orch.stats().failures, 3u);
     EXPECT_EQ(orch.stats().serial_fallbacks, 1u);
     EXPECT_TRUE(outs[0].serial_fallback);
-    EXPECT_EQ(outs[0].attempts, 2u);  // both worker attempts were consumed
+    EXPECT_EQ(outs[0].attempts, 3u);  // every worker attempt was consumed
     EXPECT_FALSE(outs[1].serial_fallback);
   }
-}
-
-// ------------------------------------------------------- resumable journal
-
-TEST(CampaignOrchestratorTest, JournalKillAndResumeRerunsOnlyUnfinished) {
-  Drill d(616, /*per_target=*/4, /*shard_count=*/4);
-  const std::string journal =
-      ::testing::TempDir() + "aspen_orch_journal_" +
-      std::to_string(::getpid()) + ".bin";
-  std::remove(journal.c_str());
-
-  // First orchestrator: dies (abandons the loop) after two completions.
-  {
-    OrchestratorConfig oc;
-    oc.max_workers = 1;  // deterministic completion order: seq 0 then 1
-    oc.journal_path = journal;
-    oc.stop_after_shards = 2;
-    oc.child_entry = d.healthy(616);
-    CampaignOrchestrator orch(oc, d.serial_exec());
-    const std::vector<ShardOutcome> outs = orch.run(d.tasks);
-    EXPECT_TRUE(outs[0].completed);
-    EXPECT_TRUE(outs[1].completed);
-    EXPECT_FALSE(outs[2].completed);
-    EXPECT_FALSE(outs[3].completed);
-  }
-
-  // Resumed orchestrator: journal satisfies seq 0/1; only 2/3 launch.
-  OrchestratorConfig oc;
-  oc.max_workers = 2;
-  oc.journal_path = journal;
-  oc.child_entry = d.healthy(616);
-  CampaignOrchestrator orch(oc, d.serial_exec());
-  const std::vector<ShardOutcome> outs = orch.run(d.tasks);
-
-  EXPECT_EQ(orch.stats().journal_hits, 2u);
-  EXPECT_EQ(orch.stats().launches, 2u);  // only the unfinished shards ran
-  EXPECT_TRUE(outs[0].from_journal);
-  EXPECT_TRUE(outs[1].from_journal);
-  EXPECT_EQ(outs[0].attempts, 0u);
-  EXPECT_FALSE(outs[2].from_journal);
-  const CampaignResult merged = merge_completed(outs);
-  EXPECT_EQ(merged.counts, d.serial.counts);
-  EXPECT_EQ(merged.total, d.serial.total);
-  std::remove(journal.c_str());
-}
-
-TEST(CampaignOrchestratorTest, JournalToleratesTruncatedTail) {
-  Drill d(617, /*per_target=*/3, /*shard_count=*/2);
-  const std::string journal =
-      ::testing::TempDir() + "aspen_orch_journal_tail_" +
-      std::to_string(::getpid()) + ".bin";
-  std::remove(journal.c_str());
-  {
-    OrchestratorConfig oc;
-    oc.journal_path = journal;
-    oc.child_entry = d.healthy(617);
-    CampaignOrchestrator orch(oc, d.serial_exec());
-    (void)orch.run(d.tasks);
-  }
-  // Simulate an orchestrator killed mid-append: a frame header promising
-  // more bytes than the file holds.
-  {
-    std::FILE* f = std::fopen(journal.c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    const std::uint8_t partial[12] = {0xF0, 0x00, 0x00, 0x00, 0, 0, 0, 0,
-                                      0xDE, 0xAD, 0xBE, 0xEF};
-    std::fwrite(partial, 1, sizeof partial, f);
-    std::fclose(f);
-  }
-  OrchestratorConfig oc;
-  oc.journal_path = journal;
-  oc.child_entry = d.healthy(617);
-  CampaignOrchestrator orch(oc, d.serial_exec());
-  const std::vector<ShardOutcome> outs = orch.run(d.tasks);
-  EXPECT_EQ(orch.stats().journal_hits, 2u);
-  EXPECT_EQ(orch.stats().launches, 0u);
-  const CampaignResult merged = merge_completed(outs);
-  EXPECT_EQ(merged.counts, d.serial.counts);
-  std::remove(journal.c_str());
-}
-
-TEST(CampaignOrchestratorTest, JournalDuplicatedTailRecordMergesOnce) {
-  // Crash window the journal must survive: the orchestrator fsyncs a
-  // shard's record, dies before reaping the worker, and the resumed run
-  // re-executes and re-journals the same shard — leaving two records for
-  // one seq. Replay must merge that shard once; counting it twice would
-  // inflate the histogram and break the serial bit-identity contract.
-  Drill d(619, /*per_target=*/4, /*shard_count=*/4);
-  const std::string journal =
-      ::testing::TempDir() + "aspen_orch_journal_dup_" +
-      std::to_string(::getpid()) + ".bin";
-  std::remove(journal.c_str());
-
-  {
-    OrchestratorConfig oc;
-    oc.max_workers = 1;  // deterministic completion order: seq 0 then 1
-    oc.journal_path = journal;
-    oc.stop_after_shards = 2;
-    oc.child_entry = d.healthy(619);
-    CampaignOrchestrator orch(oc, d.serial_exec());
-    (void)orch.run(d.tasks);
-  }
-
-  // Duplicate the tail record verbatim (trials are deterministic, so a
-  // re-run's record is bit-identical to the original's).
-  {
-    std::FILE* f = std::fopen(journal.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    FrameBuffer frames;
-    std::uint8_t chunk[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0)
-      frames.feed(chunk, n);
-    std::fclose(f);
-    std::vector<std::uint8_t> tail;
-    while (const auto payload = frames.next()) tail = *payload;
-    ASSERT_FALSE(tail.empty());
-    const std::vector<std::uint8_t> framed = frame(tail);
-    f = std::fopen(journal.c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(framed.data(), 1, framed.size(), f);
-    std::fclose(f);
-  }
-
-  OrchestratorConfig oc;
-  oc.max_workers = 2;
-  oc.journal_path = journal;
-  oc.child_entry = d.healthy(619);
-  CampaignOrchestrator orch(oc, d.serial_exec());
-  const std::vector<ShardOutcome> outs = orch.run(d.tasks);
-
-  // Two distinct seqs satisfied from the journal — the duplicate is not a
-  // third hit — and the merged histogram counts every trial exactly once.
-  EXPECT_EQ(orch.stats().journal_hits, 2u);
-  EXPECT_EQ(orch.stats().launches, 2u);
-  const CampaignResult merged = merge_completed(outs);
-  EXPECT_EQ(merged.counts, d.serial.counts);
-  EXPECT_EQ(merged.total, d.serial.total);
-  std::remove(journal.c_str());
-}
-
-// --------------------------------------------------------- multi-axis sweep
-
-/// Run `grid` serially and through the orchestrator configured by `oc`,
-/// and check every cell against its serial oracle. Returns the
-/// orchestrator's supervision counters.
-CampaignOrchestrator::Stats expect_sweep_matches_serial(
-    SweepGrid& grid, const SweepRunConfig& rc, const OrchestratorConfig& oc) {
-  const std::vector<SweepCell> serial = grid.run_serial(rc);
-  CampaignOrchestrator::Stats stats;
-  const std::vector<SweepCell> swept = grid.run(rc, oc, &stats);
-
-  EXPECT_EQ(swept.size(), serial.size());
-  for (std::size_t i = 0; i < std::min(swept.size(), serial.size()); ++i) {
-    EXPECT_EQ(swept[i].hist.counts, serial[i].hist.counts)
-        << "cell " << i << " diverged from the serial oracle";
-    EXPECT_EQ(swept[i].hist.total, rc.trials_per_cell);
-    EXPECT_EQ(swept[i].shards, rc.shards_per_cell);
-    EXPECT_EQ(swept[i].golden_cycles, serial[i].golden_cycles);
-  }
-  return stats;
-}
-
-TEST(SweepGridTest, OrchestratedSweepMatchesSerialOraclePerCell) {
-  SweepRunConfig rc;
-  rc.trials_per_cell = 8;
-  rc.shards_per_cell = 2;
-
-  // Two healthy workers over two fault pairs.
-  {
-    SweepAxes axes;
-    axes.faults = {{FaultTarget::kCpuRegfile, FaultModel::kTransientFlip},
-                   {FaultTarget::kDramData, FaultModel::kStuckAt1}};
-    SweepGrid grid(axes, make_point_factory(618), make_reader(), kMaxCycles);
-
-    const std::vector<SweepPoint> pts = grid.points();
-    ASSERT_EQ(pts.size(), 2u);
-    EXPECT_EQ(pts[0].cell, 0u);
-    EXPECT_EQ(pts[1].cell, 1u);
-    EXPECT_EQ(pts[1].target, FaultTarget::kDramData);
-
-    OrchestratorConfig oc;
-    oc.max_workers = 2;
-    oc.child_entry = [](std::uint64_t, unsigned) {
-      return campaign_worker_main(0, 1, make_point_factory(618),
-                                  make_reader(), 4);
-    };
-    const CampaignOrchestrator::Stats stats =
-        expect_sweep_matches_serial(grid, rc, oc);
-    EXPECT_EQ(stats.launches, 4u);  // 2 cells x 2 shards, no failures
-    EXPECT_EQ(stats.failures, 0u);
-  }
-
-  // Four workers over 2 fault pairs x adc_bits {8, 6}: 4 cells, 8
-  // shards. The first attempt at shard 0 is SIGKILLed mid-shard, and
-  // the retry must leave every cell bit-identical to the serial oracle.
-  {
-    SweepAxes axes;
-    axes.faults = {{FaultTarget::kCpuRegfile, FaultModel::kTransientFlip},
-                   {FaultTarget::kAccelPhase, FaultModel::kTransientFlip}};
-    axes.adc_bits = {8, 6};
-    SweepGrid grid(axes, make_adc_point_factory(622), make_reader(),
-                   kMaxCycles);
-
-    const std::vector<SweepPoint> pts = grid.points();
-    ASSERT_EQ(pts.size(), 4u);
-    EXPECT_EQ(pts[0].adc_bits, 8);
-    EXPECT_EQ(pts[1].adc_bits, 6);
-    EXPECT_EQ(pts[2].target, FaultTarget::kAccelPhase);
-
-    OrchestratorConfig oc;
-    oc.max_workers = 4;
-    oc.backoff_initial_ms = 1;
-    oc.child_entry = sigkill_first_attempt_of_shard0(
-        [](std::uint64_t, unsigned) {
-          return campaign_worker_main(0, 1, make_adc_point_factory(622),
-                                      make_reader(), 4);
-        });
-    const CampaignOrchestrator::Stats stats =
-        expect_sweep_matches_serial(grid, rc, oc);
-    EXPECT_EQ(stats.failures, 1u);
-    EXPECT_EQ(stats.retries, 1u);
-    EXPECT_EQ(stats.launches, 9u);  // 8 shards plus the one retry
-    EXPECT_EQ(stats.serial_fallbacks, 0u);
-  }
-}
-
-/// Worker-side factory for the ABFT sweep axis: abft cells get the
-/// checked platform (CRC'd transfers, ABFT-enabled accelerator, the
-/// retry/fallback guest workload); unprotected cells get the plain
-/// offload. Both sides of the wire must make the same choice from
-/// point.abft alone.
-PointFactory make_abft_point_factory(std::uint64_t seed) {
-  return [seed](const SweepPoint& p) -> FaultCampaign::SystemFactory {
-    if (!p.abft) return make_factory(seed);
-    SystemConfig sc = small_config();
-    sc.accel.gemm.abft.enabled = true;
-    const GemmWorkload wl = small_workload();
-    const auto a = random_fixed(wl.n * wl.n, seed);
-    const auto x = random_fixed(wl.n * wl.m, seed + 1);
-    return [=]() {
-      auto system = std::make_unique<System>(sc);
-      stage_gemm_data_checked(*system, wl, a, x);
-      system->load_program(build_gemm_offload_checked(wl, sc));
-      return system;
-    };
-  };
-}
-
-TEST(SweepGridTest, AbftAxisMatchesSerialOracleWithRecoveryTaxonomy) {
-  // One fault pair swept across abft = {off, on}: the abft cell runs the
-  // checked workload and classifies with the six-outcome recovery
-  // taxonomy, and the orchestrated histograms must still match the
-  // serial oracle bit-for-bit — the same contract the legacy four
-  // outcomes have, extended to the recovery verdicts.
-  SweepAxes axes;
-  axes.faults = {{FaultTarget::kAccelSpmW, FaultModel::kStuckAt1}};
-  axes.abft = {false, true};
-  SweepGrid grid(axes, make_abft_point_factory(620), make_reader(),
-                 kMaxCycles);
-
-  const GemmWorkload wl = small_workload();
-  const auto a = random_fixed(wl.n * wl.n, 620);
-  const auto x = random_fixed(wl.n * wl.m, 621);
-  const auto fb = golden_gemm(wl, a, x);
-  std::vector<std::uint8_t> fb_bytes(fb.size() * 2);
-  std::memcpy(fb_bytes.data(), fb.data(), fb_bytes.size());
-  const auto recovery = [wl](System& s) { return read_gemm_recovery(s, wl); };
-  grid.set_recovery(recovery, fb_bytes);
-
-  SweepRunConfig rc;
-  rc.trials_per_cell = 10;
-  rc.shards_per_cell = 2;
-
-  const std::vector<SweepCell> serial = grid.run_serial(rc);
-  OrchestratorConfig oc;
-  oc.max_workers = 2;
-  oc.child_entry = [recovery](std::uint64_t, unsigned) {
-    return campaign_worker_main(0, 1, make_abft_point_factory(620),
-                                make_reader(), 4, recovery);
-  };
-  CampaignOrchestrator::Stats stats;
-  const std::vector<SweepCell> swept = grid.run(rc, oc, &stats);
-
-  ASSERT_EQ(serial.size(), 2u);
-  ASSERT_EQ(swept.size(), serial.size());
-  EXPECT_FALSE(serial[0].point.abft);
-  EXPECT_TRUE(serial[1].point.abft);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(swept[i].hist.counts, serial[i].hist.counts)
-        << "cell " << i << " diverged from the serial oracle";
-    EXPECT_EQ(swept[i].hist.total, rc.trials_per_cell);
-  }
-  // The unprotected cell must stay in the legacy four-outcome space —
-  // recovery verdicts exist only where the abft axis enabled them.
-  for (const auto& kv : serial[0].hist.counts) {
-    EXPECT_NE(kv.first, Outcome::kDetectedCorrected);
-    EXPECT_NE(kv.first, Outcome::kDetectedRecovered);
-  }
-  EXPECT_EQ(stats.failures, 0u);
 }
 
 #endif  // __unix__
