@@ -143,8 +143,12 @@ TEST(CampaignIoTest, HistogramRoundTripAndMerge) {
   const CampaignResult swapped = merge_histograms({b, a});
   EXPECT_EQ(swapped.counts, merged.counts);
   EXPECT_EQ(swapped.total, merged.total);
+}
 
-  // All six outcomes, the recovery verdicts included, survive the wire.
+/// The recovery verdicts that histograms gained in format v3 still
+/// travel: all six outcomes must survive the wire and a merge exactly,
+/// or a corrected or recovered trial would be filed under another verdict.
+TEST(CampaignIoTest, RecoveryFieldsRoundTripInV3Payloads) {
   CampaignResult six;
   six.counts[Outcome::kMasked] = 9;
   six.counts[Outcome::kSdc] = 2;
@@ -158,6 +162,11 @@ TEST(CampaignIoTest, HistogramRoundTripAndMerge) {
   EXPECT_EQ(six_back.counts, six.counts);
   EXPECT_EQ(six_back.total, six.total);
   EXPECT_EQ(serialize_histogram(six_back), six_wire);
+
+  const CampaignResult doubled = merge_histograms({six_back, six});
+  EXPECT_EQ(doubled.counts.at(Outcome::kDetectedCorrected), 12);
+  EXPECT_EQ(doubled.counts.at(Outcome::kDetectedRecovered), 8);
+  EXPECT_EQ(doubled.total, 50);
 }
 
 TEST(CampaignIoTest, ShardRoundTrip) {
@@ -169,8 +178,7 @@ TEST(CampaignIoTest, ShardRoundTrip) {
   shard.golden_cycles = campaign.golden_cycles();
   shard.max_cycles = kMaxCycles;
   shard.ladder_rungs = 8;
-  shard.specs = mixed_specs(campaign, 505, 6);
-  ASSERT_FALSE(shard.specs.empty());
+  shard.specs = mixed_specs(campaign, 505, 4);
 
   const std::vector<std::uint8_t> wire = serialize_shard(shard);
   const CampaignShard back = deserialize_shard(wire);
@@ -180,6 +188,21 @@ TEST(CampaignIoTest, ShardRoundTrip) {
   EXPECT_EQ(back.golden_cycles, shard.golden_cycles);
   EXPECT_EQ(back.max_cycles, shard.max_cycles);
   EXPECT_EQ(back.ladder_rungs, shard.ladder_rungs);
+  EXPECT_EQ(back.specs.size(), shard.specs.size());
+
+  // A shard without golden bytes round-trips too.
+  EXPECT_TRUE(deserialize_shard(serialize_shard({})).golden.empty());
+}
+
+TEST(CampaignIoTest, SpecBatchRoundTrip) {
+  // Specs travel as one batch inside the shard payload: every field of
+  // every spec must come back exactly, and so must an empty batch.
+  FaultCampaign campaign(make_factory(502), make_reader(), kMaxCycles);
+  CampaignShard shard;
+  shard.specs = mixed_specs(campaign, 503, 6);
+  ASSERT_FALSE(shard.specs.empty());
+
+  const CampaignShard back = deserialize_shard(serialize_shard(shard));
   ASSERT_EQ(back.specs.size(), shard.specs.size());
   for (std::size_t i = 0; i < shard.specs.size(); ++i) {
     const FaultSpec& want = shard.specs[i];
@@ -196,11 +219,7 @@ TEST(CampaignIoTest, ShardRoundTrip) {
     std::memcpy(&pb, &got.phase_delta_rad, 8);
     EXPECT_EQ(pa, pb);
   }
-
-  // A shard without specs or golden bytes round-trips too.
-  const CampaignShard empty = deserialize_shard(serialize_shard({}));
-  EXPECT_TRUE(empty.golden.empty());
-  EXPECT_TRUE(empty.specs.empty());
+  EXPECT_TRUE(deserialize_shard(serialize_shard({})).specs.empty());
 }
 
 TEST(CampaignIoTest, ProgressRoundTrip) {

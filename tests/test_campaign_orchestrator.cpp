@@ -425,6 +425,59 @@ TEST(CampaignOrchestratorTest, ExhaustedRetriesDegradeToSerialFallback) {
   }
 }
 
+// ---------------------------------------------------------- fault-pair sweep
+
+TEST(SweepGridTest, OrchestratedSweepMatchesSerialOraclePerCell) {
+  // A grid of two fault pairs on one platform, 8 trials in 2 shards per
+  // cell, all 4 shards in one pool run. Regrouped by cell, the outcomes
+  // must give each cell its own serial oracle: a histogram filed under
+  // another cell's seq keeps the merged total but not the cells.
+  constexpr int kTrialsPerCell = 8;
+  constexpr std::size_t kShardsPerCell = 2;
+  const std::vector<std::pair<FaultTarget, FaultModel>> cells = {
+      {FaultTarget::kCpuRegfile, FaultModel::kTransientFlip},
+      {FaultTarget::kAccelPhase, FaultModel::kTransientFlip}};
+
+  FaultCampaign coordinator(make_factory(618), make_reader(), kMaxCycles);
+  aspen::lina::Rng rng(619);
+  std::vector<CampaignResult> serial;
+  std::vector<CampaignShard> shards;
+  for (const auto& [target, model] : cells) {
+    const std::vector<FaultSpec> specs =
+        coordinator.sample_specs(target, model, kTrialsPerCell, rng);
+    serial.push_back(histogram_of(coordinator.run_trials(specs, 1)));
+    for (CampaignShard& shard :
+         plan_shards(coordinator, specs, kShardsPerCell)) {
+      shard.seq = shards.size();  // unique across the grid
+      shards.push_back(std::move(shard));
+    }
+  }
+  ASSERT_NE(serial[0].counts, serial[1].counts);
+
+  OrchestratorConfig oc;
+  oc.max_workers = 2;
+  oc.child_entry = [](std::uint64_t, unsigned) {
+    return campaign_worker_main(0, 1, make_point_factory(618), make_reader());
+  };
+  CampaignOrchestrator orch(oc, [&coordinator](const CampaignShard& shard) {
+    return histogram_of(coordinator.run_trials(shard.specs, 1));
+  });
+  const std::vector<ShardOutcome> outs = orch.run(to_tasks(shards));
+  ASSERT_EQ(outs.size(), cells.size() * kShardsPerCell);
+
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const auto first = outs.begin() + c * kShardsPerCell;
+    const CampaignResult cell =
+        merge_completed({first, first + kShardsPerCell});
+    EXPECT_EQ(first->seq, c * kShardsPerCell);
+    EXPECT_EQ(cell.counts, serial[c].counts)
+        << "cell " << c << " diverged from the serial oracle";
+    EXPECT_EQ(cell.total, kTrialsPerCell);
+  }
+  EXPECT_EQ(orch.stats().launches, 4u);  // 2 cells x 2 shards, no failures
+  EXPECT_EQ(orch.stats().failures, 0u);
+}
+
 #endif  // __unix__
 
 }  // namespace
