@@ -1,7 +1,8 @@
 #pragma once
-/// Shared helpers for the experiment harness binaries (bench_e1 .. e9).
-/// Every binary is standalone: it runs its sweep and prints the rows that
-/// EXPERIMENTS.md records, on deterministic seeds.
+/// Shared helpers for the experiment harness binaries (bench_e1 .. e10).
+/// Every binary is standalone: it runs its sweep and prints its result
+/// tables (bench_e2 and bench_e7 also write them as BENCH_e2.json and
+/// BENCH_e7.json), on deterministic seeds.
 
 #include <cstdio>
 #include <cstdlib>

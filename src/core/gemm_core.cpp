@@ -1,7 +1,9 @@
 #include "core/gemm_core.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "photonics/units.hpp"
 
@@ -22,7 +24,10 @@ MvmConfig engine_config(const GemmConfig& cfg) {
 
 }  // namespace
 
-GemmCore::GemmCore(GemmConfig cfg) : cfg_(cfg), engine_(engine_config(cfg)) {
+GemmCore::GemmCore(GemmConfig cfg)
+    : cfg_(cfg),
+      engine_(engine_config(cfg)),
+      leak_(std::pow(10.0, -cfg.channel_isolation_db / 20.0)) {
   if (cfg_.wdm_channels < 1)
     throw std::invalid_argument("GemmCore: wdm_channels < 1");
   if (cfg_.channel_isolation_db <= 0.0)
@@ -53,44 +58,21 @@ void GemmCore::set_weights(const CMat& w) {
   }
 }
 
-void GemmCore::pad_input(const CMat& x) {
-  const std::size_t n = data_ports();
-  if (x.rows() != n)
-    throw std::invalid_argument("GemmCore: input rows != data ports");
-  const std::size_t m = x.cols();
-  abft_x_.resize(n + kAbftRows, m);  // resize zero-fills the checksum rows
-  for (std::size_t c = 0; c < m; ++c)
-    for (std::size_t r = 0; r < n; ++r) abft_x_(r, c) = x(r, c);
-}
-
-CMat GemmCore::multiply(const CMat& x) {
-  if (!cfg_.abft.enabled) return multiply_physical(x);
-  pad_input(x);
-  CMat full = multiply_physical(abft_x_);
-  last_abft_ = abft_check(full, cfg_.abft.tolerance);
-  abft_counters_.add(last_abft_.counts);
-  const std::size_t n = data_ports();
-  CMat out(n, x.cols());
-  for (std::size_t c = 0; c < x.cols(); ++c)
-    for (std::size_t r = 0; r < n; ++r) out(r, c) = full(r, c);
-  return out;
-}
-
-void GemmCore::multiply_noiseless(const std::vector<double>& x,
-                                  std::size_t cols, std::vector<double>& re,
-                                  std::vector<double>& im) {
+template <class Run>
+void GemmCore::run_tile(const std::vector<double>& x, std::size_t cols,
+                        std::vector<double>& re, std::vector<double>& im,
+                        Run&& run) {
   const std::size_t n = data_ports();
   if (x.size() != n * cols)
     throw std::invalid_argument("GemmCore: input rows != data ports");
-  engine_.count_mvm_ops(cols);
   if (!cfg_.abft.enabled) {
-    engine_.multiply_noiseless_batch_into(x, cols, re, im);
+    run(x);
     return;
   }
   // Port by port, the checksum input rows are the trailing zeros.
   abft_x_real_.assign(x.begin(), x.end());
   abft_x_real_.resize(x.size() + kAbftRows * cols, 0.0);
-  engine_.multiply_noiseless_batch_into(abft_x_real_, cols, re, im);
+  run(abft_x_real_);
   abft_y_.resize(n + kAbftRows, cols);
   for (std::size_t i = 0; i < re.size(); ++i)
     abft_y_.raw()[i] = cplx{re[i], im[i]};
@@ -104,87 +86,109 @@ void GemmCore::multiply_noiseless(const std::vector<double>& x,
   }
 }
 
-void GemmCore::multiply_noiseless(const CMat& x, CMat& out) {
+void GemmCore::multiply(const std::vector<double>& x, std::size_t cols,
+                        std::vector<double>& re, std::vector<double>& im) {
+  run_tile(x, cols, re, im, [&](const std::vector<double>& tile) {
+    multiply_physical(tile, cols, re, im);
+  });
+}
+
+void GemmCore::multiply_noiseless(const std::vector<double>& x,
+                                  std::size_t cols, std::vector<double>& re,
+                                  std::vector<double>& im) {
+  run_tile(x, cols, re, im, [&](const std::vector<double>& tile) {
+    engine_.count_mvm_ops(cols);
+    engine_.multiply_noiseless_batch_into(tile, cols, re, im);
+  });
+}
+
+void GemmCore::load_real_tile(const CMat& x, const char* who) {
   if (x.rows() != data_ports())
     throw std::invalid_argument("GemmCore: input rows != data ports");
   // Row-major CMat storage is already the port-by-port layout.
   tile_x_.resize(x.raw().size());
   for (std::size_t i = 0; i < tile_x_.size(); ++i) {
     if (x.raw()[i].imag() != 0.0)
-      throw std::invalid_argument(
-          "GemmCore::multiply_noiseless: complex input");
+      throw std::invalid_argument(std::string(who) + ": complex input");
     tile_x_[i] = x.raw()[i].real();
   }
+}
+
+CMat GemmCore::multiply(const CMat& x) {
+  load_real_tile(x, "GemmCore::multiply");
+  multiply(tile_x_, x.cols(), tile_re_, tile_im_);
+  CMat out(x.rows(), x.cols());
+  for (std::size_t i = 0; i < tile_re_.size(); ++i)
+    out.raw()[i] = cplx{tile_re_[i], tile_im_[i]};
+  return out;
+}
+
+void GemmCore::multiply_noiseless(const CMat& x, CMat& out) {
+  load_real_tile(x, "GemmCore::multiply_noiseless");
   multiply_noiseless(tile_x_, x.cols(), tile_re_, tile_im_);
   out.resize(x.rows(), x.cols());
   for (std::size_t i = 0; i < tile_re_.size(); ++i)
     out.raw()[i] = cplx{tile_re_[i], tile_im_[i]};
 }
 
-CMat GemmCore::multiply_physical(const CMat& x) {
+void GemmCore::multiply_physical(const std::vector<double>& x, std::size_t m,
+                                 std::vector<double>& re,
+                                 std::vector<double>& im) {
   const std::size_t n = engine_.config().ports;
-  if (x.rows() != n)
-    throw std::invalid_argument("GemmCore: input rows != engine ports");
-  const std::size_t m = x.cols();
   const auto k = static_cast<std::size_t>(cfg_.wdm_channels);
+  const std::uint64_t first_symbol = engine_.counters().mvm_ops;
   engine_.count_mvm_ops(m);
+  stats_ = GemmStats{};  // per-call stats exclude programming
 
-  stats_ = GemmStats{};
-  stats_.weight_write_energy_j = 0.0;  // per-call stats exclude programming
-  CMat out(n, m);
+  // Encode: the in-phase arms carry the tile, and every quadrature arm
+  // drives 0.
+  fields_.resize(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    fields_[i] = engine_.arm_field(x[i]);
+  quadrature_.assign(n, engine_.arm_field(0.0));
 
-  // Field-level leakage between adjacent DWDM channels after the demux.
-  const double leak =
-      std::pow(10.0, -cfg_.channel_isolation_db / 20.0);
-
-  for (std::size_t group = 0; group * k < m; ++group) {
-    const std::size_t first = group * k;
-    const std::size_t count = std::min(k, m - first);
-
-    // Encode the whole group into one ports x count field block, then
-    // propagate it as a single matrix-matrix product; distinct
-    // wavelengths do not interfere, but with dispersion enabled each
-    // channel sees its own (rotated) transfer.
-    engine_.encode_batch(x, first, count, fields_);
-    if (channel_transfer_.empty()) {
-      lina::mul_into(outputs_, engine_.physical_transfer(), fields_);
-    } else {
-      outputs_.resize(n, count);
-      for (std::size_t c = 0; c < count; ++c) {
-        const CMat& t = channel_transfer_[c];
-        for (std::size_t r = 0; r < n; ++r) {
-          cplx s{0.0, 0.0};
-          for (std::size_t j = 0; j < n; ++j) s += t(r, j) * fields_(j, c);
-          outputs_(r, c) = s;
-        }
+  // Propagate the whole tile. Distinct wavelengths do not interfere, but
+  // with dispersion enabled column c rides channel c mod K of its group
+  // and sees that channel's (rotated) transfer.
+  outputs_.resize(n, m);
+  if (channel_transfer_.empty()) {
+    engine_.propagate_batch(engine_.physical_transfer(), fields_, m,
+                            quadrature_, 0, m, outputs_);
+  } else {
+    for (std::size_t c = 0; c < m; ++c)
+      engine_.propagate_batch(channel_transfer_[c % k], fields_, m,
+                              quadrature_, c, c + 1, outputs_);
+  }
+  // Imperfect demux: each column picks up its group neighbours' fields
+  // before detection. The mixing block only exists when there is
+  // something to mix — single-channel configs detect the outputs
+  // directly.
+  CMat* detected = &outputs_;
+  if (k > 1) {
+    mixed_.resize(n, m);
+    for (std::size_t c = 0; c < m; ++c) {
+      const std::size_t first = c - c % k;
+      const std::size_t last = std::min(first + k, m) - 1;
+      for (std::size_t p = 0; p < n; ++p) {
+        cplx leakage{0.0, 0.0};
+        if (c > first) leakage += outputs_(p, c - 1);
+        if (c < last) leakage += outputs_(p, c + 1);
+        mixed_(p, c) = outputs_(p, c) + leak_ * leakage;
       }
     }
-    // Imperfect demux: neighbour leakage before detection. The mixing
-    // block only exists when there is something to mix — single-channel
-    // or perfectly isolated configs detect the outputs directly.
-    CMat* detected = &outputs_;
-    if (count > 1 && leak > 0.0) {
-      mixed_.resize(n, count);
-      for (std::size_t c = 0; c < count; ++c) {
-        for (std::size_t p = 0; p < n; ++p) {
-          cplx leakage{0.0, 0.0};
-          if (c > 0) leakage += outputs_(p, c - 1);
-          if (c + 1 < count) leakage += outputs_(p, c + 1);
-          mixed_(p, c) = outputs_(p, c) + leak * leakage;
-        }
-      }
-      detected = &mixed_;
-    }
-    engine_.detect_batch(*detected);
-    engine_.rescale_batch(*detected);
-    for (std::size_t c = 0; c < count; ++c)
-      for (std::size_t r = 0; r < n; ++r)
-        out(r, first + c) = (*detected)(r, c);
-
-    ++stats_.symbols;
+    detected = &mixed_;
+  }
+  engine_.detect_batch(*detected, first_symbol);
+  engine_.rescale_batch(*detected);
+  re.resize(n * m);
+  im.resize(n * m);
+  for (std::size_t i = 0; i < re.size(); ++i) {
+    re[i] = detected->raw()[i].real();
+    im[i] = detected->raw()[i].imag();
   }
 
-  // Cost model.
+  // Cost model: one symbol slot per WDM group.
+  stats_.symbols = (m + k - 1) / k;
   const double t_sym = engine_.symbol_time_s();
   stats_.wall_time_s = static_cast<double>(stats_.symbols) * t_sym;
   stats_.macs = static_cast<std::uint64_t>(n) * n * m;
@@ -201,7 +205,6 @@ CMat GemmCore::multiply_physical(const CMat& x) {
   stats_.laser_energy_j =
       static_cast<double>(cfg_.wdm_channels) * laser_electrical *
       stats_.wall_time_s;
-  return out;
 }
 
 }  // namespace aspen::core

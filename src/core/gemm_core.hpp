@@ -72,21 +72,31 @@ class GemmCore {
   /// appended internally when ABFT is on).
   void set_weights(const lina::CMat& w);
 
-  /// C = W * X for an N x M input matrix X (columns are input vectors,
-  /// |entries| <= 1). Full physical simulation, TDM or WDM per config.
-  /// With ABFT on, the returned block is the verified/repaired N x M data
-  /// view (checksum rows stripped).
+  /// C = W * X on an N x `cols` real input tile stored port by port
+  /// (entry (r, c) at x[r * cols + c], |entries| <= 1; columns are input
+  /// vectors), through the whole electro-optic loop: TDM or WDM per
+  /// config, with dispersion and demux leakage, laser RIN and detector
+  /// noise. Column c is the engine's symbol mvm_ops + c, so it equals the
+  /// engine's multiply() of that column at that count, bit for bit, when
+  /// no WDM leakage mixes it. The real and imaginary output parts land in
+  /// `re` and `im` in the same layout. With ABFT on, the same path runs
+  /// on the zero-padded (N+2)-port tile and the checksum verify/repair
+  /// runs before the data rows are returned. Throws std::invalid_argument
+  /// (counting nothing) unless x.size() is N * cols.
+  void multiply(const std::vector<double>& x, std::size_t cols,
+                std::vector<double>& re, std::vector<double>& im);
+  /// Complex-matrix adapter over the real path for an N x M input whose
+  /// imaginary parts are all zero; throws std::invalid_argument on a
+  /// shape mismatch or a nonzero imaginary part.
   [[nodiscard]] lina::CMat multiply(const lina::CMat& x);
 
   /// Deterministic tile path used by the memory-mapped accelerator:
-  /// the engine's real-input noiseless kernel on an N x `cols` tile
-  /// stored port by port (entry (r, c) at x[r * cols + c]), writing the
-  /// real and imaginary output parts in the same layout. With ABFT off
-  /// this delegates straight to the engine; with ABFT on the same kernel
-  /// runs on the zero-padded (N+2)-port tile and the complex checksum
-  /// verify/repair runs before the data rows are returned. Throws
-  /// std::invalid_argument (counting nothing) unless x.size() is
-  /// N * cols.
+  /// the engine's real-input noiseless kernel on an N x `cols` tile in
+  /// multiply()'s layout. With ABFT off this delegates straight to the
+  /// engine; with ABFT on the same kernel runs on the zero-padded
+  /// (N+2)-port tile and the complex checksum verify/repair runs before
+  /// the data rows are returned. Throws std::invalid_argument (counting
+  /// nothing) unless x.size() is N * cols.
   void multiply_noiseless(const std::vector<double>& x, std::size_t cols,
                           std::vector<double>& re, std::vector<double>& im);
   /// Complex-matrix adapter over the real path for an N x M input whose
@@ -129,30 +139,38 @@ class GemmCore {
   }
 
  private:
+  /// Shared body of multiply() and multiply_noiseless(): the shape check,
+  /// the ABFT padding and check, and `run` on the engine-sized tile.
+  template <class Run>
+  void run_tile(const std::vector<double>& x, std::size_t cols,
+                std::vector<double>& re, std::vector<double>& im, Run&& run);
   /// The physical multiply at engine dimensions (the pre-ABFT body).
-  [[nodiscard]] lina::CMat multiply_physical(const lina::CMat& x);
-  /// Copy x (data rows) into abft_x_ with zeroed checksum rows.
-  void pad_input(const lina::CMat& x);
+  void multiply_physical(const std::vector<double>& x, std::size_t cols,
+                         std::vector<double>& re, std::vector<double>& im);
+  /// Load a complex adapter's input into tile_x_; throws unless it has
+  /// data_ports() rows and zero imaginary parts.
+  void load_real_tile(const lina::CMat& x, const char* who);
 
   GemmConfig cfg_;
   MvmEngine engine_;
+  /// Field-level leakage between adjacent DWDM channels after the demux.
+  double leak_;
   GemmStats stats_;
   AbftCounters abft_counters_;
   AbftReport last_abft_;
   /// Per-channel transfers under dispersion (rebuilt on set_weights).
   std::vector<lina::CMat> channel_transfer_;
-  /// Reusable per-group scratch blocks (ports x wdm_channels), hoisted out
-  /// of the group loop: encoded fields, propagated outputs, and the
-  /// leakage-mixed block (only touched when mixing is actually needed).
-  lina::CMat fields_;
+  /// Reusable scratch of the physical path: in-phase and quadrature arm
+  /// fields, propagated outputs, and the leakage-mixed block (only
+  /// touched when mixing is actually needed).
+  std::vector<double> fields_;
+  std::vector<double> quadrature_;
   lina::CMat outputs_;
   lina::CMat mixed_;
-  /// ABFT scratch: zero-padded input (complex for the physical path, real
-  /// for the noiseless one) and the full augmented output block.
-  lina::CMat abft_x_;
+  /// ABFT scratch: zero-padded input and the full augmented output block.
   std::vector<double> abft_x_real_;
   lina::CMat abft_y_;
-  /// Real input and output parts of the complex-matrix adapter.
+  /// Real input and output parts of the complex-matrix adapters.
   std::vector<double> tile_x_, tile_re_, tile_im_;
 };
 

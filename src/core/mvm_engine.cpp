@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "lina/philox.hpp"
 #include "photonics/units.hpp"
 
 namespace aspen::core {
@@ -14,6 +15,64 @@ using lina::CVec;
 
 namespace {
 constexpr double kPi = 3.141592653589793238462643383280;
+
+/// Draw kinds of the noise counter.
+constexpr std::uint32_t kDetectorNoise = 0;
+constexpr std::uint32_t kRinNoise = 1;
+
+/// Counter of a noise draw: the symbol index in the low two words, then
+/// the port, then the draw kind above the 24 bits lina::philox_normal_pair
+/// keeps for its further attempts.
+lina::PhiloxCounter noise_counter(std::uint64_t symbol, std::size_t port,
+                                  std::uint32_t kind) {
+  return {static_cast<std::uint32_t>(symbol),
+          static_cast<std::uint32_t>(symbol >> 32),
+          static_cast<std::uint32_t>(port), kind << 24};
+}
+
+/// Columns [j0, j0 + W) of row `row` of a complex matrix times a real
+/// block: both accumulators start from +0 and sum over k in increasing
+/// order, and store(j, re, im) receives each column's sum. For the
+/// noiseless tile these are the complex product's operations minus its
+/// exact-zero terms, so results stay bit-identical to it; reordering the
+/// sum would not. W columns of accumulators stay in registers across the
+/// k loop.
+template <std::size_t W, class Store>
+void real_input_block(const cplx* row, std::size_t ports, const double* x,
+                      std::size_t cols, std::size_t j0, Store&& store) {
+  double acc_re[W] = {};
+  double acc_im[W] = {};
+  for (std::size_t k = 0; k < ports; ++k) {
+    const double tr = row[k].real();
+    const double ti = row[k].imag();
+    const double* f = x + k * cols + j0;
+    for (std::size_t j = 0; j < W; ++j) {
+      acc_re[j] += tr * f[j];
+      acc_im[j] += ti * f[j];
+    }
+  }
+  for (std::size_t j = 0; j < W; ++j) store(j0 + j, acc_re[j], acc_im[j]);
+}
+
+/// t * x for columns [j0, j1) of a real block x of `cols` columns stored
+/// port by port: store(r, j, re, im) receives entry (r, j), in 8-column
+/// register blocks and a scalar tail.
+template <class Store>
+void real_input_product(const CMat& t, const double* x, std::size_t cols,
+                        std::size_t j0, std::size_t j1, Store&& store) {
+  constexpr std::size_t kBlock = 8;
+  const std::size_t n = t.rows();
+  for (std::size_t r = 0; r < n; ++r) {
+    const cplx* row = t.raw().data() + r * n;
+    const auto put = [&](std::size_t j, double re, double im) {
+      store(r, j, re, im);
+    };
+    std::size_t j = j0;
+    for (; j + kBlock <= j1; j += kBlock)
+      real_input_block<kBlock>(row, n, x, cols, j, put);
+    for (; j < j1; ++j) real_input_block<1>(row, n, x, cols, j, put);
+  }
+}
 
 phot::AdcConfig autoscale_adc(phot::AdcConfig adc, const phot::CwLaserConfig& laser,
                               std::size_t ports) {
@@ -27,7 +86,6 @@ phot::AdcConfig autoscale_adc(phot::AdcConfig adc, const phot::CwLaserConfig& la
 
 MvmEngine::MvmEngine(MvmConfig cfg)
     : cfg_(std::move(cfg)),
-      rng_(cfg_.noise_seed),
       modulator_(cfg_.modulator),
       receiver_(cfg_.detector, autoscale_adc(cfg_.adc, cfg_.laser, cfg_.ports)),
       laser_(cfg_.laser) {
@@ -44,6 +102,7 @@ MvmEngine::MvmEngine(MvmConfig cfg)
     mesh_u_->enable_pcm(cfg_.pcm);
     mesh_v_->enable_pcm(cfg_.pcm);
   }
+  launch_ = std::sqrt(cfg_.laser.power_w / static_cast<double>(cfg_.ports));
   attenuation_.assign(cfg_.ports, 1.0);
   set_matrix(CMat::identity(cfg_.ports));  // also ages PCM to the drift time
 }
@@ -266,55 +325,75 @@ void MvmEngine::refresh_transfer() {
   }
 }
 
-double MvmEngine::launch_amplitude() const {
-  return std::sqrt(cfg_.laser.power_w / static_cast<double>(cfg_.ports));
-}
-
 cplx MvmEngine::output_scale() const {
   return gain_ * launch_amplitude() * modulator_.amplitude_scale() /
          sigma_max_;
 }
 
 CVec MvmEngine::multiply(const CVec& x) {
-  CMat in(x.size(), 1);
-  in.raw() = x.raw();
-  CMat fields;
-  encode_batch(in, 0, 1, fields);
-  // Laser RIN: common-mode launch-power fluctuation per symbol.
-  const double p = laser_.sample_power(rng_);
-  const double rin_scale = std::sqrt(p / cfg_.laser.power_w);
-  for (cplx& f : fields.raw()) f *= cplx{rin_scale, 0.0};
-  CMat out;
-  lina::mul_into(out, t_phys_, fields);
-  detect_batch(out);
+  const std::size_t n = cfg_.ports;
+  if (x.size() != n)
+    throw std::invalid_argument("MvmEngine::multiply: shape mismatch");
+  std::vector<double> in_phase(n);
+  std::vector<double> quadrature(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    in_phase[k] = arm_field(x[k].real());
+    quadrature[k] = arm_field(x[k].imag());
+  }
+  CMat out(n, 1);
+  propagate_batch(t_phys_, in_phase, 1, quadrature, 0, 1, out);
+  detect_batch(out, counters_.mvm_ops);
   rescale_batch(out);
   ++counters_.mvm_ops;
   counters_.busy_time_s += symbol_time_s();
   return out.col(0);
 }
 
-void MvmEngine::encode_batch(const CMat& x, std::size_t first,
-                             std::size_t count, CMat& fields) const {
-  if (x.rows() != cfg_.ports || first + count > x.cols())
-    throw std::invalid_argument("MvmEngine::encode_batch: shape mismatch");
-  const double launch = launch_amplitude();
-  fields.resize(cfg_.ports, count);
-  for (std::size_t i = 0; i < cfg_.ports; ++i) {
-    for (std::size_t c = 0; c < count; ++c) {
-      const cplx v = x(i, first + c);
-      // IQ Mach-Zehnder modulator: each quadrature is DAC-quantized and
-      // carries the modulator insertion loss.
-      const cplx enc = modulator_.encode(v.real()) +
-                       cplx{0.0, 1.0} * modulator_.encode(v.imag());
-      fields(i, c) = launch * enc;
+double MvmEngine::arm_field(double v) const {
+  return launch_amplitude() * modulator_.encode(v).real();
+}
+
+void MvmEngine::propagate_batch(const CMat& t,
+                                const std::vector<double>& in_phase,
+                                std::size_t cols,
+                                const std::vector<double>& quadrature,
+                                std::size_t j0, std::size_t j1,
+                                CMat& out) const {
+  const std::size_t n = cfg_.ports;
+  if (t.rows() != n || t.cols() != n || in_phase.size() != n * cols ||
+      quadrature.size() != n || out.rows() != n || out.cols() != cols ||
+      j0 > j1 || j1 > cols)
+    throw std::invalid_argument("MvmEngine::propagate_batch: shape mismatch");
+  // The quadrature arms' image t * quadrature, one field per output port.
+  std::vector<double>& q = scratch_quadrature_;
+  q.resize(2 * n);
+  real_input_product(t, quadrature.data(), 1, 0, 1,
+                     [&](std::size_t r, std::size_t, double re, double im) {
+                       q[r] = re;
+                       q[n + r] = im;
+                     });
+  // out = t * in_phase + i * (t * quadrature).
+  real_input_product(t, in_phase.data(), cols, j0, j1,
+                     [&](std::size_t r, std::size_t j, double re, double im) {
+                       out(r, j) = cplx{re - q[n + r], im + q[r]};
+                     });
+}
+
+void MvmEngine::detect_batch(CMat& fields, std::uint64_t first_symbol) const {
+  for (std::size_t c = 0; c < fields.cols(); ++c) {
+    const std::uint64_t symbol = first_symbol + c;
+    const double rin = std::sqrt(launch_power_w(symbol) / cfg_.laser.power_w);
+    for (std::size_t p = 0; p < fields.rows(); ++p) {
+      const auto n = lina::philox_normal_pair(
+          cfg_.noise_seed, noise_counter(symbol, p, kDetectorNoise));
+      fields(p, c) = receiver_.measure(fields(p, c) * rin, n[0], n[1]);
     }
   }
 }
 
-void MvmEngine::detect_batch(CMat& fields) {
-  for (std::size_t c = 0; c < fields.cols(); ++c)
-    for (std::size_t i = 0; i < fields.rows(); ++i)
-      fields(i, c) = receiver_.measure(fields(i, c), rng_);
+double MvmEngine::launch_power_w(std::uint64_t symbol) const {
+  return laser_.sample_power(lina::philox_normal_pair(
+      cfg_.noise_seed, noise_counter(symbol, 0, kRinNoise))[0]);
 }
 
 void MvmEngine::rescale_batch(CMat& detected) const {
@@ -346,41 +425,6 @@ CVec MvmEngine::multiply_noiseless(const CVec& x) const {
   return out;
 }
 
-namespace {
-
-/// Output row `row` of the real-input tile kernel for columns
-/// [j0, j0 + W): both accumulators start from +0 and sum over k in
-/// increasing order, then take the complex rescale product. These are
-/// the complex form's operations minus its exact-zero terms, so the
-/// results stay bit-identical; reordering the sum or folding the rescale
-/// into T would not. W columns of accumulators stay in registers across
-/// the k loop.
-template <std::size_t W>
-void noiseless_tile_block(const cplx* row, std::size_t ports,
-                          const double* fields, std::size_t cols,
-                          std::size_t j0, cplx inv_scale, double* re,
-                          double* im) {
-  double acc_re[W] = {};
-  double acc_im[W] = {};
-  for (std::size_t k = 0; k < ports; ++k) {
-    const double tr = row[k].real();
-    const double ti = row[k].imag();
-    const double* f = fields + k * cols + j0;
-    for (std::size_t j = 0; j < W; ++j) {
-      acc_re[j] += tr * f[j];
-      acc_im[j] += ti * f[j];
-    }
-  }
-  const double ir = inv_scale.real();
-  const double ii = inv_scale.imag();
-  for (std::size_t j = 0; j < W; ++j) {
-    re[j0 + j] = acc_re[j] * ir - acc_im[j] * ii;
-    im[j0 + j] = acc_re[j] * ii + acc_im[j] * ir;
-  }
-}
-
-}  // namespace
-
 void MvmEngine::multiply_noiseless_batch_into(const std::vector<double>& x,
                                               std::size_t cols,
                                               std::vector<double>& re,
@@ -404,19 +448,13 @@ void MvmEngine::multiply_noiseless_batch_into(const std::vector<double>& x,
   // shares the scale; agrees with the per-column path to ~1 ulp, well
   // inside the Q3.12 conversion at the SPM boundary).
   const cplx inv_scale = cplx{1.0, 0.0} / output_scale();
-  constexpr std::size_t kBlock = 8;
-  for (std::size_t i = 0; i < n; ++i) {
-    const cplx* row = t_phys_.raw().data() + i * n;
-    double* re_row = re.data() + i * cols;
-    double* im_row = im.data() + i * cols;
-    std::size_t j = 0;
-    for (; j + kBlock <= cols; j += kBlock)
-      noiseless_tile_block<kBlock>(row, n, scratch_fields_.data(), cols, j,
-                                   inv_scale, re_row, im_row);
-    for (; j < cols; ++j)
-      noiseless_tile_block<1>(row, n, scratch_fields_.data(), cols, j,
-                              inv_scale, re_row, im_row);
-  }
+  const double ir = inv_scale.real();
+  const double ii = inv_scale.imag();
+  real_input_product(t_phys_, scratch_fields_.data(), cols, 0, cols,
+                     [&](std::size_t r, std::size_t j, double ar, double ai) {
+                       re[r * cols + j] = ar * ir - ai * ii;
+                       im[r * cols + j] = ar * ii + ai * ir;
+                     });
 }
 
 MvmEngine::Snapshot MvmEngine::snapshot() const {
@@ -431,7 +469,6 @@ MvmEngine::Snapshot MvmEngine::snapshot() const {
   s.gain = gain_;
   s.fidelity = fidelity_;
   s.pcm_drift_time_s = cfg_.pcm_drift_time_s;
-  s.rng = rng_;
   s.counters = counters_;
   s.weights_clean = weights_clean_;
   return s;
@@ -451,7 +488,6 @@ void MvmEngine::restore(const Snapshot& s) {
   gain_ = s.gain;
   fidelity_ = s.fidelity;
   cfg_.pcm_drift_time_s = s.pcm_drift_time_s;
-  rng_ = s.rng;
   counters_ = s.counters;
   weights_clean_ = s.weights_clean;
 }

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "lina/complex_matrix.hpp"
-#include "lina/random.hpp"
 #include "lina/svd.hpp"
 #include "mesh/analysis.hpp"
 #include "photonics/laser.hpp"
@@ -89,9 +88,13 @@ class MvmEngine {
   [[nodiscard]] const lina::CMat& matrix() const { return weight_; }
 
   /// End-to-end photonic multiply of one vector: the batched stages on a
-  /// one-column block (encode -> laser RIN -> propagate -> detect ->
-  /// rescale). Input entries must satisfy |x_i| <= 1 (the modulator
-  /// range); the engine does not rescale inputs implicitly.
+  /// one-column block, as symbol counters().mvm_ops. The real parts drive
+  /// the in-phase arms and the imaginary parts the quadrature arms
+  /// (arm_field), then propagate_batch, detect_batch (laser RIN and
+  /// detector noise) and rescale_batch. Input entries must satisfy
+  /// |x_i| <= 1 (the modulator range); the engine does not rescale inputs
+  /// implicitly. Throws std::invalid_argument unless x has one entry per
+  /// port.
   [[nodiscard]] lina::CVec multiply(const lina::CVec& x);
 
   /// Deterministic device-error-only result (no shot/RIN/ADC noise):
@@ -113,24 +116,46 @@ class MvmEngine {
                                      std::vector<double>& re,
                                      std::vector<double>& im) const;
 
-  // -- Pipeline stages (multiply() and the WDM GeMM core drive them) -----
-  // A block holds one symbol per column; propagation between encode and
-  // detect is lina::mul_into with physical_transfer().
-  /// DAC + IQ modulator encoding of `count` columns of `x` starting at
-  /// `first` into field amplitudes; writes a ports x count block into
-  /// `fields` (storage reused, no allocation once warm).
-  void encode_batch(const lina::CMat& x, std::size_t first,
-                    std::size_t count, lina::CMat& fields) const;
-  /// Coherent detection + ADC of a block of output fields, in place, in
-  /// field units. The engine's only detector-noise draws, in column-major
-  /// order: one symbol after another.
-  void detect_batch(lina::CMat& fields);
+  // -- Pipeline stages (multiply() and GemmCore::multiply drive them) -----
+  // A block holds one symbol per column and is stored port by port: entry
+  // (k, j) at [k * cols + j], which is also CMat's row-major layout.
+  // Column j of a block is symbol first_symbol + j, its mvm_ops index (the
+  // number of vectors pushed before it). The noise is a pure function of
+  // noise_seed, the symbol, the port and the draw kind (lina/philox.hpp),
+  // so every path draws the same noise for the same symbol, in any order.
+  /// Launch field amplitude of one Mach-Zehnder arm driven with `v` in
+  /// [-1, 1]: DAC quantization, extinction floor and insertion loss at
+  /// the sqrt(P_laser / N) launch amplitude. Real, since the arm encodes
+  /// the sign as a 0 / pi carrier phase. A real input drives the
+  /// quadrature arm with 0, which the midrise DAC encodes as
+  /// arm_field(0.0): one constant field on every port.
+  [[nodiscard]] double arm_field(double v) const;
+  /// Propagation through `t` (physical_transfer() or a detuned channel
+  /// transfer) of columns [j0, j1) of a block of `cols` columns: column j
+  /// carries the in-phase arm fields of `in_phase` and every column the
+  /// quadrature arm fields `quadrature` (one per port), so out(r, j) =
+  /// (t * in_phase)(r, j) + i (t * quadrature)(r). Each product is a
+  /// real-input sum over ports in increasing order. `out` must already be
+  /// ports x cols; other columns are left alone.
+  void propagate_batch(const lina::CMat& t,
+                       const std::vector<double>& in_phase, std::size_t cols,
+                       const std::vector<double>& quadrature, std::size_t j0,
+                       std::size_t j1, lina::CMat& out) const;
+  /// Laser RIN, coherent detection and ADC of a block of output fields,
+  /// in place, in field units. Column j (symbol first_symbol + j) is
+  /// scaled by sqrt(launch_power_w(symbol) / P_laser): RIN is common-mode
+  /// and the optical path is linear, so it may act at the detector. Then
+  /// each port takes the two detector normals of (symbol, port).
+  void detect_batch(lina::CMat& fields, std::uint64_t first_symbol) const;
+  /// Launch power of symbol `symbol` [W]: the laser's mean power plus its
+  /// RIN draw for that symbol.
+  [[nodiscard]] double launch_power_w(std::uint64_t symbol) const;
   /// Undo the calibrated system gain on a detected block, in place:
   /// measured field -> W-units output.
   void rescale_batch(lina::CMat& detected) const;
 
   /// Physical (lossy, imperfect) transfer of the whole optical path in
-  /// field units; the sqrt(P_laser / N) launch scale is encode_batch's.
+  /// field units; the sqrt(P_laser / N) launch scale is arm_field's.
   [[nodiscard]] const lina::CMat& physical_transfer() const { return t_phys_; }
   /// Calibrated complex system gain c: T_phys ~= c * W.
   [[nodiscard]] lina::cplx system_gain() const { return gain_; }
@@ -168,7 +193,8 @@ class MvmEngine {
   [[nodiscard]] const MvmCounters& counters() const { return counters_; }
   /// Count vectors pushed through the mesh on paths that do not count
   /// them themselves: the batched stages and the noiseless multiplies,
-  /// as GemmCore's physical and noiseless paths drive them.
+  /// as GemmCore's physical and noiseless paths drive them. The count is
+  /// also the next symbol's noise index.
   void count_mvm_ops(std::uint64_t vectors) { counters_.mvm_ops += vectors; }
   [[nodiscard]] const MvmConfig& config() const { return cfg_; }
   /// Fidelity achieved by the last set_matrix (physical vs target shape).
@@ -184,10 +210,11 @@ class MvmEngine {
   }
 
   // -- Snapshot / restore -------------------------------------------------
-  /// Complete mutable engine state: mesh programs, calibrated transfer,
-  /// noise-stream position and cost counters. The programming memo is a
-  /// pure cache and deliberately excluded — it survives restore, which
-  /// is exactly what makes repeated fault-campaign trials cheap.
+  /// Complete mutable engine state: mesh programs, calibrated transfer
+  /// and cost counters. The noise needs no state of its own: its position
+  /// is counters.mvm_ops. The programming memo is a pure cache and
+  /// deliberately excluded — it survives restore, which is exactly what
+  /// makes repeated fault-campaign trials cheap.
   struct Snapshot {
     mesh::PhysicalMesh::Snapshot mesh_u, mesh_v;
     lina::CMat weight;
@@ -198,7 +225,6 @@ class MvmEngine {
     lina::cplx gain{1.0, 0.0};
     double fidelity = 0.0;
     double pcm_drift_time_s = 0.0;
-    lina::Rng rng;
     MvmCounters counters;
     bool weights_clean = false;
   };
@@ -214,7 +240,7 @@ class MvmEngine {
   void refresh_transfer();
   void rebuild_physical_transfer();
   /// Per-port launch field amplitude sqrt(P_laser / N).
-  [[nodiscard]] double launch_amplitude() const;
+  [[nodiscard]] double launch_amplitude() const { return launch_; }
   /// Calibrated output scale gain * launch * modulator amplitude /
   /// sigma_max: a detected field divided by it is in W-units.
   [[nodiscard]] lina::cplx output_scale() const;
@@ -263,7 +289,6 @@ class MvmEngine {
   void insert_program_memo();
 
   MvmConfig cfg_;
-  lina::Rng rng_;
   lina::CMat weight_;
   lina::SvdResult svd_;
   std::unique_ptr<mesh::PhysicalMesh> mesh_u_;
@@ -276,9 +301,11 @@ class MvmEngine {
   phot::Modulator modulator_;
   phot::CoherentReceiver receiver_;
   phot::CwLaser laser_;
+  double launch_ = 0.0;  ///< launch_amplitude(), fixed per engine
   MvmCounters counters_;
   mutable lina::CMat scratch_path_;  ///< compose_path_into scratch
   mutable std::vector<double> scratch_fields_;  ///< batch variant fields
+  mutable std::vector<double> scratch_quadrature_;  ///< t * quadrature
   std::vector<ProgramMemo> program_memo_;  ///< unordered, byte-budgeted
   std::uint64_t program_memo_clock_ = 0;   ///< last use stamp handed out
   ProgramMemoStats program_memo_stats_;    ///< entries/bytes kept current

@@ -3,9 +3,12 @@
 /// Deterministic, seedable randomness for all of ASPEN.
 ///
 /// Every stochastic experiment in the repo (Haar ensembles, fabrication
-/// error sampling, noise, fault injection campaigns) draws from an `Rng`
-/// handed down explicitly — there is no hidden global generator, so every
-/// table in EXPERIMENTS.md is reproducible from its stated seed.
+/// error sampling, datasets and training, fault injection campaigns)
+/// draws from an `Rng` handed down explicitly — there is no hidden global
+/// generator, so every table a `bench_*` binary prints, and the
+/// `BENCH_e2.json` / `BENCH_e7.json` rows it writes, is reproducible from
+/// its stated seed. The photonic datapath's detector and laser noise
+/// instead comes from the counter-based draws of lina/philox.hpp.
 
 #include <cstdint>
 #include <random>

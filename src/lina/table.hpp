@@ -1,8 +1,8 @@
 #pragma once
 /// \file table.hpp
 /// ASCII table printer for the experiment harness. Every bench binary
-/// prints its results through this so EXPERIMENTS.md rows can be pasted
-/// directly from `bench_*` stdout.
+/// prints its results through this, so each result row reads directly
+/// from `bench_*` stdout.
 
 #include <iosfwd>
 #include <string>

@@ -32,18 +32,20 @@ Matrix PhotonicBackend::matmul(const Matrix& w, const Matrix& x) {
   const std::size_t tiles_r = (out_dim + n - 1) / n;
   const std::size_t tiles_k = (in_dim + n - 1) / n;
 
-  // Tile scratch hoisted out of the loops; resize() reuses the storage
-  // (and re-zeros it, which doubles as the zero padding).
-  CMat xt;
+  // Tile scratch hoisted out of the loops. The input tile is real and
+  // stored port by port (entry (r, b) at xt[r * batch + b]), zero-padded
+  // past in_dim; wt's resize() re-zeros it, which doubles as the padding.
+  std::vector<double> xt;
+  std::vector<double> re;
+  std::vector<double> im;
   CMat wt;
   for (std::size_t kt = 0; kt < tiles_k; ++kt) {
-    // Input tile (zero-padded) as complex columns.
-    xt.resize(n, batch);
+    xt.assign(n * batch, 0.0);
     for (std::size_t r = 0; r < n; ++r) {
       const std::size_t src = kt * n + r;
       if (src >= in_dim) break;
       for (std::size_t b = 0; b < batch; ++b)
-        xt(r, b) = cplx{x(src, b) * inv, 0.0};
+        xt[r * batch + b] = x(src, b) * inv;
     }
     for (std::size_t rt = 0; rt < tiles_r; ++rt) {
       wt.resize(n, n);
@@ -60,18 +62,17 @@ Matrix PhotonicBackend::matmul(const Matrix& w, const Matrix& x) {
       }
       if (!nonzero) continue;
 
-      const auto program_and_run = [&]() -> CMat {
+      const auto program_and_run = [&] {
         gemm_.set_weights(wt);
         ++totals_.tiles_programmed;
-        CMat y = gemm_.multiply(xt);
+        gemm_.multiply(xt, batch, re, im);
         const auto& st = gemm_.last_stats();
         totals_.macs += st.macs;
         totals_.optical_time_s += st.wall_time_s;
         totals_.energy_j += st.total_energy_j();
-        return y;
       };
 
-      CMat part = program_and_run();
+      program_and_run();
       if (cfg_.gemm.abft.enabled) {
         // Detect -> bounded retry -> digital fallback. Reprogramming the
         // tile rewrites every mesh phase from the host-held weights, so a
@@ -87,11 +88,11 @@ Matrix PhotonicBackend::matmul(const Matrix& w, const Matrix& x) {
                tries < cfg_.max_tile_retries) {
           ++tries;
           ++recovery_.tiles_retried;
-          part = program_and_run();
+          program_and_run();
         }
         if (gemm_.last_abft().counts.uncorrectable > 0) {
           ++recovery_.tiles_fell_back;
-          digital_tile(wt, xt, part);
+          digital_tile(wt, xt, batch, re);
         }
       }
 
@@ -99,23 +100,25 @@ Matrix PhotonicBackend::matmul(const Matrix& w, const Matrix& x) {
         const std::size_t cr = rt * n + r;
         if (cr >= out_dim) break;
         for (std::size_t b = 0; b < batch; ++b)
-          c(cr, b) += part(r, b).real() * xmax;
+          c(cr, b) += re[r * batch + b] * xmax;
       }
     }
   }
   return c;
 }
 
-void PhotonicBackend::digital_tile(const CMat& wt, const CMat& xt,
-                                   CMat& part) const {
+void PhotonicBackend::digital_tile(const CMat& wt,
+                                   const std::vector<double>& xt,
+                                   std::size_t batch,
+                                   std::vector<double>& re) const {
   const std::size_t n = wt.rows();
-  const std::size_t batch = xt.cols();
-  part.resize(n, batch);
+  re.resize(n * batch);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t b = 0; b < batch; ++b) {
-      cplx acc{0.0, 0.0};
-      for (std::size_t k = 0; k < wt.cols(); ++k) acc += wt(r, k) * xt(k, b);
-      part(r, b) = acc;
+      double acc = 0.0;
+      for (std::size_t k = 0; k < wt.cols(); ++k)
+        acc += wt(r, k).real() * xt[k * batch + b];
+      re[r * batch + b] = acc;
     }
 }
 

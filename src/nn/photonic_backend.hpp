@@ -8,6 +8,7 @@
 /// into end-task accuracy numbers for experiment E3.
 
 #include <memory>
+#include <vector>
 
 #include "core/gemm_core.hpp"
 #include "nn/mlp.hpp"
@@ -67,9 +68,10 @@ class PhotonicBackend {
   [[nodiscard]] core::GemmCore& core() { return gemm_; }
 
  private:
-  /// Exact digital recomputation of one tile product (the fallback path).
-  void digital_tile(const lina::CMat& wt, const lina::CMat& xt,
-                    lina::CMat& part) const;
+  /// Exact digital recomputation of one tile product (the fallback
+  /// path): the real part of wt * xt, in the real tile layout.
+  void digital_tile(const lina::CMat& wt, const std::vector<double>& xt,
+                    std::size_t batch, std::vector<double>& re) const;
 
   PhotonicBackendConfig cfg_;
   core::GemmCore gemm_;

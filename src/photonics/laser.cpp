@@ -8,17 +8,14 @@ namespace aspen::phot {
 CwLaser::CwLaser(CwLaserConfig cfg) : cfg_(cfg) {
   if (cfg_.power_w <= 0.0 || cfg_.wall_plug_efficiency <= 0.0)
     throw std::invalid_argument("CwLaser: non-positive power/efficiency");
-}
-
-double CwLaser::rin_rms_w() const {
   // RIN integrates to a relative power variance: sigma_rel^2 = RIN * B.
   const double rel_var =
       std::pow(10.0, cfg_.rin_db_per_hz / 10.0) * cfg_.bandwidth_hz;
-  return cfg_.power_w * std::sqrt(rel_var);
+  rin_rms_w_ = cfg_.power_w * std::sqrt(rel_var);
 }
 
-double CwLaser::sample_power(lina::Rng& rng) const {
-  const double p = cfg_.power_w + rng.gaussian(0.0, rin_rms_w());
+double CwLaser::sample_power(double n) const {
+  const double p = cfg_.power_w + rin_rms_w_ * n;
   return p > 0.0 ? p : 0.0;
 }
 

@@ -13,8 +13,6 @@
 
 #include <vector>
 
-#include "lina/random.hpp"
-
 namespace aspen::phot {
 
 struct CwLaserConfig {
@@ -30,16 +28,18 @@ class CwLaser {
  public:
   explicit CwLaser(CwLaserConfig cfg = {});
 
-  /// Instantaneous emitted power with RIN [W].
-  [[nodiscard]] double sample_power(lina::Rng& rng) const;
+  /// Instantaneous emitted power [W] for a RIN draw `n`, a standard
+  /// normal: mean power plus n * rin_rms_w(), floored at 0.
+  [[nodiscard]] double sample_power(double n) const;
   [[nodiscard]] double mean_power_w() const { return cfg_.power_w; }
   [[nodiscard]] double electrical_power_w() const;
   /// RMS of the RIN-induced power fluctuation [W].
-  [[nodiscard]] double rin_rms_w() const;
+  [[nodiscard]] double rin_rms_w() const { return rin_rms_w_; }
   [[nodiscard]] const CwLaserConfig& config() const { return cfg_; }
 
  private:
   CwLaserConfig cfg_;
+  double rin_rms_w_;
 };
 
 /// Yamada rate equations (dimensionless, time in cavity-lifetime units):

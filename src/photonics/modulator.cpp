@@ -17,13 +17,13 @@ Modulator::Modulator(ModulatorConfig cfg) : cfg_(cfg) {
   // Extinction ratio bounds the smallest achievable *power* ratio, so the
   // field floor is 10^(-ER/20).
   floor_amp_ = std::pow(10.0, -cfg_.extinction_ratio_db / 20.0);
+  levels_ = static_cast<double>((1 << cfg_.dac_bits) - 1);
 }
 
 double Modulator::quantize(double value) const {
   const double v = std::clamp(value, -1.0, 1.0);
   // Signed midrise quantizer over [-1, 1] with 2^bits levels.
-  const double levels = static_cast<double>((1 << cfg_.dac_bits) - 1);
-  return std::round((v + 1.0) / 2.0 * levels) / levels * 2.0 - 1.0;
+  return std::round((v + 1.0) / 2.0 * levels_) / levels_ * 2.0 - 1.0;
 }
 
 std::complex<double> Modulator::encode(double value) const {

@@ -44,6 +44,7 @@ class Modulator {
   ModulatorConfig cfg_;
   double amp_loss_;   ///< Field transmission from insertion loss.
   double floor_amp_;  ///< Minimum field amplitude (extinction limit).
+  double levels_;     ///< DAC codes minus one
 };
 
 }  // namespace aspen::phot

@@ -26,10 +26,6 @@ double Photodetector::noise_rms_a(double power_w) const {
   return std::sqrt(shot_var + thermal_var);
 }
 
-double Photodetector::measure_current(double power_w, lina::Rng& rng) const {
-  return ideal_current(power_w) + rng.gaussian(0.0, noise_rms_a(power_w));
-}
-
 double Photodetector::snr(double power_w) const {
   const double sig = cfg_.responsivity_a_per_w * std::max(power_w, 0.0);
   const double n = noise_rms_a(power_w);
@@ -43,37 +39,31 @@ CoherentReceiver::CoherentReceiver(PhotodetectorConfig pd, AdcConfig adc)
     throw std::invalid_argument("CoherentReceiver: adc bits out of range");
   if (adc_.full_scale_w <= 0.0)
     throw std::invalid_argument("CoherentReceiver: full_scale_w <= 0");
+  fs_field_ = std::sqrt(adc_.full_scale_w);
+  fs_current_ = pd_.responsivity_a_per_w * adc_.full_scale_w;
+  levels_ = static_cast<double>((1 << adc_.bits) - 1);
+  field_scale_ = fs_current_ / (pd_.responsivity_a_per_w * fs_field_);
+  // Balanced homodyne: shot noise is set by the local-oscillator-dominated
+  // level (approximated by half of full scale) plus thermal noise; dark
+  // current cancels in the balanced pair.
+  noise_a_ = det_.noise_rms_a(adc_.full_scale_w * 0.5);
 }
 
 double CoherentReceiver::quantize_current(double current_a) const {
-  const double fs_current = pd_.responsivity_a_per_w * adc_.full_scale_w;
-  const double v = std::clamp(current_a / fs_current, -1.0, 1.0);
-  const double levels = static_cast<double>((1 << adc_.bits) - 1);
-  return std::round((v + 1.0) / 2.0 * levels) / levels * 2.0 - 1.0;
+  const double v = std::clamp(current_a / fs_current_, -1.0, 1.0);
+  return std::round((v + 1.0) / 2.0 * levels_) / levels_ * 2.0 - 1.0;
 }
 
 std::complex<double> CoherentReceiver::measure(std::complex<double> field,
-                                               lina::Rng& rng) const {
-  // Balanced homodyne: each quadrature produces a signed photocurrent
-  // proportional to the field component, with shot noise set by the
-  // local-oscillator-dominated level (approximated by full scale) plus
-  // thermal noise; dark current cancels in the balanced pair.
-  const double fs_field = std::sqrt(adc_.full_scale_w);
+                                               double n_i, double n_q) const {
+  // Each quadrature produces a signed photocurrent proportional to the
+  // field component (~ R * E * E_LO) plus its noise.
   const double r = pd_.responsivity_a_per_w;
-  const double noise = det_.noise_rms_a(adc_.full_scale_w * 0.5);
-
-  const auto read_quadrature = [&](double component) {
-    const double i_sig = r * component * fs_field;  // ~ R * E * E_LO
-    const double i_meas = i_sig + rng.gaussian(0.0, noise);
-    return quantize_current(i_meas);
-  };
-
-  const double re = read_quadrature(field.real());
-  const double im = read_quadrature(field.imag());
-  // Map quantized currents back to field units.
-  const double fs_current = r * adc_.full_scale_w;
-  const double scale = fs_current / (r * fs_field);
-  return {re * scale, im * scale};
+  const double re =
+      quantize_current(r * field.real() * fs_field_ + noise_a_ * n_i);
+  const double im =
+      quantize_current(r * field.imag() * fs_field_ + noise_a_ * n_q);
+  return {re * field_scale_, im * field_scale_};
 }
 
 }  // namespace aspen::phot

@@ -8,8 +8,6 @@
 
 #include <complex>
 
-#include "lina/random.hpp"
-
 namespace aspen::phot {
 
 struct PhotodetectorConfig {
@@ -32,10 +30,6 @@ struct AdcConfig {
 class Photodetector {
  public:
   explicit Photodetector(PhotodetectorConfig cfg = {});
-
-  /// Measure optical power [W] -> photocurrent [A] with shot + thermal
-  /// noise drawn from `rng`.
-  [[nodiscard]] double measure_current(double power_w, lina::Rng& rng) const;
 
   /// Noise-free photocurrent (for calibration paths).
   [[nodiscard]] double ideal_current(double power_w) const;
@@ -61,9 +55,12 @@ class CoherentReceiver {
   CoherentReceiver(PhotodetectorConfig pd, AdcConfig adc);
 
   /// Measure a complex field; returns the reconstructed complex amplitude
-  /// after detection noise and ADC quantization of both quadratures.
+  /// after detection noise and ADC quantization of both quadratures. The
+  /// caller supplies the noise as two standard normals, `n_i` for the
+  /// in-phase and `n_q` for the quadrature photocurrent; each is scaled
+  /// by noise_rms_a(full_scale / 2) of the detector.
   [[nodiscard]] std::complex<double> measure(std::complex<double> field,
-                                             lina::Rng& rng) const;
+                                             double n_i, double n_q) const;
 
   /// ADC quantization of a current given the full-scale mapping.
   [[nodiscard]] double quantize_current(double current_a) const;
@@ -76,6 +73,11 @@ class CoherentReceiver {
   PhotodetectorConfig pd_;
   AdcConfig adc_;
   Photodetector det_;
+  double fs_field_;    ///< sqrt(full scale): the local-oscillator field
+  double fs_current_;  ///< photocurrent at full scale
+  double levels_;      ///< ADC codes minus one
+  double field_scale_;  ///< quantized current (full scale 1) -> field
+  double noise_a_;     ///< RMS noise current per quadrature
 };
 
 }  // namespace aspen::phot

@@ -804,7 +804,8 @@ TEST(MvmEngineTest, TransferAtDetuningIsLogicallyConst) {
 TEST(GemmCoreTest, BatchedPipelineMatchesStagedPerColumnLoop) {
   // The GEMM rewrite must reproduce the per-column staged pipeline
   // (encode -> propagate -> leak-mix -> detect -> rescale) including the
-  // noise stream order.
+  // noise. The reference runs its groups in reverse order: each column's
+  // noise belongs to its symbol index, not to the order of the calls.
   GemmConfig gc;
   gc.mvm.ports = 6;
   gc.wdm_channels = 3;
@@ -822,20 +823,27 @@ TEST(GemmCoreTest, BatchedPipelineMatchesStagedPerColumnLoop) {
     for (std::size_t c = 0; c < m; ++c)
       x(r, c) = cplx{rng.uniform(-1.0, 1.0), 0.0};
 
+  const std::uint64_t first_symbol = gemm.engine().counters().mvm_ops;
   const CMat got = gemm.multiply(x);
 
   // Reference: the pre-batching algorithm, one column at a time through
-  // the engine's stages.
+  // the engine's stages, with the complex product for propagation.
   const double leak = std::pow(10.0, -gc.channel_isolation_db / 20.0);
   MvmEngine& eng = ref.engine();
   CMat expected(6, m);
   CMat f;
-  for (std::size_t first = 0; first < m; first += 3) {
+  std::vector<std::size_t> firsts;
+  for (std::size_t first = 0; first < m; first += 3) firsts.push_back(first);
+  std::reverse(firsts.begin(), firsts.end());
+  for (const std::size_t first : firsts) {
     const std::size_t count = std::min<std::size_t>(3, m - first);
     std::vector<CVec> outputs(count);
     for (std::size_t c = 0; c < count; ++c) {
-      eng.encode_batch(x, first + c, 1, f);
-      outputs[c] = eng.physical_transfer() * f.col(0);
+      CVec in(6);
+      for (std::size_t r = 0; r < 6; ++r)
+        in[r] = cplx{eng.arm_field(x(r, first + c).real()),
+                     eng.arm_field(0.0)};
+      outputs[c] = eng.physical_transfer() * in;
     }
     std::vector<CVec> mixed = outputs;
     if (count > 1) {
@@ -850,12 +858,44 @@ TEST(GemmCoreTest, BatchedPipelineMatchesStagedPerColumnLoop) {
     for (std::size_t c = 0; c < count; ++c) {
       f.resize(6, 1);
       f.set_col(0, mixed[c]);
-      eng.detect_batch(f);
+      eng.detect_batch(f, first_symbol + first + c);
       eng.rescale_batch(f);
       for (std::size_t r = 0; r < 6; ++r) expected(r, first + c) = f(r, 0);
     }
   }
   EXPECT_LT(got.max_abs_diff(expected), 1e-9);
+}
+
+TEST(GemmCoreTest, ColumnsEqualEngineMultiplyAtTheirSymbol) {
+  // One noise per symbol: column j of a real 8 x m tile through the GEMM
+  // path equals, bit for bit, the engine's one-vector multiply of column
+  // j on an engine whose mvm_ops stands at the column's symbol index.
+  // TDM and ABFT off, so nothing mixes columns; RIN is on (default).
+  GemmConfig gc;
+  gc.mvm.ports = 8;
+  gc.mvm.errors.coupler_sigma = 0.02;
+  gc.mvm.errors.phase_sigma = 0.02;
+  GemmCore gemm(gc);
+  Rng rng(31);
+  gemm.set_weights(aspen::lina::random_real(8, 8, rng));
+  gemm.engine().count_mvm_ops(5);  // a nonzero first symbol
+  const MvmEngine::Snapshot snap = gemm.engine().snapshot();
+  const std::uint64_t first_symbol = gemm.engine().counters().mvm_ops;
+
+  const std::size_t m = 11;  // one 8-column register block and a tail
+  const CMat x = aspen::lina::random_real(8, m, rng);
+  const CMat got = gemm.multiply(x);
+  ASSERT_EQ(gemm.engine().counters().mvm_ops, first_symbol + m);
+
+  for (std::size_t j = m; j-- > 0;) {  // any order
+    gemm.engine().restore(snap);
+    gemm.engine().count_mvm_ops(j);
+    const CVec col = gemm.engine().multiply(x.col(j));
+    for (std::size_t r = 0; r < 8; ++r) {
+      EXPECT_EQ(bits(col[r].real()), bits(got(r, j).real())) << r << ", " << j;
+      EXPECT_EQ(bits(col[r].imag()), bits(got(r, j).imag())) << r << ", " << j;
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Unit tests for the numerics substrate (S1): complex matrices, Haar
-// sampling, one-sided Jacobi SVD, statistics, table printing.
+// sampling, counter-based normals, one-sided Jacobi SVD, statistics, table
+// printing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "lina/complex_matrix.hpp"
+#include "lina/philox.hpp"
 #include "lina/random.hpp"
 #include "lina/stats.hpp"
 #include "lina/svd.hpp"
@@ -295,6 +299,104 @@ TEST(RngTest, GaussianMoments) {
   for (int i = 0; i < 20000; ++i) s.add(rng.gaussian(2.0, 3.0));
   EXPECT_NEAR(s.mean(), 2.0, 0.1);
   EXPECT_NEAR(s.stddev(), 3.0, 0.1);
+}
+
+TEST(PhiloxTest, KnownAnswerVectors) {
+  // The known-answer vectors Random123 publishes for Philox4x32-10.
+  using aspen::lina::philox4x32_10;
+  using aspen::lina::PhiloxCounter;
+  EXPECT_EQ(philox4x32_10({0, 0, 0, 0}, {0, 0}),
+            (PhiloxCounter{0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}));
+  const std::uint32_t ones = 0xffffffff;
+  EXPECT_EQ(philox4x32_10({ones, ones, ones, ones}, {ones, ones}),
+            (PhiloxCounter{0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}));
+  EXPECT_EQ(philox4x32_10({0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344},
+                          {0xa4093822, 0x299f31d0}),
+            (PhiloxCounter{0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}));
+}
+
+double standard_normal_cdf(double x) {
+  return 0.5 * std::erfc(-x / std::sqrt(2.0));
+}
+
+double pearson(const std::vector<double>& a, const std::vector<double>& b) {
+  aspen::lina::Stats sa, sb;
+  double sab = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    sa.add(a[i]);
+    sb.add(b[i]);
+  }
+  for (std::size_t i = 0; i < a.size(); ++i)
+    sab += (a[i] - sa.mean()) * (b[i] - sb.mean());
+  return sab / (static_cast<double>(a.size() - 1) * sa.stddev() * sb.stddev());
+}
+
+TEST(PhiloxNormalTest, DrawsAreStandardNormal) {
+  // The photonic datapath's noise contract is its distribution, not its
+  // bytes. 2^21 normals from consecutive counters (two per block).
+  constexpr std::size_t kBlocks = std::size_t{1} << 20;
+  std::vector<double> z;
+  z.reserve(2 * kBlocks);
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    const auto pair = aspen::lina::philox_normal_pair(
+        0x5eedULL, {static_cast<std::uint32_t>(i), 0, 3, 1u << 24});
+    z.push_back(pair[0]);
+    z.push_back(pair[1]);
+  }
+  const double n = static_cast<double>(z.size());
+
+  // Mean and variance within 5 standard errors (1/sqrt(n), sqrt(2/n)).
+  double sum = 0.0;
+  for (const double v : z) sum += v;
+  const double mean = sum / n;
+  double ss = 0.0;
+  for (const double v : z) ss += (v - mean) * (v - mean);
+  EXPECT_LT(std::abs(mean), 5.0 / std::sqrt(n));
+  EXPECT_LT(std::abs(ss / (n - 1.0) - 1.0), 5.0 * std::sqrt(2.0 / n));
+
+  // The fraction beyond the base layer's edge r (only the tail algorithm
+  // puts draws there) and beyond 4.5 is 2 (1 - Phi(x)), within 5 binomial
+  // standard errors.
+  for (const double edge : {3.6541528853610088, 4.5}) {
+    const double p = 2.0 * (1.0 - standard_normal_cdf(edge));
+    const auto beyond = std::count_if(z.begin(), z.end(), [&](double v) {
+      return std::abs(v) > edge;
+    });
+    EXPECT_NEAR(static_cast<double>(beyond) / n, p,
+                5.0 * std::sqrt(p * (1.0 - p) / n))
+        << "beyond " << edge;
+  }
+
+  // Lag-1 correlation between the two words of a block and between
+  // consecutive counters, below 4 / sqrt(pairs).
+  std::vector<double> first, second, next_first;
+  for (std::size_t i = 0; i + 1 < kBlocks; ++i) {
+    first.push_back(z[2 * i]);
+    second.push_back(z[2 * i + 1]);
+    next_first.push_back(z[2 * i + 2]);
+  }
+  const double bound = 4.0 / std::sqrt(static_cast<double>(first.size()));
+  EXPECT_LT(std::abs(pearson(first, second)), bound);
+  EXPECT_LT(std::abs(pearson(first, next_first)), bound);
+
+  // Kolmogorov-Smirnov distance to N(0, 1) below the 1% critical value.
+  std::sort(z.begin(), z.end());
+  double d = 0.0;
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    const double f = standard_normal_cdf(z[i]);
+    d = std::max({d, f - static_cast<double>(i) / n,
+                  static_cast<double>(i + 1) / n - f});
+  }
+  EXPECT_LT(d, 1.63 / std::sqrt(n));
+}
+
+TEST(PhiloxNormalTest, PureFunctionOfKeyAndCounter) {
+  using aspen::lina::philox_normal_pair;
+  const auto a = philox_normal_pair(7, {1, 2, 3, 4u << 24});
+  EXPECT_EQ(philox_normal_pair(7, {1, 2, 3, 4u << 24}), a);
+  EXPECT_NE(philox_normal_pair(8, {1, 2, 3, 4u << 24}), a);
+  EXPECT_NE(philox_normal_pair(7, {1, 2, 4, 4u << 24}), a);
+  EXPECT_NE(philox_normal_pair(7, {1, 2, 3, 5u << 24}), a);
 }
 
 TEST(RngTest, RandomStateIsNormalized) {

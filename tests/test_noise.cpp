@@ -1,11 +1,19 @@
-// Tests for the end-to-end precision-budget analysis (S4 extension).
+// Tests for the end-to-end precision-budget analysis (S4 extension) and
+// for the statistics of the datapath noise it budgets.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "core/noise_analysis.hpp"
+#include "lina/stats.hpp"
 
 namespace {
 
 using namespace aspen::core;
+using aspen::lina::CMat;
+using aspen::lina::cplx;
+using aspen::lina::Stats;
 
 MvmConfig base() {
   MvmConfig cfg;
@@ -85,6 +93,97 @@ TEST(NoiseAnalysisTest, EmpiricalDeterministicForSeed) {
   const double a = empirical_enob(base(), 16, 42);
   const double b = empirical_enob(base(), 16, 42);
   EXPECT_DOUBLE_EQ(a, b);
+}
+
+// The datapath noise is drawn per (symbol, port, kind) from a counter, so
+// no test pins its bytes; these pin its statistics instead.
+
+/// Pearson correlation of two equally long samples.
+double correlation(const std::vector<double>& a,
+                   const std::vector<double>& b) {
+  Stats sa, sb;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    sa.add(a[i]);
+    sb.add(b[i]);
+  }
+  double sab = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    sab += (a[i] - sa.mean()) * (b[i] - sb.mean());
+  return sab / (static_cast<double>(a.size() - 1) * sa.stddev() * sb.stddev());
+}
+
+TEST(DatapathNoiseTest, DetectedQuadraturesAreFieldPlusDetectorNoise) {
+  // A fixed field on every port for 10^5 symbols, through a 24-bit ADC
+  // (quantization far below the noise) with RIN switched off: each
+  // quadrature reads the field on average, with the detector's RMS noise
+  // noise_rms_a(full_scale / 2) in field units.
+  MvmConfig cfg = base();
+  cfg.adc.bits = 24;
+  cfg.laser.rin_db_per_hz = -400.0;
+  const MvmEngine eng(cfg);
+  const std::size_t symbols = 100000;
+  const cplx field{0.012, -0.007};
+  CMat block(cfg.ports, symbols);
+  for (cplx& v : block.raw()) v = field;
+  eng.detect_batch(block, 1000);
+
+  const double full_scale_w =
+      cfg.laser.power_w / static_cast<double>(cfg.ports);
+  const double rms =
+      aspen::phot::Photodetector(cfg.detector).noise_rms_a(full_scale_w / 2) /
+      (cfg.detector.responsivity_a_per_w * std::sqrt(full_scale_w));
+  const double n = static_cast<double>(symbols);
+  for (std::size_t p = 0; p < cfg.ports; ++p) {
+    Stats re, im;
+    for (std::size_t s = 0; s < symbols; ++s) {
+      re.add(block(p, s).real());
+      im.add(block(p, s).imag());
+    }
+    EXPECT_NEAR(re.mean(), field.real(), 5.0 * rms / std::sqrt(n)) << p;
+    EXPECT_NEAR(im.mean(), field.imag(), 5.0 * rms / std::sqrt(n)) << p;
+    EXPECT_NEAR(re.stddev(), rms, 0.02 * rms) << p;
+    EXPECT_NEAR(im.stddev(), rms, 0.02 * rms) << p;
+  }
+
+  // No correlation between consecutive symbols, adjacent ports, or the
+  // two quadratures of one port: each below 4 / sqrt(pairs).
+  const auto in_phase = [&](std::size_t p, std::size_t s0) {
+    std::vector<double> v(symbols - 1);
+    for (std::size_t s = 0; s + 1 < symbols; ++s)
+      v[s] = block(p, s + s0).real();
+    return v;
+  };
+  std::vector<double> quadrature(symbols - 1);
+  for (std::size_t s = 0; s + 1 < symbols; ++s)
+    quadrature[s] = block(3, s).imag();
+  const double bound = 4.0 / std::sqrt(n - 1.0);
+  EXPECT_LT(std::abs(correlation(in_phase(0, 0), in_phase(0, 1))), bound);
+  for (std::size_t p = 0; p + 1 < cfg.ports; ++p)
+    EXPECT_LT(std::abs(correlation(in_phase(p, 0), in_phase(p + 1, 0))), bound)
+        << "ports " << p << ", " << p + 1;
+  EXPECT_LT(std::abs(correlation(in_phase(3, 0), quadrature)), bound);
+}
+
+TEST(DatapathNoiseTest, LaunchPowerFluctuatesByTheLaserRin) {
+  // The per-symbol RIN draw: mean laser power, standard deviation
+  // rin_rms_w(), independent from one symbol to the next.
+  const MvmConfig cfg = base();
+  const MvmEngine eng(cfg);
+  const aspen::phot::CwLaser laser(cfg.laser);
+  const std::size_t symbols = 100000;
+  std::vector<double> power(symbols);
+  Stats s;
+  for (std::size_t i = 0; i < symbols; ++i) {
+    power[i] = eng.launch_power_w(i);
+    s.add(power[i]);
+  }
+  const double n = static_cast<double>(symbols);
+  EXPECT_NEAR(s.mean(), laser.mean_power_w(),
+              5.0 * laser.rin_rms_w() / std::sqrt(n));
+  EXPECT_NEAR(s.stddev(), laser.rin_rms_w(), 0.02 * laser.rin_rms_w());
+  const std::vector<double> now(power.begin(), power.end() - 1);
+  const std::vector<double> next(power.begin() + 1, power.end());
+  EXPECT_LT(std::abs(correlation(now, next)), 4.0 / std::sqrt(n - 1.0));
 }
 
 }  // namespace

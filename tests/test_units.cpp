@@ -1,7 +1,8 @@
 // Unit tests for the boundary-conversion helpers in photonics/units.hpp,
 // the optical LinkBudget / ENOB analysis, and determinism of the shared
-// aspen::lina::Rng (every EXPERIMENTS.md table is reproducible from its
-// stated seed, so the generator's sequences are part of the contract).
+// aspen::lina::Rng (every bench table and BENCH_e2/BENCH_e7.json row is
+// reproducible from its stated seed, so the generator's sequences are
+// part of the contract).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -101,7 +102,8 @@ TEST(RngTest, SameSeedSameSequence) {
 TEST(RngTest, PinnedRawEngineSequence) {
   // mt19937_64 output for a fixed seed is specified by the C++ standard,
   // so these values are portable across compilers and platforms. If this
-  // test ever fails, every EXPERIMENTS.md table is suspect.
+  // test ever fails, every bench table and BENCH_e2/BENCH_e7.json row is
+  // suspect.
   Rng rng(0x5eed5eedULL);
   auto& eng = rng.engine();
   EXPECT_EQ(eng(), 7090392361162978728ULL);
