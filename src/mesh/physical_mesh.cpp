@@ -320,27 +320,40 @@ void PhysicalMesh::rebuild_cache() const {
       same_bits(rebuilt_.phases.data(), phases_.data(), phases_.size()) &&
       same_bits(&rebuilt_.drift_time_s, &drift_time_s_, 1) &&
       same_bits(&rebuilt_.detuning_nm, &detuning_nm_, 1)) {
-    cols_ = rebuilt_.cols;
+    // Revert the replaced columns. prefix_[c] holds columns below c and
+    // suffix_[c] those above it, so both stay valid up to the nearest
+    // reverted column on their side.
+    for (std::size_t c = 0; c < k; ++c) {
+      if (!replaced_[c]) continue;
+      cols_[c] = rebuilt_.cols[c];
+      replaced_[c] = 0;
+      prefix_valid_ = std::min(prefix_valid_, c);
+      suffix_valid_ = std::max(suffix_valid_, c);
+    }
     t_cache_ = rebuilt_.transfer;
-  } else {
-    cols_.resize(k);
-    for (std::size_t c = 0; c < k; ++c)
-      build_column(c, true, detuning_nm_, cols_[c]);
-    // T is composed in one accumulator — a rebuild costs exactly what the
-    // from-scratch evaluation does. Prefixes and suffixes start at their
-    // identity anchors and are extended lazily by the incremental path,
-    // so pure-evaluation workloads (drift/detuning sweeps that never call
-    // set_phase) neither compute nor store the product chains.
-    t_cache_.resize(n, n);
-    for (std::size_t i = 0; i < n; ++i) t_cache_(i, i) = cplx{1.0, 0.0};
-    for (std::size_t c = 0; c < k; ++c) column_apply_left(cols_[c], t_cache_);
-    rebuilt_.valid = true;
-    rebuilt_.phases = phases_;
-    rebuilt_.drift_time_s = drift_time_s_;
-    rebuilt_.detuning_nm = detuning_nm_;
-    rebuilt_.cols = cols_;
-    rebuilt_.transfer = t_cache_;
+    cache_ready_ = true;
+    dirty_col_ = -1;
+    rank_updates_ = 0;
+    return;
   }
+  cols_.resize(k);
+  for (std::size_t c = 0; c < k; ++c)
+    build_column(c, true, detuning_nm_, cols_[c]);
+  // T is composed in one accumulator — a rebuild costs exactly what the
+  // from-scratch evaluation does. Prefixes and suffixes start at their
+  // identity anchors and are extended lazily by the incremental path,
+  // so pure-evaluation workloads (drift/detuning sweeps that never call
+  // set_phase) neither compute nor store the product chains.
+  t_cache_.resize(n, n);
+  for (std::size_t i = 0; i < n; ++i) t_cache_(i, i) = cplx{1.0, 0.0};
+  for (std::size_t c = 0; c < k; ++c) column_apply_left(cols_[c], t_cache_);
+  rebuilt_.valid = true;
+  rebuilt_.phases = phases_;
+  rebuilt_.drift_time_s = drift_time_s_;
+  rebuilt_.detuning_nm = detuning_nm_;
+  rebuilt_.cols = cols_;
+  rebuilt_.transfer = t_cache_;
+  replaced_.assign(k, 0);
   prefix_[0].resize(n, n);
   for (std::size_t i = 0; i < n; ++i) prefix_[0](i, i) = cplx{1.0, 0.0};
   prefix_valid_ = 0;
@@ -401,6 +414,7 @@ bool PhysicalMesh::try_incremental_update() const {
     add_entry(p, p, newc.diag[p] - oldc.diag[p]);
   }
   std::swap(cols_[c], scratch_col_);
+  replaced_[c] = 1;
   dirty_col_ = -1;
   ++rank_updates_;
   return true;

@@ -23,9 +23,14 @@
 /// A full rebuild is a pure function of the phases, the drift time, the
 /// detuning, the PCM map and the fixed die, so the mesh keeps the column
 /// matrices and transfer its last full rebuild produced, with the inputs
-/// they came from; a rebuild from bit-equal inputs copies them. A fault
+/// they came from; a rebuild from bit-equal inputs copies back only the
+/// columns the incremental path replaced since, and keeps every prefix
+/// and suffix product that contains none of them. The products are pure
+/// functions of the columns, extended in a fixed order, so a kept one is
+/// bit-identical to one recomputed from the identity anchors. A fault
 /// campaign's phase upsets — restore, then perturb one phase — rebuild
-/// the same programmed mesh every trial and take the copy.
+/// the same programmed mesh every trial, take the copy, and extend the
+/// products only past columns earlier upsets reverted.
 
 #include <cstdint>
 #include <optional>
@@ -206,6 +211,9 @@ class PhysicalMesh {
   mutable std::size_t prefix_valid_ = 0;     ///< prefix_[0..prefix_valid_] valid
   mutable std::size_t suffix_valid_ = 0;     ///< suffix_[suffix_valid_..] valid
   mutable int rank_updates_ = 0;  ///< low-rank steps since last full rebuild
+  /// Columns the incremental path replaced since the last full rebuild
+  /// (the only ones where cols_ and rebuilt_.cols can differ), 1 each.
+  mutable std::vector<unsigned char> replaced_;
   /// What the last full rebuild produced and the inputs it came from;
   /// enable_pcm/disable_pcm drop it (the PCM map is an input too).
   struct Rebuilt {

@@ -158,6 +158,7 @@ void PhotonicAccelerator::start_operation(std::uint32_t ctrl) {
       aborted = true;
     } else {
       gemm_.set_weights(w);
+      if (trace_ != nullptr) trace_->phases_written(this);
       op_seconds += gemm_.engine().program_time_s();
     }
   }

@@ -118,7 +118,8 @@ class PhotonicAccelerator final : public BusDevice {
   void inject_phase_fault(std::size_t phase_index, double delta_rad);
   /// Attach a read trace to the three SPMs and to the phases (nullptr
   /// detaches): every START that computes reports a phase read, the
-  /// only way programmed phases reach architectural state.
+  /// only way programmed phases reach architectural state, and every
+  /// LOAD_WEIGHTS that programs the weights a phase write.
   void set_read_trace(ReadTrace* trace);
   /// Number of programmable phases (the photonic fault surface).
   [[nodiscard]] std::size_t phase_state_size() const {

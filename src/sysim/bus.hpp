@@ -68,13 +68,15 @@ class BusWriteObserver {
 };
 
 /// Sink for the architectural reads of a run (System::set_read_trace):
-/// memory bytes, general-purpose registers and a PE's programmed phases.
-/// Each read is reported with the stamp held in `now`: System::tick sets
-/// it to the cycle it executes before the CPU and the devices act, and
-/// back to kEndOfRun when the cycle ends, so reads outside a tick (the
-/// output readers after the run) stamp end-of-run. A read may be stamped
-/// late, never early: fault campaigns treat a location with no read
-/// stamped at or after an injection cycle as dead from that cycle on.
+/// memory bytes, general-purpose registers and a PE's programmed phases,
+/// plus the one write path fault campaigns grade by: a LOAD_WEIGHTS that
+/// reprograms a PE's phases. Each access is reported with the stamp held
+/// in `now`: System::tick sets it to the cycle it executes before the CPU
+/// and the devices act, and back to kEndOfRun when the cycle ends, so
+/// reads outside a tick (the output readers after the run) stamp
+/// end-of-run. A read may be stamped late, never early: fault campaigns
+/// treat a location with no read stamped at or after an injection cycle
+/// as dead from that cycle on.
 class ReadTrace {
  public:
   static constexpr std::uint64_t kEndOfRun = ~std::uint64_t{0};
@@ -86,6 +88,10 @@ class ReadTrace {
   virtual void register_read(int reg) = 0;
   /// PE `pe` computed a START on its programmed phases.
   virtual void phases_read(const BusDevice* pe) = 0;
+  /// A LOAD_WEIGHTS reprogrammed every phase of PE `pe` (one that a CRC
+  /// mismatch aborts writes nothing and is not reported). In a combined
+  /// LOAD and START it comes before the START's phases_read.
+  virtual void phases_written(const BusDevice* pe) = 0;
 
  protected:
   ~ReadTrace() = default;

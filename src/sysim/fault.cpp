@@ -50,7 +50,8 @@ class ByteReads {
 
 /// Collects a traced golden run's reads of the fault locations: the
 /// latest stamp per register, per byte of DRAM and of PE 0's SPM_W and
-/// SPM_X, and of PE 0's phases (its STARTs).
+/// SPM_X, and every access to PE 0's phases (its STARTs and
+/// LOAD_WEIGHTS) in run order.
 class GoldenReadRecorder final : public ReadTrace {
  public:
   explicit GoldenReadRecorder(System& system)
@@ -72,12 +73,15 @@ class GoldenReadRecorder final : public ReadTrace {
     note_read(reg[static_cast<std::size_t>(r)], now);
   }
   void phases_read(const BusDevice* pe) override {
-    if (pe == pe_) note_read(start, now);
+    if (pe == pe_) phases.emplace_back(now, false);
+  }
+  void phases_written(const BusDevice* pe) override {
+    if (pe == pe_) phases.emplace_back(now, true);
   }
 
   std::array<Last, 32> reg{};
   ByteReads dram, spm_w, spm_x;
-  Last start;
+  std::vector<std::pair<std::uint64_t, bool>> phases;
 
  private:
   const BusDevice* dram_;
@@ -239,7 +243,7 @@ void FaultCampaign::record_golden_reads() {
   g.dram = trace.dram.table();
   g.spm_w = trace.spm_w.table();
   g.spm_x = trace.spm_x.table();
-  g.start = trace.start;
+  g.phase_accesses = std::move(trace.phases);
   g.dram_size = s.dram().size();
   g.spm_w_size = s.pe(0).spm_w().size();
   g.spm_x_size = s.pe(0).spm_x().size();
@@ -278,10 +282,15 @@ bool FaultCampaign::masked_without_simulation(const FaultSpec& spec) const {
       if (spec.bit > 7) return false;
       last = last_read(g.spm_x, spec.index % g.spm_x_size);
       break;
-    case FaultTarget::kAccelPhase:
+    case FaultTarget::kAccelPhase: {
       if (spec.index >= g.phases) return false;
-      last = g.start;
-      break;
+      // The first access at or after the injection decides: a START
+      // reads the upset, a LOAD_WEIGHTS overwrites it.
+      const auto it = std::lower_bound(
+          g.phase_accesses.begin(), g.phase_accesses.end(), spec.cycle,
+          [](const auto& a, std::uint64_t c) { return a.first < c; });
+      return it == g.phase_accesses.end() || it->second;
+    }
   }
   return !last || *last < spec.cycle;
 }
@@ -376,7 +385,8 @@ std::size_t FaultCampaign::rung_index(std::uint64_t cycle) const {
   return it == ladder_.begin() ? 0 : static_cast<std::size_t>(it - ladder_.begin()) - 1;
 }
 
-Outcome FaultCampaign::run_trial(System& system, const FaultSpec& spec) {
+Outcome FaultCampaign::run_trial(System& system, const FaultSpec& spec,
+                                 std::size_t rung) {
   if (spec.cycle > max_cycles_)
     throw std::invalid_argument(
         "FaultCampaign: injection cycle " + std::to_string(spec.cycle) +
@@ -385,7 +395,7 @@ Outcome FaultCampaign::run_trial(System& system, const FaultSpec& spec) {
   if (masked_without_simulation(spec)) return reads_->verdict;
 
   // Restore the latest checkpoint at or before the injection cycle.
-  system.restore(ladder_.empty() ? staged_ : ladder_[rung_index(spec.cycle)]);
+  system.restore(ladder_.empty() ? staged_ : ladder_[rung]);
 
   // Run to the exact injection cycle (event-driven under the hood),
   // inject, then run to completion.
@@ -397,7 +407,7 @@ Outcome FaultCampaign::run_trial(System& system, const FaultSpec& spec) {
 
 Outcome FaultCampaign::run_one(const FaultSpec& spec) {
   (void)golden();  // ensure reference exists (also stages the snapshot)
-  return run_trial(*scratch_, spec);
+  return run_trial(*scratch_, spec, rung_index(spec.cycle));
 }
 
 std::vector<FaultSpec> FaultCampaign::sample_specs(FaultTarget target,
@@ -470,23 +480,27 @@ std::vector<Outcome> FaultCampaign::run_trials(
   std::size_t workers = threads == 0 ? 1 : threads;
   if (workers > n) workers = n > 0 ? n : 1;
 
-  // Execution order: grouped by ladder rung (stable within a rung) so
-  // consecutive trials restore from the same checkpoint image and the
-  // restore reverts only what the previous trial wrote. Outcomes are
-  // always reported in spec order, so the grouping is invisible to
-  // callers and identical for every thread count.
+  // Execution order: grouped by ladder rung (stable within a rung, by a
+  // counting sort over each spec's rung, computed once) so consecutive
+  // trials restore from the same checkpoint image and the restore reverts
+  // only what the previous trial wrote. Outcomes are always reported in
+  // spec order, so the grouping is invisible to callers and identical for
+  // every thread count.
+  const std::size_t rungs = std::max<std::size_t>(ladder_.size(), 1);
+  std::vector<std::size_t> rung(n, 0);
   std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  if (!ladder_.empty())
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return rung_index(specs[a].cycle) <
-                              rung_index(specs[b].cycle);
-                     });
+  std::vector<std::size_t> next_slot(rungs + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!ladder_.empty()) rung[i] = rung_index(specs[i].cycle);
+    ++next_slot[rung[i] + 1];
+  }
+  for (std::size_t r = 1; r < next_slot.size(); ++r)
+    next_slot[r] += next_slot[r - 1];
+  for (std::size_t i = 0; i < n; ++i) order[next_slot[rung[i]]++] = i;
 
   if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i)
-      outcomes[order[i]] = run_trial(*scratch_, specs[order[i]]);
+    for (const std::size_t i : order)
+      outcomes[i] = run_trial(*scratch_, specs[i], rung[i]);
     return outcomes;
   }
 
@@ -503,7 +517,7 @@ std::vector<Outcome> FaultCampaign::run_trials(
     try {
       for (std::size_t k; (k = next.fetch_add(1)) < n;) {
         const std::size_t i = order[k];
-        outcomes[i] = run_trial(system, specs[i]);
+        outcomes[i] = run_trial(system, specs[i], rung[i]);
       }
     } catch (...) {
       errors[w] = std::current_exception();

@@ -39,7 +39,12 @@
 /// reads at or after the injection cycle with the golden run's own
 /// verdict, without restoring or simulating (masked_without_simulation).
 /// An unread bit cannot change anything, so verdicts stay bit-identical;
-/// the campaign without a ladder stays the differential oracle. Output
+/// the campaign without a ladder stays the differential oracle. For the
+/// phases the trace also records each LOAD_WEIGHTS of PE 0: an upset
+/// whose next phase access is such a write is overwritten before anything
+/// reads it (the upset clears the engine's unchanged-weights shortcut, so
+/// the LOAD reprograms every phase exactly as the golden run holds
+/// them) and is graded the same way. Output
 /// and recovery readers must observe the system through its memories
 /// (System::read_dram, Memory reads) and Cpu::read_reg, as every reader
 /// in the repo does, so the trace sees what they read.
@@ -152,9 +157,11 @@ class FaultCampaign {
   /// masked_without_simulation: the golden run replays once on the
   /// template system under a System read trace (legacy interpreter, no
   /// direct spans), both readers run on its end state and yield the
-  /// golden verdict, and the last read cycle of every register, of each
-  /// DRAM, SPM_W and SPM_X byte of PE 0 that was read (held sparsely)
-  /// and of PE 0's last START is kept. Throws std::logic_error unless
+  /// golden verdict, and the last read cycle of every register and of
+  /// each DRAM, SPM_W and SPM_X byte of PE 0 that was read (held
+  /// sparsely) is kept, with PE 0's STARTs and LOAD_WEIGHTS in run order.
+  /// Rungs share the memory images of earlier rungs their memory did not
+  /// write since (Memory::snapshot). Throws std::logic_error unless
   /// the traced run's cycles, instret and output equal the golden run's.
   ///
   /// `rungs` <= 1 tears the ladder and the index down, restoring the
@@ -194,11 +201,13 @@ class FaultCampaign {
   ///  - register x(index % 31 + 1);
   ///  - DRAM byte `index`;
   ///  - SPM_W / SPM_X byte `index % size` of PE 0;
-  ///  - any START of PE 0 for a phase, the phases' only reader.
-  /// A golden read in the tick of cycle c follows an injection at cycle
-  /// c, so c = last read + 1 is the first prunable cycle. Stuck-at specs
-  /// always run. The index is read-only while run_trials shards across
-  /// threads.
+  ///  - any START of PE 0 for a phase, the phases' only reader, before
+  ///    the first LOAD_WEIGHTS of PE 0 stamped at or after `spec.cycle`
+  ///    (a LOAD and a START in one CTRL write count as the write first).
+  /// A golden access in the tick of cycle c follows an injection at cycle
+  /// c, so c = last read + 1 is the first prunable cycle, and an upset at
+  /// a LOAD's own cycle is overwritten. Stuck-at specs always run. The
+  /// index is read-only while run_trials shards across threads.
   [[nodiscard]] bool masked_without_simulation(const FaultSpec& spec) const;
 
   /// Draw `trials` random fault specs for a target/model pair: injection
@@ -247,13 +256,13 @@ class FaultCampaign {
  private:
   /// Build the template system and capture the staged snapshot.
   void ensure_staged();
-  /// Restore `system` from the best checkpoint at or before the
-  /// injection cycle and execute one trial, or return the golden verdict
-  /// when masked_without_simulation(spec) holds. Throws
+  /// Restore `system` from ladder rung `rung` (rung_index(spec.cycle);
+  /// ignored without a ladder) and execute one trial, or return the
+  /// golden verdict when masked_without_simulation(spec) holds. Throws
   /// std::invalid_argument for a spec whose injection cycle lies beyond
   /// the cycle budget — such a fault can never be injected, so it is
   /// rejected loudly instead of being silently applied after completion.
-  Outcome run_trial(System& system, const FaultSpec& spec);
+  Outcome run_trial(System& system, const FaultSpec& spec, std::size_t rung);
   /// Classification used by run_trial: the legacy static classify when
   /// recovery is off, the six-outcome recovery-aware split otherwise.
   [[nodiscard]] Outcome classify_trial(System& system) const;
@@ -270,9 +279,11 @@ class FaultCampaign {
     /// (byte offset, last read), ascending by offset; unread bytes are
     /// absent.
     using Bytes = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+    /// (stamp, true for a LOAD_WEIGHTS write, false for a START read).
+    using PhaseAccesses = std::vector<std::pair<std::uint64_t, bool>>;
     std::array<Last, 32> reg{};
     Bytes dram, spm_w, spm_x;
-    Last start;  ///< PE 0's last START
+    PhaseAccesses phase_accesses;  ///< PE 0's, in run order
     /// Structure sizes, so a spec inject() would reject still runs.
     std::uint32_t dram_size = 0, spm_w_size = 0, spm_x_size = 0;
     std::size_t phases = 0;

@@ -90,7 +90,8 @@ void Memory::clear_faults() {
 }
 
 Memory::Snapshot Memory::snapshot() {
-  hold(std::make_shared<const Image>(bytes_));
+  if (held_ == nullptr || dirty_lo_ < dirty_hi_)
+    hold(std::make_shared<const Image>(bytes_));
   return {held_, stuck_};
 }
 

@@ -113,8 +113,12 @@ class Memory final : public BusDevice {
     std::vector<Stuck> stuck;
     [[nodiscard]] std::size_t size() const { return bytes ? bytes->size() : 0; }
   };
-  /// Capture the current state into a new image, which this memory then
-  /// holds.
+  /// Capture the current state. When nothing was written since the last
+  /// snapshot or restore (the dirty watermark is clean), the bytes equal
+  /// the held image, which the snapshot shares; otherwise they are copied
+  /// into a new image, which this memory then holds. Masters writing
+  /// through direct spans must report those writes first, as for
+  /// restore().
   [[nodiscard]] Snapshot snapshot();
   /// Restore a snapshot taken from an identically sized memory (throws
   /// std::invalid_argument before changing anything otherwise). Copies

@@ -285,6 +285,7 @@ std::uint64_t Cpu::run_burst(std::uint64_t budget, BurstDevices& devices,
   // burst-ending events, so one reset serves the whole burst.
   mip_ = irq_ ? mip_ | kMeip : mip_ & ~kMeip;
   end_burst_ = false;
+  spin_.valid = false;
   devices_ = &devices;
   dma_ = dma;
   std::uint64_t left = budget;
@@ -563,9 +564,9 @@ bool Cpu::retire_op(const MicroOp& u, std::uint64_t& budget) {
   --budget;
   stall_ += cfg_.fetch_latency;
   exec_op(u);
-  // Burst-ending events, halts and WFI end the burst before the stall
-  // burn, exactly like burst_step (the remaining stall drains via
-  // skip_cycles).
+  // Burst-ending events, halts and WFI stop before the stall burn,
+  // exactly like burst_step (the remaining stall drains via skip_cycles,
+  // or a WFI with the line high wakes in run_burst_blocks).
   if (end_burst_ || halt_ != Halt::kRunning || wfi_) return false;
   return burn_stall(budget);
 }
@@ -573,9 +574,13 @@ bool Cpu::retire_op(const MicroOp& u, std::uint64_t& budget) {
 // Flattening inlines retire_op, exec_op and the exec_alu switch into
 // the dispatch loop — the per-op call overhead is the dominant simulator
 // cost on memory-heavy workloads (perfbench's e6_sw_gemm and
-// e6_dma_stream).
+// e6_dma_stream). Its speed also depends on where the entry lands: with
+// no source change inside it, a 10 KB shrink of code linked before it
+// moved it from 16 to 48 mod 64 and cost e6_sw_gemm about 10% of its
+// ops/s (x86-64, GCC 12 Release). Pinning the entry to a 64-byte
+// boundary, as nn::Matrix::operator* is pinned, read at parity.
 #if defined(__GNUC__)
-__attribute__((flatten))
+__attribute__((flatten, aligned(64)))
 #endif
 bool Cpu::exec_block(const Block& blk, std::uint64_t& budget,
                      std::uint64_t gen0) {
@@ -655,18 +660,72 @@ void Cpu::run_burst_blocks(std::uint64_t& budget) {
       // Single-step fallback through step().
       prev = nullptr;
       ++st.fallback_steps;
-      if (!burst_step(budget)) break;
-      continue;
+      if (burst_step(budget)) continue;
+    } else {
+      // The block-tier form of burst_step's fetch check: stop before
+      // running code the DMA has yet to write.
+      if (dma_ != nullptr &&
+          dma_->dst.overlaps(blk->start, blk->end - blk->start))
+        break;
+      const bool done = exec_block(*blk, budget, blocks_.generation());
+      if (!end_burst_ && halt_ == Halt::kRunning && !wfi_ && stall_ == 0) {
+        prev = done ? blk : nullptr;
+        continue;
+      }
     }
-    // The block-tier form of burst_step's fetch check: stop before
-    // running code the DMA has yet to write.
-    if (dma_ != nullptr && dma_->dst.overlaps(blk->start, blk->end - blk->start))
+    // An event, a halt, a WFI or a budget exhausted mid-stall stopped the
+    // step or block; only a WFI with the line high lets the burst go on.
+    if (!wfi_ || end_burst_ || halt_ != Halt::kRunning ||
+        !wake_in_burst(budget))
       break;
-    const bool done = exec_block(*blk, budget, blocks_.generation());
-    if (end_burst_ || halt_ != Halt::kRunning || wfi_) break;
-    if (stall_ > 0) break;  // budget exhausted mid-stall
-    prev = done ? blk : nullptr;
+    prev = nullptr;
   }
+}
+
+// Out of line, like read_reg_slow: exec_block's dispatch loop must not
+// grow by the spin check.
+#if defined(__GNUC__)
+__attribute__((noinline))
+#endif
+bool Cpu::wake_in_burst(std::uint64_t& budget) {
+  if (!irq_) return false;  // parked until the line rises
+  skip_spin(budget);
+  // tick() drains the WFI's stall first, then wakes at the top of the
+  // next cycle and dispatches in that same cycle. No trap can be due:
+  // run_burst refuses to start with one due, and the line holds.
+  if (!burn_stall(budget) || budget == 0) return false;
+  wfi_ = false;
+  pc_ += 4;  // retire the WFI, as tick() does: instret does not count it
+  return true;
+}
+
+void Cpu::skip_spin(std::uint64_t& budget) {
+  const std::array<std::uint32_t, 8> csrs{mstatus_, mie_,  mip_,    mtvec_,
+                                          mscratch_, mepc_, mcause_, mtval_};
+  // Between two equal wake points the loop read only registers, CSRs
+  // (no CSR instruction runs while the line is high without ending the
+  // burst) and memory it did not store to. When the devices hold still
+  // too, each further period repeats the last one exactly.
+  if (spin_.valid && spin_.pc == pc_ && spin_.stall == stall_ &&
+      spin_.stores == stores_ && spin_.regs == regs_ && spin_.csrs == csrs &&
+      devices_->devices_still()) {
+    const std::uint64_t period = cycles_ - spin_.cycles;
+    const std::uint64_t periods = budget / period;
+    if (periods > 0) {
+      cycles_ += periods * period;
+      budget -= periods * period;
+      instret_ += periods * (instret_ - spin_.instret);
+      devices_->spin_skipped(periods * period);
+    }
+  }
+  spin_.valid = true;
+  spin_.pc = pc_;
+  spin_.stall = stall_;
+  spin_.stores = stores_;
+  spin_.regs = regs_;
+  spin_.csrs = csrs;
+  spin_.cycles = cycles_;
+  spin_.instret = instret_;
 }
 
 // ------------------------------------------------ direct-memory fast path
@@ -1223,6 +1282,7 @@ void Cpu::exec_op(const MicroOp& u) {
     case MicroOp::kSb:
     case MicroOp::kSh:
     case MicroOp::kSw: {
+      ++stores_;
       const std::uint32_t addr = read_reg(u.rs1) + u.imm;
       const std::uint32_t v = read_reg(u.rs2);
       unsigned size = 1;

@@ -73,6 +73,13 @@ class BurstDevices {
   /// cycle (on the CPU's cycle counter, zero-based) in which the CPU
   /// issues the access it is about to make.
   virtual void catch_up(std::uint64_t issue_cycle) = 0;
+  /// True when no device register the CPU can read changes before the
+  /// burst's window ends: no DMA transfer is in flight and no watchdog
+  /// counts down. Asked only when a WFI spin loop is about to be skipped.
+  [[nodiscard]] virtual bool devices_still() const = 0;
+  /// The burst skipped `cycles` cycles of a WFI spin loop in whole
+  /// periods (host-side bookkeeping only).
+  virtual void spin_skipped(std::uint64_t cycles) = 0;
 
  protected:
   ~BurstDevices() = default;
@@ -119,11 +126,23 @@ class Cpu final : public BusWriteObserver {
   /// Returns 0 without executing when a trap is due (line high, MIE and
   /// MEIE set), the DMA destination overlaps translated code, or the first
   /// fetch overlaps the DMA's remaining destination; the caller must
-  /// then tick. Otherwise ends early when the CPU halts, parks on WFI,
-  /// faults on the bus or writes an activating register; before an
-  /// instruction whose fetch overlaps the DMA's remaining destination;
-  /// and, when the line is high, after any MMIO store (a W1C may lower
-  /// it), CSR instruction or mret (either may make the trap due).
+  /// then tick. Otherwise ends early when the CPU halts, parks on WFI
+  /// with the line low, faults on the bus or writes an activating
+  /// register; before an instruction whose fetch overlaps the DMA's
+  /// remaining destination; and, when the line is high, after any MMIO
+  /// store (a W1C may lower it), CSR instruction or mret (either may make
+  /// the trap due).
+  ///
+  /// A WFI executed while the line is high does not end the burst: at
+  /// the start of the next cycle the CPU wakes as tick() would (pc steps
+  /// past the WFI, which instret does not count) and dispatches on. Only
+  /// a budget that runs out on the WFI leaves it parked there. At each
+  /// such wake point the CPU compares its state (pc, registers, machine
+  /// CSRs, pending stall and the number of stores executed) with the
+  /// previous wake point of the same burst. When they are equal and
+  /// `devices.devices_still()`, the loop between them repeats exactly
+  /// until the window ends, so whole periods are added to cycles and
+  /// instret without executing them (`devices.spin_skipped()`).
   /// Architectural state evolves exactly as under per-cycle tick().
   std::uint64_t run_burst(std::uint64_t budget, BurstDevices& devices,
                           const DmaInFlight* dma);
@@ -242,11 +261,19 @@ class Cpu final : public BusWriteObserver {
   /// Consume pending stall cycles from the burst budget. False when the
   /// budget ran out before the stall drained.
   bool burn_stall(std::uint64_t& budget);
+  /// A burst instruction just parked the CPU on WFI: with the line high,
+  /// skip whole periods of a repeating spin loop, burn the stall and
+  /// wake at the start of the next cycle. False when the burst must end
+  /// with the CPU parked (line low, or the budget ran out).
+  bool wake_in_burst(std::uint64_t& budget);
+  /// The wake point's spin check (see run_burst): record the state, and
+  /// when it equals the previous wake point's, skip whole periods.
+  void skip_spin(std::uint64_t& budget);
   // -- Block translation tier ----------------------------------------------
   /// run_burst()'s dispatch loop: translated blocks (chain -> lookup ->
   /// build), falling back to burst_step() whenever a block cannot be
   /// used (MMIO-resident code, revoked or unresolved fetch window,
-  /// misaligned pc).
+  /// misaligned pc), and waking WFIs with the line high (wake_in_burst).
   void run_burst_blocks(std::uint64_t& budget);
   /// Decode the straight-line run at `start` through the fetch window
   /// into `blk` and carve it into segments. False when no instruction
@@ -370,6 +397,20 @@ class Cpu final : public BusWriteObserver {
   /// tick() runs the legacy interpreter: legacy_decode or a trace.
   bool legacy_ = false;
   ReadTrace* trace_ = nullptr;
+  /// Stores executed on the fast path (host-side: the spin check's proof
+  /// that a loop left memory alone).
+  std::uint64_t stores_ = 0;
+  /// CPU state at the last wake point of the running burst.
+  struct SpinMark {
+    bool valid = false;
+    std::uint32_t pc = 0;
+    unsigned stall = 0;
+    std::uint64_t stores = 0;
+    std::array<std::uint32_t, 32> regs{};
+    std::array<std::uint32_t, 8> csrs{};
+    std::uint64_t cycles = 0, instret = 0;
+  };
+  SpinMark spin_;
 };
 
 }  // namespace aspen::sys::rv

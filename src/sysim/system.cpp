@@ -116,6 +116,20 @@ void System::catch_up(std::uint64_t issue_cycle) {
   ++stats_.catch_ups;
 }
 
+bool System::devices_still() const {
+  // Between device edges a watchdog's count is the only register that
+  // moves, and an in-flight DMA the only memory writer besides the CPU.
+  if (dma_->busy()) return false;
+  for (const auto& pe : pes_)
+    if (pe->watchdog_armed()) return false;
+  return true;
+}
+
+void System::spin_skipped(std::uint64_t cycles) {
+  ++stats_.spin_skips;
+  stats_.spin_cycles += cycles;
+}
+
 bool System::burst(std::uint64_t window, bool line) {
   if (cfg_.cpu.legacy_decode || trace_ != nullptr) return false;
   // The scan only lets a busy DMA through when its transfer is
@@ -170,6 +184,9 @@ void System::run_until(std::uint64_t target) {
 }
 
 System::SystemSnapshot System::snapshot() {
+  // An unpublished direct store leaves a memory's watermark clean while
+  // its bytes differ from the held image, which the snapshot would share.
+  cpu_->publish_store_spans();
   SystemSnapshot s;
   s.cycle = cycle_;
   s.dram = dram_->snapshot();

@@ -16,11 +16,14 @@
 ///    with the quantum bounded by the next device event). The devices
 ///    catch up through skip_cycles() before every bus-routed CPU access,
 ///    before direct accesses that touch an in-flight DMA's remaining
-///    bytes, and at the end of the burst;
+///    bytes, and at the end of the burst. A WFI executed while the line
+///    is high wakes inside the burst, and a WFI spin loop that repeats
+///    its exact state while the devices hold still (DMA idle, no
+///    watchdog armed) is skipped in whole periods up to the edge;
 ///  - or ticks once when neither is exact: a trap is due, the CPU wakes
-///    from WFI, a DMA transfer must move one bus beat per cycle (MMIO
-///    endpoint, overlapping ranges, revoked span), or the DMA writes
-///    translated code.
+///    from a WFI it parked on, a DMA transfer must move one bus beat per
+///    cycle (MMIO endpoint, overlapping ranges, revoked span), or the DMA
+///    writes translated code.
 /// All clocks agree at every loop iteration and on every return.
 ///
 /// Address map:
@@ -70,6 +73,10 @@ struct SystemStats {
   std::uint64_t skipped_cycles = 0;  ///< cycles skipped in bulk
   std::uint64_t ticks = 0;           ///< lockstep tick() cycles
   std::uint64_t catch_ups = 0;       ///< mid-burst device advances
+  /// WFI spin loops skipped in whole periods inside a burst, and the
+  /// cycles they skipped (counted in burst_cycles too).
+  std::uint64_t spin_skips = 0;
+  std::uint64_t spin_cycles = 0;
 };
 
 class System final : private rv::BurstDevices {
@@ -126,7 +133,9 @@ class System final : private rv::BurstDevices {
   /// from the same SystemConfig. Component snapshots hold architectural
   /// state only; derived caches (translated blocks, bus windows, mesh
   /// transfers) are kept coherent across restores. Memory
-  /// images are immutable and shared, so copying a snapshot is cheap. The
+  /// images are immutable and shared, so copying a snapshot is cheap, and
+  /// a memory unwritten since its last snapshot or restore hands out the
+  /// image it holds (the CPU's direct stores are published first). The
   /// fault campaigns stage a workload once, snapshot, and restore per
   /// trial instead of paying construction (DRAM allocation + weight
   /// programming) every run.
@@ -174,6 +183,10 @@ class System final : private rv::BurstDevices {
   bool burst(std::uint64_t window, bool line);
   /// rv::BurstDevices: advance the devices to the CPU's issue cycle.
   void catch_up(std::uint64_t issue_cycle) override;
+  /// rv::BurstDevices: the DMA is idle and no PE watchdog is armed.
+  [[nodiscard]] bool devices_still() const override;
+  /// rv::BurstDevices: count a skipped spin.
+  void spin_skipped(std::uint64_t cycles) override;
   void advance_devices(std::uint64_t n);
   /// Advance every clock by `n` guaranteed-idle cycles at once.
   void skip_cycles(std::uint64_t n);

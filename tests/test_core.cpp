@@ -420,6 +420,49 @@ TEST(MvmEngineTest, SnapshotRestoreRoundTrip) {
     EXPECT_EQ(y_ref[i], y_again[i]);
 }
 
+TEST(MvmEngineTest, PhaseUpsetsInAnyOrderMatchFreshEngine) {
+  // A fault campaign's phase upsets: restore the programmed engine, then
+  // upset one phase, for every phase of both meshes in a shuffled order.
+  // The meshes keep their product chains across the restores; each
+  // upset must still land bitwise where it lands on a fresh engine
+  // upset once, on a thermo-optic die with crosstalk and on a drifted
+  // PCM die.
+  for (const bool pcm : {false, true}) {
+    MvmConfig cfg;
+    cfg.ports = 8;
+    cfg.errors.coupler_sigma = 0.03;
+    cfg.errors.phase_sigma = 0.03;
+    if (pcm) {
+      cfg.weights = WeightTechnology::kPcm;
+      cfg.pcm_drift_time_s = 1e4;
+    } else {
+      cfg.errors.thermal_crosstalk = 0.03;
+    }
+    Rng rng(97);
+    const CMat w = aspen::lina::random_real(8, 8, rng);
+    MvmEngine eng(cfg);
+    eng.set_matrix(w);
+    const MvmEngine::Snapshot programmed = eng.snapshot();
+    std::vector<std::size_t> order(eng.phase_state_size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (std::size_t i = order.size() - 1; i > 0; --i)
+      std::swap(order[i], order[static_cast<std::size_t>(rng.uniform_int(0, i))]);
+    for (const std::size_t k : order) {
+      const double delta = rng.uniform(-1.5, 1.5);
+      eng.restore(programmed);
+      eng.perturb_phase(k, delta);
+      MvmEngine fresh(cfg);
+      fresh.set_matrix(w);
+      fresh.perturb_phase(k, delta);
+      const std::string at =
+          std::string(pcm ? "pcm" : "thermo-optic") + " phase " + std::to_string(k);
+      ASSERT_TRUE(bit_equal(eng.physical_transfer(), fresh.physical_transfer()))
+          << at;
+      EXPECT_EQ(eng.programming_fidelity(), fresh.programming_fidelity()) << at;
+    }
+  }
+}
+
 // PCM weights on an imperfect die: quantized phases and a per-die
 // calibration, everything the memo has to reproduce exactly.
 MvmConfig pcm_die_config(std::size_t ports = 8) {

@@ -1559,7 +1559,7 @@ TEST(FaultPruningTest, PerfbenchE7Seed1PrunedCounts) {
     for (const FaultSpec& spec : part) n += c.masked_without_simulation(spec);
     pruned.push_back(n);
   }
-  EXPECT_EQ(pruned, (std::vector<std::size_t>{455, 1022, 972, 45}))
+  EXPECT_EQ(pruned, (std::vector<std::size_t>{455, 1022, 972, 99}))
       << "regfile, DRAM, SPM_W, phase";
 
   // The golden run reads 19 of its 31 registers; a flip of any other is
@@ -1578,6 +1578,174 @@ TEST(FaultPruningTest, PerfbenchE7Seed1PrunedCounts) {
   EXPECT_FALSE(c.masked_without_simulation(spec));
   spec.cycle = 11111;
   EXPECT_TRUE(c.masked_without_simulation(spec));
+}
+
+TEST(FaultPruningTest, UpsetInTheLoadWeightsCycleIsOverwritten) {
+  // perfbench's seed-1 e7 run writes LOAD_WEIGHTS in the tick of cycle
+  // 544: an upset injected before that tick is overwritten and pruned;
+  // one a cycle later is read by the START and simulated.
+  const E7Platform p(1);
+  FaultCampaign laddered = p.campaign();
+  FaultCampaign oracle = p.campaign();
+  laddered.build_ladder(E7Platform::kRungs);
+  FaultSpec spec;
+  spec.target = FaultTarget::kAccelPhase;
+  spec.index = 9;
+  spec.phase_delta_rad = 0.8;
+  spec.cycle = 544;
+  EXPECT_TRUE(laddered.masked_without_simulation(spec));
+  EXPECT_EQ(oracle.run_one(spec), Outcome::kMasked);
+  spec.cycle = 545;
+  EXPECT_FALSE(laddered.masked_without_simulation(spec));
+  const Outcome live = oracle.run_one(spec);
+  EXPECT_NE(live, Outcome::kMasked);
+  EXPECT_EQ(laddered.run_one(spec), live);
+}
+
+/// PE 0's phase accesses in run order: (stamp, true for a write).
+class PhaseLog final : public ReadTrace {
+ public:
+  explicit PhaseLog(const BusDevice* pe) : pe_(pe) {}
+  void memory_read(const BusDevice*, std::uint32_t, std::uint32_t) override {}
+  void register_read(int) override {}
+  void phases_read(const BusDevice* pe) override {
+    if (pe == pe_) log.emplace_back(now, false);
+  }
+  void phases_written(const BusDevice* pe) override {
+    if (pe == pe_) log.emplace_back(now, true);
+  }
+  std::vector<std::pair<std::uint64_t, bool>> log;
+
+ private:
+  const BusDevice* pe_;
+};
+
+/// An MMR-polling offload of one tile that programs the same weights
+/// twice: LOAD, a 100-iteration delay loop, then a second LOAD and a
+/// START, or one CTRL write of LOAD and START when `combined`.
+std::vector<std::uint32_t> build_reload_offload(const GemmWorkload& wl,
+                                                const SystemConfig& sc,
+                                                bool combined) {
+  using PE = PhotonicAccelerator;
+  Assembler as(sc.dram_base);
+  const auto copy = [&](std::uint32_t from, std::uint32_t to,
+                        std::size_t bytes, const std::string& tag) {
+    as.li(t1, from);
+    as.li(t2, to);
+    as.li(t3, static_cast<std::uint32_t>(bytes / 4));
+    as.label(tag);
+    as.lw(t0, t1, 0);
+    as.sw(t0, t2, 0);
+    as.addi(t1, t1, 4);
+    as.addi(t2, t2, 4);
+    as.addi(t3, t3, -1);
+    as.bne(t3, zero, tag);
+  };
+  const auto op = [&](std::uint32_t ctrl, const std::string& tag) {
+    as.li(t0, ctrl);
+    as.sw(t0, s0, PE::kRegCtrl);
+    as.label(tag);
+    as.lw(t0, s0, PE::kRegStatus);
+    as.andi(t0, t0, PE::kStatusDone);
+    as.beq(t0, zero, tag);
+    as.li(t0, PE::kStatusDone);
+    as.sw(t0, s0, PE::kRegStatus);
+  };
+  as.li(s0, sc.accel_base);
+  copy(sc.dram_base + wl.a_offset, sc.accel_base + PE::kSpmWBase,
+       wl.n * wl.n * 2, "copy_a");
+  copy(sc.dram_base + wl.x_offset, sc.accel_base + PE::kSpmXBase,
+       wl.n * wl.m * 2, "copy_x");
+  as.li(t0, static_cast<std::uint32_t>(wl.m));
+  as.sw(t0, s0, PE::kRegCols);
+  op(PE::kCtrlLoadWeights, "load1");
+  as.li(t3, 100);
+  as.label("delay");
+  as.addi(t3, t3, -1);
+  as.bne(t3, zero, "delay");
+  if (combined) {
+    op(PE::kCtrlLoadWeights | PE::kCtrlStart, "go");
+  } else {
+    op(PE::kCtrlLoadWeights, "load2");
+    op(PE::kCtrlStart, "go");
+  }
+  copy(sc.accel_base + PE::kSpmYBase, sc.dram_base + wl.y_offset,
+       wl.n * wl.m * 2, "copy_y");
+  as.li(a7, 93);
+  as.ecall();
+  return as.assemble();
+}
+
+TEST(FaultPruningTest, ReloadedWeightsPrunedVerdictsMatchOracle) {
+  // The guest loads the same weights twice. The golden run's second
+  // LOAD takes the engine's unchanged-weights shortcut, but an upset
+  // between the two LOADs clears it, so that LOAD reprograms every phase
+  // as the golden run holds them: the upsets up to it are pruned. With
+  // the second LOAD and the START in one CTRL write (the write counts
+  // first) every upset is.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  sc.accel.gemm.mvm.weights = aspen::core::WeightTechnology::kPcm;
+  GemmWorkload wl;
+  wl.n = 8;
+  wl.m = 4;
+  const auto a = random_fixed(64, 0.9, 44);
+  const auto x = random_fixed(32, 0.9, 45);
+  for (const bool combined : {false, true}) {
+    const std::string tag = combined ? "LOAD with START" : "LOAD, then START";
+    const auto program = build_reload_offload(wl, sc, combined);
+    const auto factory = [&] {
+      auto system = std::make_unique<System>(sc);
+      stage_gemm_data(*system, wl, a, x);
+      system->load_program(program);
+      return system;
+    };
+
+    // The golden run: one memo lookup at construction and one at the
+    // first LOAD, then the shortcut; and where the accesses land.
+    const auto golden = factory();
+    PhaseLog phases(&golden->pe(0));
+    golden->set_read_trace(&phases);
+    golden->run();
+    golden->set_read_trace(nullptr);
+    ASSERT_TRUE(golden->cpu().halted()) << tag;
+    const aspen::core::MvmEngine& engine = golden->pe(0).gemm().engine();
+    EXPECT_EQ(engine.program_memo_stats().hits +
+                  engine.program_memo_stats().misses,
+              2u)
+        << tag;
+    EXPECT_EQ(engine.counters().program_ops, 3u) << tag;
+    ASSERT_EQ(phases.log.size(), 3u) << tag;
+    const auto [load1, w1] = phases.log[0];
+    const auto [load2, w2] = phases.log[1];
+    const auto [start, w3] = phases.log[2];
+    EXPECT_TRUE(w1 && w2 && !w3) << tag;
+    EXPECT_LT(load1 + 100, load2) << tag;
+    EXPECT_EQ(start == load2, combined) << tag;
+
+    FaultCampaign laddered(factory, gemm_reader(wl), 200000);
+    FaultCampaign oracle(factory, gemm_reader(wl), 200000);
+    laddered.build_ladder(8);
+    FaultSpec spec;
+    spec.target = FaultTarget::kAccelPhase;
+    spec.index = 5;
+    spec.phase_delta_rad = 0.8;
+    std::vector<FaultSpec> specs;
+    for (const std::uint64_t c :
+         {load1, load1 + 1, (load1 + load2) / 2, load2, load2 + 1, start,
+          start + 1}) {
+      spec.cycle = c;
+      const bool live = c > load2 && c <= start;
+      EXPECT_EQ(laddered.masked_without_simulation(spec), !live)
+          << tag << " @" << c;
+      specs.push_back(spec);
+    }
+    aspen::lina::Rng rng(46);
+    const auto sampled = laddered.sample_specs(
+        FaultTarget::kAccelPhase, FaultModel::kTransientFlip, 40, rng);
+    specs.insert(specs.end(), sampled.begin(), sampled.end());
+    expect_pruned_match_oracle(laddered, oracle, specs, tag);
+  }
 }
 
 /// bench_e7_faults' platform: an 8x8 MMR-polling offload on 8-bit PCM

@@ -2174,4 +2174,442 @@ TEST(SysimDiffTest, CampaignVerdictsIdentical) {
   }
 }
 
+// ------------------------------------------ WFI wake and spin skip
+
+/// The architectural state at a stop, for cycle-by-cycle diffs.
+struct StopState {
+  std::uint64_t now = 0, cycles = 0, instret = 0;
+  std::uint32_t pc = 0;
+  bool wfi = false;
+  unsigned stall = 0;
+  std::array<std::uint32_t, 32> regs{};
+};
+
+StopState stop_state(System& system) {
+  StopState s;
+  s.now = system.now();
+  s.cycles = system.cpu().cycles();
+  s.instret = system.cpu().instret();
+  s.pc = system.cpu().pc();
+  s.wfi = system.cpu().waiting_for_interrupt();
+  s.stall = system.cpu().stall_remaining();
+  for (int i = 0; i < 32; ++i)
+    s.regs[static_cast<std::size_t>(i)] = system.cpu().read_reg(i);
+  return s;
+}
+
+void expect_same_stop(const StopState& want, const StopState& got,
+                      const std::string& at) {
+  EXPECT_EQ(got.now, want.now) << at;
+  EXPECT_EQ(got.cycles, want.cycles) << at;
+  EXPECT_EQ(got.instret, want.instret) << at;
+  EXPECT_EQ(got.pc, want.pc) << at;
+  EXPECT_EQ(got.wfi, want.wfi) << at;
+  EXPECT_EQ(got.stall, want.stall) << at;
+  EXPECT_EQ(got.regs, want.regs) << at << ": register file differs";
+}
+
+/// Stops a run of `program` at each cycle of `stops` on every tier,
+/// restoring a reset snapshot before each stop, and diffs every stop
+/// against the legacy interpreter's. Returns the block tier's event-loop
+/// counters over all its stops.
+SystemStats diff_stops(const SystemConfig& sc,
+                       const std::vector<std::uint32_t>& program,
+                       const std::vector<std::uint64_t>& stops,
+                       const std::string& what) {
+  std::vector<StopState> want;
+  SystemStats block_stats;
+  for (const Tier tier : {Tier::kLegacy, Tier::kStep, Tier::kBlock}) {
+    System system(with_tier(sc, tier));
+    system.load_program(program);
+    const System::SystemSnapshot start = system.snapshot();
+    for (std::size_t i = 0; i < stops.size(); ++i) {
+      system.restore(start);
+      system.run_until(stops[i]);
+      const StopState got = stop_state(system);
+      if (tier == Tier::kLegacy) {
+        EXPECT_EQ(got.now, stops[i]) << what;
+        want.push_back(got);
+        continue;
+      }
+      expect_same_stop(want[i], got,
+                       what + " [" + tier_name(tier) + "] stopped at cycle " +
+                           std::to_string(stops[i]));
+    }
+    if (tier == Tier::kBlock) block_stats = system.stats();
+  }
+  return block_stats;
+}
+
+std::vector<std::uint64_t> cycle_range(std::uint64_t lo, std::uint64_t hi) {
+  std::vector<std::uint64_t> v;
+  for (std::uint64_t c = lo; c <= hi; ++c) v.push_back(c);
+  return v;
+}
+
+/// Raises the line with a 4-byte DMA copy whose DONE (IRQ_EN set) is
+/// polled and never cleared, with interrupts globally masked so no trap
+/// is taken, then spins: `body`, wfi, and a jump back. s1 points at a
+/// DRAM flag word nothing sets, a0 is 0 on entry; "out" exits.
+std::vector<std::uint32_t> build_line_high_spin(
+    const SystemConfig& sc, const std::function<void(Assembler&)>& prologue,
+    const std::function<void(Assembler&)>& body) {
+  Assembler as(sc.dram_base);
+  as.li(s7, sc.dma_base);
+  as.li(a1, sc.dram_base + 0x10000);
+  as.li(a2, sc.dram_base + 0x11000);
+  as.li(s1, sc.dram_base + 0x20000);
+  emit_dma_start(as, a1, a2, 4, DmaEngine::kCtrlStart | DmaEngine::kCtrlIrqEn);
+  as.label("dma_wait");
+  as.lw(t1, s7, DmaEngine::kRegStatus);
+  as.andi(t1, t1, DmaEngine::kStatusDone);
+  as.beq(t1, zero, "dma_wait");
+  if (prologue) prologue(as);
+  as.li(a0, 0);
+  as.label("spin");
+  body(as);
+  as.wfi();
+  as.j("spin");
+  as.label("out");
+  emit_exit(as);
+  return as.assemble();
+}
+
+TEST(SysimDiffTest, WfiWithLineHighWakesInsideBurstAtEveryCycle) {
+  // The line is high for the whole spin, so every WFI wakes at the top
+  // of the next cycle. A counting spin never repeats its state; a flag
+  // poll repeats it every period, so bursts skip it in whole periods.
+  // Both stop at every cycle from reset through several iterations (the
+  // cycle after each WFI included), and the poll also at every cycle of
+  // a later stretch, with and without a fetch stall after every WFI.
+  for (const unsigned fetch_latency : {0u, 2u}) {
+    SystemConfig sc;
+    sc.accel = small_accel();
+    sc.cpu.fetch_latency = fetch_latency;
+    const std::string tag = " (fetch latency " + std::to_string(fetch_latency) + ")";
+
+    const auto counting = build_line_high_spin(sc, {}, [](Assembler& as) {
+      as.lw(t1, s1, 0);
+      as.addi(a0, a0, 1);
+    });
+    const SystemStats counted =
+        diff_stops(sc, counting, cycle_range(0, 260), "counting spin" + tag);
+    EXPECT_EQ(counted.spin_skips, 0u) << tag;
+
+    const auto polling = build_line_high_spin(sc, {}, [](Assembler& as) {
+      as.lw(t1, s1, 0);
+      as.bne(t1, zero, "out");
+    });
+    std::vector<std::uint64_t> stops = cycle_range(0, 260);
+    for (const std::uint64_t c : cycle_range(5000, 5060)) stops.push_back(c);
+    const SystemStats polled = diff_stops(sc, polling, stops, "flag poll" + tag);
+    EXPECT_GT(polled.spin_skips, 0u) << tag;
+    EXPECT_GT(polled.spin_cycles, 4000u) << tag;
+  }
+}
+
+TEST(SysimDiffTest, SpinSkipNeedsStillDevicesAndNoStores) {
+  // Three flag polls with the line high that repeat their registers but
+  // must run in full: a watchdog armed before the spin (its count is a
+  // readable register that moves), a DMA transfer in flight through it
+  // (a memory writer besides the CPU), and a spin that stores on every
+  // iteration. Each matches legacy and takes no skip.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  const auto poll = [](Assembler& as) {
+    as.lw(t1, s1, 0);
+    as.bne(t1, zero, "out");
+  };
+  const std::vector<std::uint64_t> stops = cycle_range(2980, 3000);
+
+  const auto watchdog = build_line_high_spin(
+      sc,
+      [&](Assembler& as) {
+        as.li(s0, sc.accel_base);
+        as.li(t0, 100000);
+        as.sw(t0, s0, PhotonicAccelerator::kRegWdog);
+      },
+      poll);
+  EXPECT_EQ(diff_stops(sc, watchdog, stops, "watchdog armed").spin_skips, 0u);
+
+  const auto dma = build_line_high_spin(
+      sc,
+      [&](Assembler& as) {
+        as.li(a1, sc.dram_base + 0x40000);
+        as.li(a2, sc.dram_base + 0x60000);
+        emit_dma_start(as, a1, a2, 0x8000);  // 8 192 beats, no IRQ
+      },
+      poll);
+  EXPECT_EQ(diff_stops(sc, dma, stops, "dma in flight").spin_skips, 0u);
+
+  const auto storing = build_line_high_spin(sc, {}, [&](Assembler& as) {
+    poll(as);
+    as.sw(zero, s1, 4);
+  });
+  EXPECT_EQ(diff_stops(sc, storing, stops, "storing spin").spin_skips, 0u);
+}
+
+/// Copies 1 KiB from DRAM 0x40000 to 0x60000 by DMA with IRQ_EN, waits in
+/// a WFI poll, clears DONE, then sums the destination's 256 words into
+/// a0 and exits.
+std::vector<std::uint32_t> build_dma_copy_and_sum(const SystemConfig& sc) {
+  Assembler as(sc.dram_base);
+  as.li(s7, sc.dma_base);
+  as.li(a1, sc.dram_base + 0x40000);
+  as.li(a2, sc.dram_base + 0x60000);
+  emit_dma_start(as, a1, a2, 0x400,
+                 DmaEngine::kCtrlStart | DmaEngine::kCtrlIrqEn);
+  as.label("wait");
+  as.lw(t1, s7, DmaEngine::kRegStatus);
+  as.andi(t1, t1, DmaEngine::kStatusDone);
+  as.bne(t1, zero, "done");
+  as.wfi();
+  as.j("wait");
+  as.label("done");
+  as.li(t1, DmaEngine::kStatusDone);
+  as.sw(t1, s7, DmaEngine::kRegStatus);
+  as.li(a0, 0);
+  as.li(t2, 256);
+  as.label("sum");
+  as.lw(t1, a2, 0);
+  as.add(a0, a0, t1);
+  as.addi(a2, a2, 4);
+  as.addi(t2, t2, -1);
+  as.bne(t2, zero, "sum");
+  emit_exit(as);
+  return as.assemble();
+}
+
+TEST(SysimDiffTest, SnapshotMidDmaTransferRestoresIntoFreshSystem) {
+  // A snapshot taken while the DMA is mid-transfer, restored into a
+  // fresh system and run to the end, ends where an uninterrupted legacy
+  // run does. The snapshot is the second of two taken back to back, so
+  // it shares the first one's memory images.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  const auto program = build_dma_copy_and_sum(sc);
+  const auto stage = pattern_stager(0x40000, 0x400);
+  const Capture legacy = run_tier(sc, Tier::kLegacy, program, stage);
+  for (const Tier tier : {Tier::kLegacy, Tier::kStep, Tier::kBlock}) {
+    const std::string tag = tier_name(tier);
+    System system(with_tier(sc, tier));
+    stage(system);
+    system.load_program(program);
+    system.run_until(80);
+    ASSERT_TRUE(system.dma().busy()) << tag << ": the transfer is in flight";
+    const System::SystemSnapshot first = system.snapshot();
+    const System::SystemSnapshot mid = system.snapshot();
+    EXPECT_EQ(first.dram.bytes, mid.dram.bytes) << tag;
+    EXPECT_EQ(first.pes[0].spm_w.bytes, mid.pes[0].spm_w.bytes) << tag;
+
+    System fresh(with_tier(sc, tier));
+    fresh.restore(mid);
+    fresh.run();
+    expect_identical(legacy, capture_state(fresh),
+                     ("restored mid-transfer [" + tag + "]").c_str());
+    system.run();
+    expect_identical(legacy, capture_state(system),
+                     ("continued after the snapshot [" + tag + "]").c_str());
+  }
+}
+
+TEST(SysimDiffTest, StuckBitArmedOnDmaEndpointMidTransfer) {
+  // A stuck-at bit armed mid-transfer on a byte the DMA has yet to read
+  // (source) or write (destination) revokes that memory's span under the
+  // in-flight transfer; the sum over the destination sees the forced bit
+  // exactly when legacy does.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  const auto program = build_dma_copy_and_sum(sc);
+  const auto stage = pattern_stager(0x40000, 0x400);
+  // Pattern byte 0x300 is 0x1F: bit 6 is clear in both images.
+  for (const std::uint32_t at : {0x40300u, 0x60300u}) {
+    const std::string tag = at == 0x40300u ? "source" : "destination";
+    const Capture block = diff_drive(sc, tag.c_str(), [&](System& system) {
+      stage(system);
+      system.load_program(program);
+      system.run_until(80);
+      ASSERT_TRUE(system.dma().busy()) << tag;
+      system.dram().set_stuck_bit(at, 6, true);
+      system.run();
+    });
+    EXPECT_EQ(block.result.halt, Halt::kEcallExit) << tag;
+  }
+}
+
+TEST(SnapshotTest, UnchangedMemoriesShareTheirImage) {
+  // Two snapshots with no write between them share every image. A CPU
+  // store through its direct window between two snapshots is published
+  // first, so the second snapshot holds a new DRAM image with the store.
+  // Each snapshot restores to the state of a fresh run stopped there.
+  SystemConfig sc;
+  sc.accel = small_accel();
+  Assembler as(sc.dram_base);
+  as.li(s1, sc.dram_base + 0x20000);
+  as.li(t0, 0x12345678u);
+  for (int i = 0; i < 20; ++i) as.nop();
+  as.sw(t0, s1, 0);
+  for (int i = 0; i < 20; ++i) as.nop();
+  as.ebreak();
+  const auto program = as.assemble();
+  for (const Tier tier : kFastTiers) {
+    const std::string tag = tier_name(tier);
+    System system(with_tier(sc, tier));
+    system.load_program(program);
+    system.run_until(10);
+    const System::SystemSnapshot a = system.snapshot();
+    const System::SystemSnapshot b = system.snapshot();
+    EXPECT_EQ(a.dram.bytes, b.dram.bytes) << tag;
+    EXPECT_EQ(a.pes[0].spm_x.bytes, b.pes[0].spm_x.bytes) << tag;
+    system.run_until(40);
+    const System::SystemSnapshot c = system.snapshot();
+    EXPECT_NE(c.dram.bytes, b.dram.bytes) << tag;
+    EXPECT_EQ(c.pes[0].spm_y.bytes, b.pes[0].spm_y.bytes) << tag;
+    std::uint32_t stored = 0;
+    std::memcpy(&stored, c.dram.bytes->data() + 0x20000, 4);
+    EXPECT_EQ(stored, 0x12345678u) << tag;
+    std::memcpy(&stored, b.dram.bytes->data() + 0x20000, 4);
+    EXPECT_EQ(stored, 0u) << tag;
+
+    for (const auto& [snap, at] :
+         {std::make_pair(&b, std::uint64_t{10}), std::make_pair(&c, std::uint64_t{40})}) {
+      System fresh(with_tier(sc, tier));
+      fresh.load_program(program);
+      fresh.run_until(at);
+      System restored(with_tier(sc, tier));
+      restored.restore(*snap);
+      expect_identical(capture_state(fresh), capture_state(restored),
+                       (tag + " snapshot at cycle " + std::to_string(at)).c_str());
+      expect_same_stop(stop_state(fresh), stop_state(restored),
+                       tag + " snapshot at cycle " + std::to_string(at));
+    }
+  }
+}
+
+/// perfbench's seed mixer (perfbench/src/harness.hpp).
+std::uint64_t perfbench_stream_seed(std::uint64_t seed, std::uint64_t tag) {
+  std::uint64_t z = seed * 0x9e3779b97f4a7c15ULL + tag;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+TEST(SpinSkipTest, PerfbenchE7RegfileSpecsMatchLegacy) {
+  // Every regfile transient spec of perfbench's e7_campaign platform
+  // (an 8x8 MMR-interrupt offload, 25 000-cycle budget), seeds 1-10:
+  // the default path, which wakes and skips WFI spins inside bursts,
+  // ends each trial in the legacy interpreter's state with its verdict.
+  // A flip of s0 (x8, the PE base) can make the STATUS poll miss the PE
+  // while its IRQ stays high: the guest spins to the budget. Every hang
+  // that spins so takes the skip, and no other trial does; seed 1 has 13
+  // of them, all s0 flips.
+  constexpr std::uint64_t kMaxCycles = 25000;
+  constexpr unsigned kRungs = 16;
+  SystemConfig sc;
+  sc.accel.gemm.mvm.ports = 8;
+  sc.accel.max_cols = 64;
+  sc.dram_size = 1u << 18;
+  sc.accel.gemm.mvm.weights = aspen::core::WeightTechnology::kThermoOptic;
+  GemmWorkload wl;
+  wl.n = 8;
+  wl.m = 8;
+  const auto program = build_gemm_offload(wl, sc, OffloadPath::kMmrInterrupt);
+  const auto read_y = [wl](System& s) {
+    const auto y = read_gemm_result(s, wl);
+    std::vector<std::uint8_t> bytes(y.size() * 2);
+    memcpy(bytes.data(), y.data(), bytes.size());
+    return bytes;
+  };
+  std::size_t seed1_spins = 0, s0_spins = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    aspen::lina::Rng data_rng(perfbench_stream_seed(seed, 0xe7));
+    std::vector<std::int16_t> a(64), x(64);
+    for (auto* v : {&a, &x})
+      for (auto& e : *v)
+        e = PhotonicAccelerator::to_fixed(data_rng.uniform(-0.9, 0.9));
+    const auto stage = [&](System& s) {
+      stage_gemm_data(s, wl, a, x);
+      s.load_program(program);
+    };
+    FaultCampaign campaign(
+        [&] {
+          auto s = std::make_unique<System>(sc);
+          stage(*s);
+          return s;
+        },
+        read_y, kMaxCycles);
+    aspen::lina::Rng spec_rng(perfbench_stream_seed(seed, 0xe75));
+    const std::vector<FaultSpec> specs = campaign.sample_specs(
+        FaultTarget::kCpuRegfile, FaultModel::kTransientFlip, 1024, spec_rng);
+    const std::vector<std::uint8_t>& golden = campaign.golden();
+
+    // Rungs along the golden run, which both paths restore from.
+    System fast(with_tier(sc, Tier::kBlock));
+    System legacy(with_tier(sc, Tier::kLegacy));
+    stage(fast);
+    stage(legacy);
+    std::vector<System::SystemSnapshot> rungs{fast.snapshot()};
+    for (unsigned k = 1; k < kRungs; ++k) {
+      fast.run_until(campaign.golden_cycles() * k / kRungs);
+      rungs.push_back(fast.snapshot());
+    }
+    for (const FaultSpec& spec : specs) {
+      std::size_t r = rungs.size() - 1;
+      while (rungs[r].cycle > spec.cycle) --r;
+      const std::string at = "seed " + std::to_string(seed) + ", x" +
+                             std::to_string(spec.index % 31 + 1) + " bit " +
+                             std::to_string(spec.bit) + " @" +
+                             std::to_string(spec.cycle);
+      StopState want;
+      std::vector<std::uint8_t> want_out;
+      Outcome want_verdict = Outcome::kMasked;
+      for (System* system : {&legacy, &fast}) {
+        system->restore(rungs[r]);
+        system->run_until(spec.cycle);
+        FaultCampaign::inject(*system, spec);
+        const SystemStats before = system->stats();
+        const std::uint64_t from = system->now();
+        system->run_until(kMaxCycles);
+        const StopState got = stop_state(*system);
+        const std::vector<std::uint8_t> out = read_y(*system);
+        const Outcome verdict = FaultCampaign::classify(*system, read_y, golden);
+        if (system == &legacy) {
+          want = got;
+          want_out = out;
+          want_verdict = verdict;
+          continue;
+        }
+        expect_same_stop(want, got, at);
+        EXPECT_EQ(want.wfi, system->cpu().waiting_for_interrupt()) << at;
+        EXPECT_EQ(want_out, out) << at;
+        EXPECT_EQ(want_verdict, verdict) << at;
+        // Every advanced cycle is a burst cycle (skipped spins
+        // included), a bulk skip or a tick.
+        const SystemStats& st = system->stats();
+        EXPECT_EQ(system->now() - from,
+                  (st.burst_cycles - before.burst_cycles) +
+                      (st.skipped_cycles - before.skipped_cycles) +
+                      (st.ticks - before.ticks))
+            << at;
+        EXPECT_LE(st.spin_cycles - before.spin_cycles,
+                  st.burst_cycles - before.burst_cycles)
+            << at;
+        // A hang that ends with the line high spins through WFIs that
+        // wake at once; one with the line low parks on a WFI (bulk
+        // skipped already) or loops without one (x7's copy-loop bound).
+        const bool spins = verdict == Outcome::kDueHang &&
+                           (system->pe(0).irq_pending() ||
+                            system->dma().irq_pending());
+        EXPECT_EQ(st.spin_skips > before.spin_skips, spins) << at;
+        if (seed == 1 && spins) {
+          ++seed1_spins;
+          if (spec.index % 31 + 1 == 8) ++s0_spins;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(seed1_spins, 13u);
+  EXPECT_EQ(s0_spins, 13u);
+}
+
 }  // namespace
