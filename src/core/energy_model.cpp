@@ -1,22 +1,18 @@
 #include "core/energy_model.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "mesh/analysis.hpp"
 
 namespace aspen::core {
 
-namespace {
-
-/// Mean holding power of one thermo-optic phase shifter at a uniformly
-/// distributed random phase: <phi>/pi * P_pi = P_pi (phases in [0, 2 pi)).
-double mean_heater_power(const phot::ThermoOpticConfig& t) { return t.p_pi_w; }
-
-}  // namespace
-
 AcceleratorReport evaluate_accelerator(const MvmConfig& cfg,
                                        double weight_reuse, int wdm_channels,
                                        const AreaParams& area) {
+  phot::check_thermo_optic_config(cfg.thermo);
+  if (wdm_channels < 1)
+    throw std::invalid_argument("evaluate_accelerator: wdm_channels < 1");
   AcceleratorReport r;
   r.architecture = mesh::to_string(cfg.architecture);
   r.ports = cfg.ports;
@@ -48,24 +44,17 @@ AcceleratorReport evaluate_accelerator(const MvmConfig& cfg,
   // --- Static power ------------------------------------------------------
   const double phases =
       2.0 * static_cast<double>(layout.phase_count()) + n;  // + attenuators
+  // Heaters at phases uniform in [0, 2 pi) draw the law at phi = pi on
+  // average.
   r.weight_holding_w = cfg.weights == WeightTechnology::kThermoOptic
-                           ? phases * mean_heater_power(cfg.thermo)
+                           ? phases * phot::heater_power_w(phot::kPi, cfg.thermo)
                            : 0.0;
-  const double laser_electrical =
-      k * cfg.laser.power_w / cfg.laser.wall_plug_efficiency;
+  const double laser_electrical = phot::wall_plug_power_w(k, cfg.laser);
   r.static_power_w = r.weight_holding_w + laser_electrical;
 
   // --- Programming -------------------------------------------------------
-  if (cfg.weights == WeightTechnology::kPcm) {
-    r.program_energy_j = phases * (cfg.pcm.material.reset_energy_j +
-                                   0.5 * cfg.pcm.material.set_energy_j);
-    r.program_time_s =
-        cfg.pcm.material.reset_time_s + cfg.pcm.material.set_time_s;
-  } else {
-    r.program_energy_j =
-        phases * 0.5 * cfg.thermo.p_pi_w * cfg.thermo.response_time_s;
-    r.program_time_s = cfg.thermo.response_time_s;
-  }
+  r.program_energy_j = weight_write_energy_j(cfg, phases);
+  r.program_time_s = weight_program_time_s(cfg);
 
   // --- Per-MVM dynamic cost ----------------------------------------------
   const double t_sym =

@@ -199,12 +199,9 @@ void GemmCore::multiply_physical(const std::vector<double>& x, std::size_t m,
   stats_.adc_energy_j =
       2.0 * mods * engine_.config().adc.energy_per_sample_j;
   // One laser per WDM channel, on for the whole call.
-  const double laser_electrical =
-      engine_.config().laser.power_w /
-      engine_.config().laser.wall_plug_efficiency;
-  stats_.laser_energy_j =
-      static_cast<double>(cfg_.wdm_channels) * laser_electrical *
-      stats_.wall_time_s;
+  stats_.laser_energy_j = static_cast<double>(cfg_.wdm_channels) *
+                          phot::wall_plug_power_w(1.0, engine_.config().laser) *
+                          stats_.wall_time_s;
 }
 
 }  // namespace aspen::core

@@ -14,8 +14,6 @@ using lina::cplx;
 using lina::CVec;
 
 namespace {
-constexpr double kPi = 3.141592653589793238462643383280;
-
 /// Draw kinds of the noise counter.
 constexpr std::uint32_t kDetectorNoise = 0;
 constexpr std::uint32_t kRinNoise = 1;
@@ -90,6 +88,7 @@ MvmEngine::MvmEngine(MvmConfig cfg)
       receiver_(cfg_.detector, autoscale_adc(cfg_.adc, cfg_.laser, cfg_.ports)),
       laser_(cfg_.laser) {
   if (cfg_.ports < 2) throw std::invalid_argument("MvmEngine: ports < 2");
+  phot::check_thermo_optic_config(cfg_.thermo);
   mesh::MeshErrorModel em_u = cfg_.errors;
   mesh::MeshErrorModel em_v = cfg_.errors;
   // Two distinct dies on the same wafer: decorrelate their imperfections.
@@ -107,18 +106,23 @@ MvmEngine::MvmEngine(MvmConfig cfg)
   set_matrix(CMat::identity(cfg_.ports));  // also ages PCM to the drift time
 }
 
+double weight_write_energy_j(const MvmConfig& cfg, double phases) {
+  if (cfg.weights == WeightTechnology::kPcm)
+    return phases * phot::pcm_write_energy_j(0.5, cfg.pcm.material);
+  return phot::thermo_write_energy_j(phases, cfg.thermo);
+}
+
+double weight_program_time_s(const MvmConfig& cfg) {
+  if (cfg.weights == WeightTechnology::kPcm)
+    return phot::pcm_program_time_s(cfg.pcm.material);
+  return cfg.thermo.response_time_s;
+}
+
 void MvmEngine::account_programming() {
   const std::size_t nph =
       mesh_u_->phase_count() + mesh_v_->phase_count() + cfg_.ports;
-  if (cfg_.weights == WeightTechnology::kPcm) {
-    const auto& m = cfg_.pcm.material;
-    counters_.weight_write_energy_j +=
-        static_cast<double>(nph) * (m.reset_energy_j + 0.5 * m.set_energy_j);
-  } else {
-    counters_.weight_write_energy_j +=
-        static_cast<double>(nph) * (0.5 * cfg_.thermo.p_pi_w) *
-        cfg_.thermo.response_time_s;
-  }
+  counters_.weight_write_energy_j +=
+      weight_write_energy_j(cfg_, static_cast<double>(nph));
   ++counters_.program_ops;
 }
 
@@ -500,25 +504,16 @@ double MvmEngine::holding_power_w() const {
   if (cfg_.weights == WeightTechnology::kPcm) return 0.0;
   double total = 0.0;
   const auto add_mesh = [&](const mesh::PhysicalMesh& m) {
-    for (std::size_t k = 0; k < m.phase_count(); ++k) {
-      double ph = std::fmod(m.phase(k), 2.0 * kPi);
-      if (ph < 0.0) ph += 2.0 * kPi;
-      total += ph / kPi * cfg_.thermo.p_pi_w;
-    }
+    for (std::size_t k = 0; k < m.phase_count(); ++k)
+      total += phot::heater_power_w(m.phase(k), cfg_.thermo);
   };
   add_mesh(*mesh_u_);
   add_mesh(*mesh_v_);
   for (const double t : attenuation_) {
     const double theta = 2.0 * std::asin(std::min(1.0, std::max(0.0, t)));
-    total += theta / kPi * cfg_.thermo.p_pi_w;
+    total += phot::heater_power_w(theta, cfg_.thermo);
   }
   return total;
-}
-
-double MvmEngine::program_time_s() const {
-  if (cfg_.weights == WeightTechnology::kPcm)
-    return cfg_.pcm.material.reset_time_s + cfg_.pcm.material.set_time_s;
-  return cfg_.thermo.response_time_s;
 }
 
 double MvmEngine::insertion_loss_db() const {

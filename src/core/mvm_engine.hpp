@@ -54,11 +54,23 @@ struct MvmConfig {
   phot::PhotodetectorConfig detector;
   phot::AdcConfig adc;
   phot::CwLaserConfig laser;
-  /// Thermo-optic heater parameters (for the energy model).
+  /// Thermo-optic heater parameters: the holding power and write cost
+  /// of thermo-optic weights. The mesh takes its thermal crosstalk from
+  /// `errors.thermal_crosstalk` and its shifter loss from
+  /// `errors.ps_loss_db`.
   phot::ThermoOpticConfig thermo;
 
   std::uint64_t noise_seed = 0x5eedULL;
 };
+
+/// Energy of writing `phases` weight phases (mesh phases and attenuator
+/// settings) once in cfg's technology, at the mean over uniformly
+/// distributed phases or levels [J]: the engine charges it per
+/// set_matrix and evaluate_accelerator per reprogram.
+[[nodiscard]] double weight_write_energy_j(const MvmConfig& cfg,
+                                           double phases);
+/// Time to (re)program the weights once in cfg's technology [s].
+[[nodiscard]] double weight_program_time_s(const MvmConfig& cfg);
 
 /// Cumulative operation counters for energy/latency reporting.
 struct MvmCounters {
@@ -188,7 +200,9 @@ class MvmEngine {
   /// Static power drawn while holding the current weights [W].
   [[nodiscard]] double holding_power_w() const;
   /// Time to (re)program the weights once [s].
-  [[nodiscard]] double program_time_s() const;
+  [[nodiscard]] double program_time_s() const {
+    return weight_program_time_s(cfg_);
+  }
 
   [[nodiscard]] const MvmCounters& counters() const { return counters_; }
   /// Count vectors pushed through the mesh on paths that do not count

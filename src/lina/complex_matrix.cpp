@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace aspen::lina {
@@ -13,16 +12,6 @@ double CVec::power() const {
   double s = 0.0;
   for (const auto& x : data_) s += std::norm(x);
   return s;
-}
-
-CVec CVec::conj() const {
-  CVec out(size());
-  for (std::size_t i = 0; i < size(); ++i) out[i] = std::conj(data_[i]);
-  return out;
-}
-
-void CVec::scale(cplx s) {
-  for (auto& x : data_) x *= s;
 }
 
 cplx dot(const CVec& a, const CVec& b) {
@@ -44,12 +33,6 @@ double max_abs_diff(const CVec& a, const CVec& b) {
 CMat CMat::identity(std::size_t n) {
   CMat m(n, n);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = cplx{1.0, 0.0};
-  return m;
-}
-
-CMat CMat::diag(const std::vector<cplx>& d) {
-  CMat m(d.size(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];
   return m;
 }
 
@@ -97,37 +80,10 @@ CMat CMat::adjoint() const {
   return out;
 }
 
-CMat CMat::transpose() const {
-  CMat out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  return out;
-}
-
-CMat CMat::conj() const {
-  CMat out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    out.data_[i] = std::conj(data_[i]);
-  return out;
-}
-
 double CMat::frobenius() const {
   double s = 0.0;
   for (const auto& x : data_) s += std::norm(x);
   return std::sqrt(s);
-}
-
-cplx CMat::trace() const {
-  cplx s{0.0, 0.0};
-  const std::size_t n = std::min(rows_, cols_);
-  for (std::size_t i = 0; i < n; ++i) s += (*this)(i, i);
-  return s;
-}
-
-double CMat::max_abs() const {
-  double m = 0.0;
-  for (const auto& x : data_) m = std::max(m, std::abs(x));
-  return m;
 }
 
 double CMat::max_abs_diff(const CMat& rhs) const {
@@ -170,30 +126,9 @@ CVec CMat::col(std::size_t c) const {
   return v;
 }
 
-CVec CMat::row(std::size_t r) const {
-  CVec v(cols_);
-  for (std::size_t c = 0; c < cols_; ++c) v[c] = (*this)(r, c);
-  return v;
-}
-
 void CMat::set_col(std::size_t c, const CVec& v) {
   assert(v.size() == rows_);
   for (std::size_t r = 0; r < rows_; ++r) (*this)(r, c) = v[r];
-}
-
-std::string CMat::to_string(int precision) const {
-  std::ostringstream os;
-  os.precision(precision);
-  os << std::fixed;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    os << "[ ";
-    for (std::size_t c = 0; c < cols_; ++c) {
-      const cplx& x = (*this)(r, c);
-      os << x.real() << (x.imag() >= 0 ? "+" : "") << x.imag() << "i ";
-    }
-    os << "]\n";
-  }
-  return os.str();
 }
 
 void apply_two_mode_left(CMat& m, std::size_t i, std::size_t j, cplx a,

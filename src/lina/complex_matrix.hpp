@@ -10,7 +10,6 @@
 #include <complex>
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 namespace aspen::lina {
@@ -34,8 +33,6 @@ class CVec {
 
   [[nodiscard]] double norm() const;           ///< Euclidean (L2) norm.
   [[nodiscard]] double power() const;          ///< Sum of |x_i|^2 (optical power).
-  [[nodiscard]] CVec conj() const;
-  void scale(cplx s);
 
   [[nodiscard]] std::vector<cplx>& raw() { return data_; }
   [[nodiscard]] const std::vector<cplx>& raw() const { return data_; }
@@ -66,8 +63,6 @@ class CMat {
 
   /// Identity matrix of size n.
   [[nodiscard]] static CMat identity(std::size_t n);
-  /// Diagonal matrix from a vector of entries.
-  [[nodiscard]] static CMat diag(const std::vector<cplx>& d);
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
@@ -87,12 +82,8 @@ class CMat {
 
   /// Conjugate transpose.
   [[nodiscard]] CMat adjoint() const;
-  [[nodiscard]] CMat transpose() const;
-  [[nodiscard]] CMat conj() const;
 
   [[nodiscard]] double frobenius() const;
-  [[nodiscard]] cplx trace() const;
-  [[nodiscard]] double max_abs() const;
 
   /// ||A - B||_max: largest entry-wise absolute difference.
   [[nodiscard]] double max_abs_diff(const CMat& rhs) const;
@@ -108,13 +99,9 @@ class CMat {
   /// Relative Frobenius error ||A - B||_F / ||A||_F.
   [[nodiscard]] static double rel_error(const CMat& a, const CMat& b);
 
-  /// Extract column / row as vectors.
+  /// Extract / replace a column as a vector.
   [[nodiscard]] CVec col(std::size_t c) const;
-  [[nodiscard]] CVec row(std::size_t r) const;
   void set_col(std::size_t c, const CVec& v);
-
-  /// Human-readable dump (for diagnostics and failing-test messages).
-  [[nodiscard]] std::string to_string(int precision = 4) const;
 
   [[nodiscard]] std::vector<cplx>& raw() { return data_; }
   [[nodiscard]] const std::vector<cplx>& raw() const { return data_; }

@@ -7,12 +7,6 @@
 
 namespace aspen::lina {
 
-CMat SvdResult::reconstruct() const {
-  CMat s = CMat::diag(std::vector<cplx>(sigma.size()));
-  for (std::size_t i = 0; i < sigma.size(); ++i) s(i, i) = cplx{sigma[i], 0.0};
-  return u * s * v.adjoint();
-}
-
 double SvdResult::sigma_max() const {
   return sigma.empty() ? 0.0 : sigma.front();
 }
@@ -155,13 +149,6 @@ void svd(const CMat& m, SvdResult& out, SvdWorkspace& ws, double tol) {
   out.u = std::move(t.v);
   out.v = std::move(t.u);
   out.sigma = std::move(t.sigma);
-}
-
-SvdResult svd(const CMat& m, double tol) {
-  SvdResult out;
-  SvdWorkspace ws;
-  svd(m, out, ws, tol);
-  return out;
 }
 
 }  // namespace aspen::lina

@@ -14,7 +14,7 @@
 
 namespace aspen::lina {
 
-/// Result of `svd(M)`: M = u * diag(sigma) * v.adjoint().
+/// Result of `svd(M, ...)`: M = u * diag(sigma) * v.adjoint().
 /// For an m x n input with m >= n: u is m x n with orthonormal columns,
 /// v is n x n unitary, sigma is length n, non-negative, descending.
 /// For m < n the roles are derived from the decomposition of M^dagger.
@@ -23,21 +23,14 @@ struct SvdResult {
   std::vector<double> sigma;
   CMat v;
 
-  /// Reassemble u * diag(sigma) * v^dagger (for tests / diagnostics).
-  [[nodiscard]] CMat reconstruct() const;
   /// Largest singular value (0 for empty sigma).
   [[nodiscard]] double sigma_max() const;
 };
 
-/// One-sided Jacobi SVD. Throws std::invalid_argument on empty input.
-/// `tol` bounds the relative off-diagonal residual at convergence.
-[[nodiscard]] SvdResult svd(const CMat& m, double tol = 1e-12);
-
-/// Reusable scratch for the workspace-based svd() overload: holds the
-/// Jacobi working copy and the bookkeeping vectors so repeated
-/// decompositions of same-shape matrices allocate nothing once warm
-/// (the photonic weight-programming path decomposes one N x N matrix
-/// per set_matrix miss).
+/// Reusable scratch for svd(): holds the Jacobi working copy and the
+/// bookkeeping vectors so repeated decompositions of same-shape matrices
+/// allocate nothing once warm (the photonic weight-programming path
+/// decomposes one N x N matrix per set_matrix miss).
 struct SvdWorkspace {
   CMat a;                          ///< column-orthogonalized working copy
   CMat v;                          ///< accumulated right rotations
@@ -46,9 +39,10 @@ struct SvdWorkspace {
   CVec cand;                       ///< null-space basis completion scratch
 };
 
-/// Workspace-reusing variant of svd(): identical results (same
-/// operations in the same order), writing into `out` and scratching in
-/// `ws` instead of allocating per call.
+/// One-sided Jacobi SVD of `m` into `out`, scratching in `ws`, so
+/// repeated calls allocate nothing once warm. Throws
+/// std::invalid_argument on empty input. `tol` bounds the relative
+/// off-diagonal residual at convergence.
 void svd(const CMat& m, SvdResult& out, SvdWorkspace& ws, double tol = 1e-12);
 
 }  // namespace aspen::lina

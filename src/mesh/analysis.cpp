@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "lina/random.hpp"
+#include "photonics/units.hpp"
 
 namespace aspen::mesh {
 
@@ -96,7 +97,7 @@ void program_analytic(Architecture a, PhysicalMesh& mesh, const CMat& target,
       for (std::size_t k = 0; k < clements_cells; ++k)
         phases[k] = pm.phases[k];
       for (std::size_t k = clements_cells; k + n < phases.size(); k += 2)
-        phases[k] = 3.141592653589793;  // theta = pi -> bar state
+        phases[k] = phot::kPi;  // theta = pi -> bar state
       // Output phase screen from the Clements program.
       for (std::size_t k = 0; k < n; ++k)
         phases[phases.size() - n + k] = pm.phases[pm.phases.size() - n + k];

@@ -4,14 +4,16 @@
 #include <complex>
 #include <stdexcept>
 
+#include "photonics/units.hpp"
+
 namespace aspen::mesh {
 
 using lina::CMat;
 using lina::cplx;
+using phot::kPi;
+using phot::kTwoPi;
 
 namespace {
-
-constexpr double kTwoPi = 6.283185307179586476925286766559;
 
 /// tr(target^dagger M) without forming the product.
 cplx overlap(const CMat& target, const CMat& m) {
@@ -84,7 +86,6 @@ CalibrationReport calibrate(PhysicalMesh& mesh, const CMat& target,
     double prev_sweep_fid = fidelity_from_overlap(cur, target_norm, mesh_norm);
 
     const std::vector<bool> half = half_angle_slots(mesh.layout());
-    constexpr double kPi = 3.141592653589793238462643383280;
 
     int sweeps = 0;
     for (; sweeps < opt.max_sweeps; ++sweeps) {

@@ -5,23 +5,17 @@
 
 #include "mesh/physical_mesh.hpp"
 #include "photonics/mzi.hpp"
+#include "photonics/units.hpp"
 
 namespace aspen::mesh {
 
 using lina::CMat;
 using lina::cplx;
 using Op = DecomposeScratch::Op;
+using phot::kPi;
+using phot::wrap_phase;
 
 namespace {
-
-constexpr double kPi = 3.141592653589793238462643383280;
-constexpr double kTwoPi = 2.0 * kPi;
-
-double wrap(double phase) {
-  double p = std::fmod(phase, kTwoPi);
-  if (p < 0.0) p += kTwoPi;
-  return p;
-}
 
 /// Packs ops (encounter order) into columns and emits the flat phase
 /// vector matching the layout's phase-ordering convention. The layout
@@ -48,8 +42,8 @@ void assemble(std::size_t n, phot::MziStyle style, DecomposeScratch& ws,
       // T_sym is 4*pi-periodic in (theta, phi) — wrapping a phase by 2*pi
       // flips the cell's sign — so mu must be computed from the *wrapped*
       // phases that the hardware will actually be programmed with.
-      const double theta_w = wrap(op.theta);
-      const double phi_w = wrap(op.phi - xi[m] + xi[m + 1]);
+      const double theta_w = wrap_phase(op.theta);
+      const double phi_w = wrap_phase(op.phi - xi[m] + xi[m + 1]);
       const double mu = xi[m + 1] - (theta_w + phi_w) / 2.0;
       op.theta = theta_w;
       op.phi = phi_w;
@@ -99,13 +93,13 @@ void assemble(std::size_t n, phot::MziStyle style, DecomposeScratch& ws,
     const auto& tops = std::get<MziColumn>(pm.layout.columns[col]).top_ports;
     std::size_t slot = 0;
     while (tops[slot] != ops[k].top) ++slot;
-    pm.phases[ws.base[col] + 2 * slot] = wrap(ops[k].theta);
-    pm.phases[ws.base[col] + 2 * slot + 1] = wrap(ops[k].phi);
+    pm.phases[ws.base[col] + 2 * slot] = wrap_phase(ops[k].theta);
+    pm.phases[ws.base[col] + 2 * slot + 1] = wrap_phase(ops[k].phi);
   }
   // Output phase screen.
   const std::size_t out_base = ws.base.back();
   for (std::size_t i = 0; i < n; ++i)
-    pm.phases[out_base + i] = wrap(out_phases[i]);
+    pm.phases[out_base + i] = wrap_phase(out_phases[i]);
 }
 
 void require_unitary(const CMat& u, const char* who) {
@@ -250,13 +244,6 @@ ProgrammedMesh clements_decompose(const CMat& u_in, phot::MziStyle style) {
   DecomposeScratch ws;
   ProgrammedMesh pm;
   clements_decompose(u_in, style, ws, pm);
-  return pm;
-}
-
-ProgrammedMesh reck_decompose(const CMat& u_in, phot::MziStyle style) {
-  DecomposeScratch ws;
-  ProgrammedMesh pm;
-  reck_decompose(u_in, style, ws, pm);
   return pm;
 }
 

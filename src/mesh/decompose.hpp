@@ -30,10 +30,6 @@ struct ProgrammedMesh {
 [[nodiscard]] ProgrammedMesh clements_decompose(
     const lina::CMat& u, phot::MziStyle style = phot::MziStyle::kStandard);
 
-/// Reck triangular decomposition; layout equals `reck_layout(n, style)`.
-[[nodiscard]] ProgrammedMesh reck_decompose(
-    const lina::CMat& u, phot::MziStyle style = phot::MziStyle::kStandard);
-
 /// Reusable scratch for the workspace-based decomposition overloads. The
 /// cell-to-column packing and the per-column phase-slot bases depend only
 /// on (ports, style, architecture), so they are cached across calls; the
@@ -56,11 +52,13 @@ struct DecomposeScratch {
   std::size_t phase_total = 0;
 };
 
-/// Workspace-reusing variants: identical phases, writing into `out`
+/// Workspace-reusing variant: identical phases, writing into `out`
 /// (whose layout is kept when it already matches) instead of allocating
 /// a fresh ProgrammedMesh per call.
 void clements_decompose(const lina::CMat& u, phot::MziStyle style,
                         DecomposeScratch& ws, ProgrammedMesh& out);
+/// Reck triangular decomposition into `out`, scratching in `ws`; the
+/// layout equals `reck_layout(n, style)`. Throws as clements_decompose.
 void reck_decompose(const lina::CMat& u, phot::MziStyle style,
                     DecomposeScratch& ws, ProgrammedMesh& out);
 

@@ -5,10 +5,6 @@
 
 namespace aspen::phot {
 
-namespace {
-constexpr double kPi4 = 0.78539816339744830961566084581988;
-}
-
 Transfer2 Transfer2::phases(double top, double bottom) {
   Transfer2 t;
   t.a = std::polar(1.0, top);
@@ -50,7 +46,7 @@ bool Transfer2::is_unitary(double tol) const {
 }
 
 Transfer2 DirectionalCoupler::transfer() const {
-  const double eta = kPi4 + delta_eta;
+  const double eta = kPi / 4.0 + delta_eta;
   const double t = std::cos(eta);
   const double k = std::sin(eta);
   Transfer2 m;
@@ -64,7 +60,7 @@ Transfer2 DirectionalCoupler::transfer() const {
 }
 
 double DirectionalCoupler::cross_coupling() const {
-  const double s = std::sin(kPi4 + delta_eta);
+  const double s = std::sin(kPi / 4.0 + delta_eta);
   return s * s;
 }
 

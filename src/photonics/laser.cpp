@@ -19,10 +19,6 @@ double CwLaser::sample_power(double n) const {
   return p > 0.0 ? p : 0.0;
 }
 
-double CwLaser::electrical_power_w() const {
-  return cfg_.power_w / cfg_.wall_plug_efficiency;
-}
-
 YamadaNeuron::YamadaNeuron(YamadaConfig cfg) : cfg_(cfg) {
   if (cfg_.dt <= 0.0) throw std::invalid_argument("YamadaNeuron: dt <= 0");
   reset();

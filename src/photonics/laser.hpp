@@ -22,8 +22,14 @@ struct CwLaserConfig {
   double bandwidth_hz = 10e9;      ///< Noise integration bandwidth.
 };
 
-/// CW source: optical power with RIN fluctuations; electrical draw for the
-/// energy model.
+/// Electrical (wall-plug) power drawn by `lasers` CW sources: P / eta
+/// each.
+[[nodiscard]] inline double wall_plug_power_w(double lasers,
+                                              const CwLaserConfig& c) {
+  return lasers * c.power_w / c.wall_plug_efficiency;
+}
+
+/// CW source: optical power with RIN fluctuations.
 class CwLaser {
  public:
   explicit CwLaser(CwLaserConfig cfg = {});
@@ -32,7 +38,6 @@ class CwLaser {
   /// normal: mean power plus n * rin_rms_w(), floored at 0.
   [[nodiscard]] double sample_power(double n) const;
   [[nodiscard]] double mean_power_w() const { return cfg_.power_w; }
-  [[nodiscard]] double electrical_power_w() const;
   /// RMS of the RIN-induced power fluctuation [W].
   [[nodiscard]] double rin_rms_w() const { return rin_rms_w_; }
   [[nodiscard]] const CwLaserConfig& config() const { return cfg_; }

@@ -2,11 +2,9 @@
 
 #include <cmath>
 
-namespace aspen::phot {
+#include "photonics/units.hpp"
 
-namespace {
-constexpr double kPi = 3.141592653589793238462643383280;
-}
+namespace aspen::phot {
 
 Transfer2 mzi_ideal(double theta, double phi, MziStyle style) {
   const double s = std::sin(theta / 2.0);

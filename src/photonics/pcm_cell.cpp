@@ -6,10 +6,6 @@
 
 namespace aspen::phot {
 
-namespace {
-constexpr double kTwoPi = 6.283185307179586476925286766559;
-}
-
 PcmCell::PcmCell(PcmCellConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.level_bits < 1 || cfg_.level_bits > 16)
     throw std::invalid_argument("PcmCell: level_bits must be in [1, 16]");
@@ -32,21 +28,6 @@ double PcmCell::amplitude_of_fraction(double x) const {
   return std::exp(-alpha);
 }
 
-double PcmCell::fraction_for_phase(double phase_rad) const {
-  const double target = std::clamp(phase_rad, 0.0, max_phase());
-  // phase_of_fraction is monotone increasing in x (delta_n > 0 for all
-  // modelled PCMs); bisection to 1e-12 fraction resolution.
-  double lo = 0.0, hi = 1.0;
-  for (int it = 0; it < 60; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (phase_of_fraction(mid) < target)
-      lo = mid;
-    else
-      hi = mid;
-  }
-  return 0.5 * (lo + hi);
-}
-
 double PcmCell::quantize_fraction(double x) const {
   const int n = levels();
   const double step = 1.0 / static_cast<double>(n - 1);
@@ -54,31 +35,9 @@ double PcmCell::quantize_fraction(double x) const {
   return std::clamp(q, 0.0, 1.0);
 }
 
-void PcmCell::program_fraction(double x, lina::Rng* rng) {
-  double target = quantize_fraction(x);
-  if (rng != nullptr && cfg_.write_noise_sigma > 0.0)
-    target = std::clamp(target + rng->gaussian(0.0, cfg_.write_noise_sigma),
-                        0.0, 1.0);
-  // Programming = RESET to amorphous, then partial SET to the target
-  // fraction (the standard iterative multilevel scheme); energy scales
-  // with the crystallized volume fraction.
-  energy_spent_j_ +=
-      cfg_.material.reset_energy_j + target * cfg_.material.set_energy_j;
-  fraction_ = target;
-  time_since_write_s_ = 0.0;
-  ++write_count_;
-}
-
-void PcmCell::program_level(int level, lina::Rng* rng) {
-  const int n = levels();
-  if (level < 0 || level >= n)
-    throw std::invalid_argument("PcmCell: level out of range");
-  program_fraction(static_cast<double>(level) / static_cast<double>(n - 1),
-                   rng);
-}
-
-void PcmCell::program_phase(double phase_rad, lina::Rng* rng) {
-  program_fraction(fraction_for_phase(phase_rad), rng);
+void PcmCell::program_fraction(double x) {
+  fraction_ = quantize_fraction(x);
+  energy_spent_j_ += pcm_write_energy_j(fraction_, cfg_.material);
 }
 
 void PcmCell::accumulate(double strength) {
@@ -87,34 +46,11 @@ void PcmCell::accumulate(double strength) {
   // A sub-switching pulse costs energy proportional to the fraction moved.
   energy_spent_j_ +=
       cfg_.material.set_energy_j * cfg_.accumulation_step * strength;
-  ++write_count_;
 }
 
 void PcmCell::reset() {
   fraction_ = 0.0;
-  time_since_write_s_ = 0.0;
   energy_spent_j_ += cfg_.material.reset_energy_j;
-  ++write_count_;
-}
-
-void PcmCell::advance_time(double dt_s) {
-  if (dt_s < 0.0) throw std::invalid_argument("PcmCell: negative dt");
-  time_since_write_s_ += dt_s;
-}
-
-double PcmCell::drift_factor() const {
-  // Structural relaxation of the *amorphous* fraction perturbs the net
-  // index contrast: no drift when fully amorphous (phase is zero anyway)
-  // or fully crystalline; worst at intermediate levels — matching the
-  // multilevel-retention behaviour reported for PCM photonics.
-  const double amorphous = 1.0 - fraction_;
-  const double lt =
-      std::log1p(time_since_write_s_ / cfg_.material.drift_t0_s);
-  return 1.0 - cfg_.material.drift_nu * amorphous * lt;
-}
-
-double PcmCell::phase() const {
-  return phase_of_fraction(fraction_) * drift_factor();
 }
 
 double PcmCell::amplitude() const { return amplitude_of_fraction(fraction_); }
@@ -153,8 +89,7 @@ PcmPhaseMap::PcmPhaseMap(const PcmCellConfig& cfg) : cfg_(cfg) {
 
 PcmPhaseMap::Quantized PcmPhaseMap::quantize(double phase_rad,
                                              double drift_time_s) const {
-  double target = std::fmod(phase_rad, kTwoPi);
-  if (target < 0.0) target += kTwoPi;
+  const double target = wrap_phase(phase_rad);
   // Nearest achievable level. Levels are monotone in phase, so a binary
   // search would do; linear scan is fine for <= 2^16 levels at
   // construction-time call rates, but quantize is hot in mesh programming,
@@ -172,12 +107,10 @@ PcmPhaseMap::Quantized PcmPhaseMap::quantize(double phase_rad,
   }
   Quantized q;
   q.amplitude = amplitude_[idx];
-  double drift = 1.0;
-  if (drift_time_s > 0.0) {
-    const double amorphous = 1.0 - fraction_[idx];
-    drift = 1.0 - cfg_.material.drift_nu * amorphous *
-                      std::log1p(drift_time_s / cfg_.material.drift_t0_s);
-  }
+  const double drift =
+      drift_time_s > 0.0
+          ? pcm_drift_factor(fraction_[idx], drift_time_s, cfg_.material)
+          : 1.0;
   q.phase = phase_[idx] * drift;
   return q;
 }

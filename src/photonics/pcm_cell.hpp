@@ -1,22 +1,46 @@
 #pragma once
 /// \file pcm_cell.hpp
-/// Multilevel non-volatile PCM cell on a waveguide (paper Fig. 2a: PCM
-/// patch under a heater, providing a programmable non-volatile optical
-/// phase shift). The cell models:
-///  - crystalline fraction state x in [0, 1],
-///  - multilevel programming (2^bits levels) with write noise,
-///  - pulse *accumulation* behaviour (partial SET per pulse — the
-///    integrate-and-fire mechanism of Section 3's photonic SNN),
-///  - amorphous-phase drift over time,
-///  - the phase / loss tradeoff set by the material's delta_n / delta_k.
+/// Multilevel non-volatile PCM phase shifter on a waveguide (paper
+/// Fig. 2a: PCM patch under a heater, providing a programmable
+/// non-volatile optical phase shift):
+///  - the device laws: write energy and time, amorphous-phase drift;
+///  - `PcmCell`, one patch with crystalline fraction x in [0, 1]: the
+///    phase / loss tradeoff set by the material's delta_n / delta_k,
+///    multilevel programming (2^bits levels) and pulse *accumulation*
+///    (partial SET per pulse, the integrate-and-fire mechanism of
+///    Section 3's photonic SNN);
+///  - `PcmPhaseMap`, the level grid the mesh quantizes phases to.
 
-#include <cstdint>
+#include <cmath>
+#include <vector>
 
-#include "lina/random.hpp"
 #include "photonics/material.hpp"
 #include "photonics/units.hpp"
 
 namespace aspen::phot {
+
+/// Energy of one multilevel write to crystalline fraction x: RESET to
+/// amorphous, then a partial SET whose energy scales with the
+/// crystallized volume fraction (the standard iterative scheme).
+[[nodiscard]] inline double pcm_write_energy_j(double x, const PcmMaterial& m) {
+  return m.reset_energy_j + x * m.set_energy_j;
+}
+
+/// Time of one multilevel write: the RESET pulse, then the SET pulse.
+[[nodiscard]] inline double pcm_program_time_s(const PcmMaterial& m) {
+  return m.reset_time_s + m.set_time_s;
+}
+
+/// Factor on the phase of a cell at fraction x, `t_s` seconds after its
+/// write. Structural relaxation of the *amorphous* fraction perturbs the
+/// net index contrast, 1 - nu * (1 - x) * ln(1 + t / t0): no drift when
+/// fully crystalline, and none in phase when fully amorphous (its phase
+/// is zero), so worst at intermediate levels, matching the multilevel
+/// retention reported for PCM photonics.
+[[nodiscard]] inline double pcm_drift_factor(double x, double t_s,
+                                             const PcmMaterial& m) {
+  return 1.0 - m.drift_nu * (1.0 - x) * std::log1p(t_s / m.drift_t0_s);
+}
 
 /// Geometry + programming parameters of one PCM patch.
 struct PcmCellConfig {
@@ -25,7 +49,6 @@ struct PcmCellConfig {
   double confinement = 0.10;      ///< Modal overlap Gamma with the PCM film.
   double wavelength_m = kTelecomWavelength;
   int level_bits = 6;             ///< Programmable levels = 2^level_bits.
-  double write_noise_sigma = 0.0; ///< Std-dev of achieved fraction per write.
   double accumulation_step = 0.10;///< Delta-x per sub-switching SET pulse.
 };
 
@@ -42,17 +65,9 @@ class PcmCell {
   /// Largest reachable phase shift (x = 1).
   [[nodiscard]] double max_phase() const { return phase_of_fraction(1.0); }
 
-  /// Invert phase_of_fraction (monotone in x); clamps to [0, max_phase].
-  [[nodiscard]] double fraction_for_phase(double phase_rad) const;
-
-  /// Program to the quantized level nearest the requested fraction.
-  /// Adds write noise when `rng` is provided. Costs write energy, resets
-  /// the drift clock.
-  void program_fraction(double x, lina::Rng* rng = nullptr);
-  /// Program the level index directly (0 .. levels()-1).
-  void program_level(int level, lina::Rng* rng = nullptr);
-  /// Program the quantized fraction that best realizes `phase_rad`.
-  void program_phase(double phase_rad, lina::Rng* rng = nullptr);
+  /// Program to the quantized level nearest the requested fraction,
+  /// paying pcm_write_energy_j.
+  void program_fraction(double x);
 
   /// Partial crystallization by one sub-switching pulse scaled by
   /// `strength` (the SNN accumulation primitive). Saturates at x = 1.
@@ -60,29 +75,18 @@ class PcmCell {
   /// Melt-quench back to fully amorphous (x = 0).
   void reset();
 
-  /// Advance the drift clock.
-  void advance_time(double dt_s);
-
-  /// Current *effective* phase shift including drift.
-  [[nodiscard]] double phase() const;
   /// Current field-amplitude transmission.
   [[nodiscard]] double amplitude() const;
   /// Raw state.
   [[nodiscard]] double fraction() const { return fraction_; }
   [[nodiscard]] int levels() const { return 1 << cfg_.level_bits; }
-  [[nodiscard]] std::uint64_t write_count() const { return write_count_; }
   [[nodiscard]] double energy_spent_j() const { return energy_spent_j_; }
-  [[nodiscard]] double time_since_write_s() const { return time_since_write_s_; }
-  [[nodiscard]] const PcmCellConfig& config() const { return cfg_; }
 
  private:
   [[nodiscard]] double quantize_fraction(double x) const;
-  [[nodiscard]] double drift_factor() const;
 
   PcmCellConfig cfg_;
   double fraction_ = 0.0;
-  double time_since_write_s_ = 0.0;
-  std::uint64_t write_count_ = 0;
   double energy_spent_j_ = 0.0;
 };
 

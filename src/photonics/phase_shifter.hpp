@@ -1,99 +1,46 @@
 #pragma once
 /// \file phase_shifter.hpp
-/// Programmable optical phase shifters: the volatile thermo-optic heater
-/// (SOI baseline — burns static power to *hold* a phase, Section 3) and
-/// the non-volatile PCM shifter (holds for free, pays write energy).
-/// The energy-crossover experiment E4 compares exactly these two.
+/// Laws of the volatile thermo-optic phase shifter (SOI baseline): a
+/// metal heater whose phase is linear in electrical power, so it burns
+/// static power to *hold* a phase (Section 3). The non-volatile PCM
+/// shifter's laws are in pcm_cell.hpp; the energy-crossover experiment E4
+/// compares the two.
 
-#include <memory>
+#include <stdexcept>
 
-#include "lina/random.hpp"
-#include "photonics/pcm_cell.hpp"
+#include "photonics/units.hpp"
 
 namespace aspen::phot {
 
-/// Common interface for programmable phase shifters.
-class PhaseShifter {
- public:
-  virtual ~PhaseShifter() = default;
-
-  /// Program the target phase [rad]; implementations may quantize.
-  virtual void set_phase(double phase_rad) = 0;
-  /// Achieved phase right now (quantization, drift included).
-  [[nodiscard]] virtual double phase() const = 0;
-  /// Field-amplitude transmission of the shifter section.
-  [[nodiscard]] virtual double amplitude() const = 0;
-  /// Power drawn *while holding* the current phase [W].
-  [[nodiscard]] virtual double static_power_w() const = 0;
-  /// Cumulative energy spent on (re)programming [J].
-  [[nodiscard]] virtual double write_energy_j() const = 0;
-  /// Time needed to settle after a program operation [s].
-  [[nodiscard]] virtual double settle_time_s() const = 0;
-  /// Advance wall-clock time (drift, etc.).
-  virtual void advance_time(double dt_s) = 0;
-};
-
 /// Thermo-optic heater parameters (typical SOI metal heater).
 struct ThermoOpticConfig {
-  double p_pi_w = 20e-3;        ///< Electrical power for a pi shift.
-  double response_time_s = 10e-6;
-  double insertion_loss_db = 0.05;
-  /// Fraction of a heater's phase that leaks into each nearest neighbour
-  /// (thermal crosstalk; consumed by the mesh error model).
-  double crosstalk = 0.01;
+  double p_pi_w = 20e-3;           ///< Electrical power for a pi shift.
+  double response_time_s = 10e-6;  ///< Settling time of one program step.
 };
 
-/// Volatile heater: phase is linear in electrical power, so holding phi
-/// costs (phi / pi) * P_pi continuously.
-class ThermoOpticPhaseShifter final : public PhaseShifter {
- public:
-  explicit ThermoOpticPhaseShifter(ThermoOpticConfig cfg = {});
+/// Throws std::invalid_argument unless p_pi_w > 0 and response_time_s
+/// >= 0: the laws below would price a write or a hold below zero.
+inline void check_thermo_optic_config(const ThermoOpticConfig& t) {
+  if (t.p_pi_w <= 0.0)
+    throw std::invalid_argument("ThermoOpticConfig: p_pi_w <= 0");
+  if (t.response_time_s < 0.0)
+    throw std::invalid_argument("ThermoOpticConfig: response_time_s < 0");
+}
 
-  void set_phase(double phase_rad) override;
-  [[nodiscard]] double phase() const override { return phase_; }
-  [[nodiscard]] double amplitude() const override;
-  [[nodiscard]] double static_power_w() const override;
-  [[nodiscard]] double write_energy_j() const override { return write_energy_j_; }
-  [[nodiscard]] double settle_time_s() const override {
-    return cfg_.response_time_s;
-  }
-  void advance_time(double dt_s) override;
+/// Power that holds a heater at `phase_rad`, wrapped into [0, 2 pi):
+/// (phi / pi) * P_pi. Over phases uniform in [0, 2 pi) its mean is the
+/// law at phi = pi, P_pi.
+[[nodiscard]] inline double heater_power_w(double phase_rad,
+                                           const ThermoOpticConfig& t) {
+  return wrap_phase(phase_rad) / kPi * t.p_pi_w;
+}
 
-  /// Energy integrated so far including holding power.
-  [[nodiscard]] double total_energy_j() const {
-    return write_energy_j_ + hold_energy_j_;
-  }
-  [[nodiscard]] const ThermoOpticConfig& config() const { return cfg_; }
-
- private:
-  ThermoOpticConfig cfg_;
-  double phase_ = 0.0;
-  double write_energy_j_ = 0.0;
-  double hold_energy_j_ = 0.0;
-};
-
-/// Non-volatile PCM shifter: quantized multilevel phase, zero holding
-/// power, per-write energy, drift over time.
-class PcmPhaseShifter final : public PhaseShifter {
- public:
-  explicit PcmPhaseShifter(PcmCellConfig cfg = {}, lina::Rng* rng = nullptr);
-
-  void set_phase(double phase_rad) override;
-  [[nodiscard]] double phase() const override { return cell_.phase(); }
-  [[nodiscard]] double amplitude() const override { return cell_.amplitude(); }
-  [[nodiscard]] double static_power_w() const override { return 0.0; }
-  [[nodiscard]] double write_energy_j() const override {
-    return cell_.energy_spent_j();
-  }
-  [[nodiscard]] double settle_time_s() const override;
-  void advance_time(double dt_s) override { cell_.advance_time(dt_s); }
-
-  [[nodiscard]] PcmCell& cell() { return cell_; }
-  [[nodiscard]] const PcmCell& cell() const { return cell_; }
-
- private:
-  PcmCell cell_;
-  lina::Rng* rng_;  ///< Optional write-noise source (not owned).
-};
+/// Energy of `phases` heater program steps at phases uniform in
+/// [0, 2 pi): a linear ramp to the new holding power over one response
+/// time costs 0.5 * P(phi) * tau, so 0.5 * P_pi * tau on average.
+[[nodiscard]] inline double thermo_write_energy_j(double phases,
+                                                  const ThermoOpticConfig& t) {
+  return phases * (0.5 * t.p_pi_w) * t.response_time_s;
+}
 
 }  // namespace aspen::phot

@@ -17,6 +17,15 @@ inline constexpr double kElementaryCharge = 1.602176634e-19;
 inline constexpr double kBoltzmann = 1.380649e-23;
 /// Standard telecom C-band wavelength used throughout the paper [m].
 inline constexpr double kTelecomWavelength = 1550e-9;
+/// pi and 2 pi, the doubles nearest each.
+inline constexpr double kPi = 3.141592653589793238462643383280;
+inline constexpr double kTwoPi = 2.0 * kPi;
+
+/// Phase wrapped into [0, 2 pi) (a phase shifter's programmable range).
+[[nodiscard]] inline double wrap_phase(double phase_rad) {
+  const double p = std::fmod(phase_rad, kTwoPi);
+  return p < 0.0 ? p + kTwoPi : p;
+}
 
 /// Photon energy at a given vacuum wavelength [J].
 [[nodiscard]] inline double photon_energy(double wavelength_m) {

@@ -47,13 +47,6 @@ bool PcmNeuron::inject(double weighted_sum, double now_s) {
   return false;
 }
 
-void PcmNeuron::reset_state() {
-  cell_.reset();
-  last_spike_s_ = -1e300;
-  adapt_ = 0.0;
-  adapt_time_s_ = 0.0;
-}
-
 void PcmNeuron::inhibit(double amount) {
   // Partial amorphization pulls the membrane away from threshold.
   const double target =

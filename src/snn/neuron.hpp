@@ -55,7 +55,6 @@ class PcmNeuron {
   [[nodiscard]] std::uint64_t spike_count() const { return spikes_; }
   /// Total energy spent on accumulation + reset writes.
   [[nodiscard]] double energy_j() const { return cell_.energy_spent_j(); }
-  void reset_state();
 
   /// Apply lateral inhibition: partially amorphize the membrane.
   void inhibit(double amount);

@@ -61,12 +61,6 @@ void Memory::read_block(std::uint32_t offset, void* dst, std::size_t n) const {
   std::memcpy(dst, bytes_.data() + offset, n);
 }
 
-void Memory::fill(std::uint8_t value) {
-  std::fill(bytes_.begin(), bytes_.end(), value);
-  mark_dirty(0, size());
-  notify(0, size());
-}
-
 void Memory::flip_bit(std::uint32_t offset, unsigned bit) {
   if (offset >= bytes_.size() || bit > 7)
     throw std::out_of_range(name_ + ": flip_bit out of range");

@@ -79,7 +79,6 @@ class Memory final : public BusDevice {
   /// latency modelling.
   void load(std::uint32_t offset, const void* src, std::size_t n);
   void read_block(std::uint32_t offset, void* dst, std::size_t n) const;
-  void fill(std::uint8_t value);
 
   /// Attach a read trace (nullptr detaches): while attached the direct
   /// span is revoked and every read() and read_block() is reported to

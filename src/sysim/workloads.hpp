@@ -112,23 +112,4 @@ void stage_gemm_data_checked(System& system, const GemmWorkload& wl,
     const GemmWorkload& wl, const std::vector<std::int16_t>& a,
     const std::vector<std::int16_t>& x);
 
-/// Read the 64-bit mcycle and minstret counter pairs with the standard
-/// high/low/high re-read loop and store {mcycle_lo, mcycle_hi,
-/// minstret_lo, minstret_hi} at DRAM offset `out_offset`; exercises the
-/// mcycleh/minstreth CSRs guest code uses for long campaign timing.
-[[nodiscard]] std::vector<std::uint32_t> build_counter_probe(
-    const SystemConfig& sys, std::uint32_t out_offset);
-
-/// RVC-dense scramble/checksum loop assembled with compress=true: the
-/// hot loop is almost entirely 2-byte forms (c.lw/c.sw, c.addi, c.mv,
-/// CA/CB ALU ops) plus c.lwsp/c.swsp epilogue traffic and a c.jr
-/// subroutine return, so it exercises mixed 2/4-byte fetch, block
-/// building over compressed runs, and the compressed-fetch counters.
-/// Reads `words` 32-bit words at `src_offset`, writes the scrambled
-/// words to `dst_offset` followed by {checksum, 0} — all diffable
-/// through the DRAM image.
-[[nodiscard]] std::vector<std::uint32_t> build_rvc_loop(
-    const SystemConfig& sys, std::uint32_t src_offset,
-    std::uint32_t dst_offset, std::uint32_t words);
-
 }  // namespace aspen::sys

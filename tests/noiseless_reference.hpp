@@ -30,7 +30,10 @@ inline lina::CMat complex_noiseless_reference(const core::MvmEngine& eng,
     fields.raw()[i] = launch * amp * x.raw()[i];
   lina::CMat out;
   lina::mul_into(out, eng.physical_transfer(), fields);
-  const double sigma_max = lina::svd(eng.matrix()).sigma_max();
+  lina::SvdResult usv;
+  lina::SvdWorkspace ws;
+  lina::svd(eng.matrix(), usv, ws);
+  const double sigma_max = usv.sigma_max();
   if (sigma_max <= 0.0) {
     for (auto& v : out.raw()) v = cplx{0.0, 0.0};
     return out;

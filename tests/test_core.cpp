@@ -829,6 +829,50 @@ TEST(EnergyModelTest, ReckAndClementsSameCellCountSameArea) {
             evaluate_accelerator(a).insertion_loss_db);
 }
 
+TEST(EnergyModelTest, EngineAndAnalyticModelChargeOneWriteLaw) {
+  // A fresh engine has programmed its weights once (the constructor sets
+  // the identity); the analytic model prices one full reprogram. Both
+  // apply the same write-energy and program-time laws, to the bit.
+  for (const WeightTechnology tech :
+       {WeightTechnology::kThermoOptic, WeightTechnology::kPcm}) {
+    for (const std::size_t ports : {4, 8, 16}) {
+      MvmConfig cfg;  // PCM weights default to GeSe sized for 2 pi
+      cfg.ports = ports;
+      cfg.weights = tech;
+      const MvmEngine eng(cfg);
+      const AcceleratorReport r = evaluate_accelerator(cfg);
+      ASSERT_EQ(eng.counters().program_ops, 1u);
+      EXPECT_EQ(eng.counters().weight_write_energy_j, r.program_energy_j)
+          << ports << " ports";
+      EXPECT_EQ(eng.program_time_s(), r.program_time_s) << ports << " ports";
+    }
+  }
+}
+
+TEST(EnergyModelTest, NonPositiveHeaterPPiThrows) {
+  for (const double p_pi_w : {0.0, -0.02}) {
+    MvmConfig cfg;
+    cfg.thermo.p_pi_w = p_pi_w;
+    EXPECT_THROW(MvmEngine{cfg}, std::invalid_argument);
+    EXPECT_THROW((void)evaluate_accelerator(cfg), std::invalid_argument);
+  }
+}
+
+TEST(EnergyModelTest, NegativeHeaterResponseTimeThrows) {
+  MvmConfig cfg;
+  cfg.thermo.response_time_s = -10e-6;
+  EXPECT_THROW(MvmEngine{cfg}, std::invalid_argument);
+  EXPECT_THROW((void)evaluate_accelerator(cfg), std::invalid_argument);
+  cfg.thermo.response_time_s = 0.0;  // an instant heater is allowed
+  EXPECT_NO_THROW((void)evaluate_accelerator(cfg));
+}
+
+TEST(EnergyModelTest, ZeroWdmChannelsThrows) {
+  const MvmConfig cfg;
+  EXPECT_THROW((void)evaluate_accelerator(cfg, 1e6, 0), std::invalid_argument);
+  EXPECT_THROW((void)evaluate_accelerator(cfg, 1e6, -1), std::invalid_argument);
+}
+
 TEST(MvmEngineTest, TransferAtDetuningIsLogicallyConst) {
   MvmConfig cfg;
   cfg.ports = 6;

@@ -99,7 +99,9 @@ TEST_P(DecompositionTest, ReckReconstructs) {
   Rng rng(2000 + n);
   for (int trial = 0; trial < 3; ++trial) {
     const CMat u = aspen::lina::haar_unitary(n, rng);
-    const ProgrammedMesh pm = reck_decompose(u);
+    ProgrammedMesh pm;
+    DecomposeScratch ws;
+    reck_decompose(u, aspen::phot::MziStyle::kStandard, ws, pm);
     const CMat rebuilt = ideal_transfer(pm);
     EXPECT_LT(u.max_abs_diff(rebuilt), 1e-9) << "n=" << n << " t=" << trial;
   }
@@ -133,7 +135,10 @@ TEST(DecompositionTest, RejectsNonUnitary) {
   Rng rng(1);
   const CMat g = aspen::lina::ginibre(4, 4, rng);
   EXPECT_THROW((void)clements_decompose(g), std::invalid_argument);
-  EXPECT_THROW((void)reck_decompose(g), std::invalid_argument);
+  ProgrammedMesh pm;
+  DecomposeScratch ws;
+  EXPECT_THROW(reck_decompose(g, aspen::phot::MziStyle::kStandard, ws, pm),
+               std::invalid_argument);
 }
 
 TEST(DecompositionTest, RejectsNonSquare) {

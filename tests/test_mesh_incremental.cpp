@@ -337,7 +337,10 @@ TEST(CalibratePinTest, Reck5) {
   em.coupler_sigma = 0.05;
   em.seed = 777;
   PhysicalMesh mesh(reck_layout(5), em);
-  mesh.program(reck_decompose(u).phases);
+  ProgrammedMesh pm;
+  DecomposeScratch ws;
+  reck_decompose(u, aspen::phot::MziStyle::kStandard, ws, pm);
+  mesh.program(pm.phases);
   const auto rep = calibrate(mesh, u);
   EXPECT_NEAR(rep.final_fidelity, 0.999941928167531, 1e-9);
 }

@@ -10,6 +10,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "guest_programs.hpp"
 #include "sysim/fault.hpp"
 #include "sysim/system.hpp"
 #include "sysim/workloads.hpp"
@@ -18,6 +19,7 @@ namespace {
 
 using namespace aspen::sys;
 using namespace aspen::sys::rv;
+using aspen::testing::build_counter_probe;
 
 // ---------------------------------------------------------------- memory
 
@@ -980,7 +982,8 @@ TEST(AcceleratorTest, SpmWindowsDecodeLeniently) {
         Window{PhotonicAccelerator::kSpmXBase, accel.spm_x()},
         Window{PhotonicAccelerator::kSpmYBase, accel.spm_y()}}) {
     SCOPED_TRACE(w.spm.name());
-    w.spm.fill(0xA5);
+    const std::vector<std::uint8_t> pattern(w.spm.size(), 0xA5);
+    w.spm.load(0, pattern.data(), pattern.size());
     const std::uint32_t end = w.base + w.spm.size();
     ASSERT_LT(w.spm.size(), 0x1000u);
     EXPECT_EQ(accel.read(end - 4, 4), 0xA5A5A5A5u);

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <functional>
 
+#include "guest_programs.hpp"
 #include "sysim/fault.hpp"
 #include "sysim/system.hpp"
 #include "sysim/workloads.hpp"
@@ -25,6 +26,8 @@ namespace {
 
 using namespace aspen::sys;
 using namespace aspen::sys::rv;
+using aspen::testing::build_counter_probe;
+using aspen::testing::build_rvc_loop;
 
 std::vector<std::int16_t> random_fixed(std::size_t count, std::uint64_t seed) {
   aspen::lina::Rng rng(seed);
